@@ -1,8 +1,9 @@
 //! End-to-end simulator throughput: whole scaled-down benchmark runs
-//! under representative managers. This is the cost of one experiment
-//! grid cell.
+//! under representative managers, executed exactly as every experiment
+//! grid cell is. This is the cost of one grid cell.
 
-use bfgts_bench::{run_one, ManagerKind, Platform};
+use bfgts_bench::runner::RunCell;
+use bfgts_bench::{ManagerKind, Platform};
 use bfgts_testkit::bench::Harness;
 use bfgts_workloads::presets;
 use std::hint::black_box;
@@ -18,7 +19,7 @@ fn main() {
     ] {
         let spec = presets::by_name(bench).expect("preset exists").scaled(0.05);
         h.bench(&format!("workload_run/{bench}/{}", kind.label()), || {
-            black_box(run_one(black_box(&spec), kind, platform));
+            black_box(RunCell::one(black_box(&spec), kind, platform).execute());
         });
     }
     h.finish();

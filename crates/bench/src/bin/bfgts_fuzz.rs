@@ -5,18 +5,19 @@
 //! ```
 //!
 //! Runs one cell per seed in the range: an adversarial workload, a BFGTS
-//! flavour and a randomized fault plan, all derived from the seed. Every
-//! cell is audited through the accounting invariants I1–I7 and checked
-//! against the graceful-degradation bound versus Backoff. Violating
+//! flavour and a randomized fault plan, all derived from the seed as one
+//! scenario. Every cell and its Backoff twin are audited through the
+//! accounting invariants and checked against the graceful-degradation
+//! bound versus Backoff. Violating
 //! cells are auto-minimized and written as replayable repro JSON;
 //! `--repro PATH` re-executes such a file and verifies both that the
 //! violation still reproduces and that the event trace is byte-identical
 //! (fingerprint match). `--seeded-violation` runs a control cell that is
 //! guaranteed to violate, proving the harness catches failures.
 
-use bfgts_bench::fuzz;
+use bfgts_bench::fuzz::{self, CampaignCell};
 use bfgts_bench::runner;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -102,7 +103,7 @@ fn main() -> ExitCode {
     campaign(seeds, jobs, &out)
 }
 
-fn replay(path: &std::path::Path) -> ExitCode {
+fn replay(path: &Path) -> ExitCode {
     let repro = match fuzz::load_repro(path) {
         Ok(repro) => repro,
         Err(msg) => {
@@ -116,7 +117,7 @@ fn replay(path: &std::path::Path) -> ExitCode {
                 "repro {} confirmed: {} on {} still violates with a \
                  byte-identical trace (fingerprint {:016x})",
                 path.display(),
-                repro.bfgts_key(),
+                fuzz::bfgts_key(&repro.scenario),
                 repro.scenario.workload.name(),
                 repro.fingerprint,
             );
@@ -132,9 +133,25 @@ fn replay(path: &std::path::Path) -> ExitCode {
     }
 }
 
-fn seeded_violation(out: &std::path::Path) -> ExitCode {
-    let (cfg, workload, plan) = fuzz::violating_control();
-    let report = fuzz::run_cell(&cfg, &workload, &plan);
+/// Minimizes a violating cell, re-scores the minimized scenario and
+/// writes it as a repro under `out`. Returns the number of faults left
+/// and where the repro went.
+fn write_minimized(cell: &CampaignCell, out: &Path) -> (usize, std::io::Result<PathBuf>) {
+    let minimized = fuzz::minimize_failure(&cell.scenario, cell.min_fraction_pct);
+    let scored = fuzz::run_cell(&minimized, cell.min_fraction_pct);
+    let faults = fuzz::fault_plan(&minimized).faults.len();
+    let repro = fuzz::make_repro(
+        cell.seed,
+        minimized,
+        cell.min_fraction_pct,
+        scored.violations,
+    );
+    (faults, fuzz::write_repro(out, &repro))
+}
+
+fn seeded_violation(out: &Path) -> ExitCode {
+    let control = fuzz::violating_control();
+    let report = fuzz::run_cell(&control.scenario, control.min_fraction_pct);
     if report.passed() {
         // Exit 0 here: CI inverts this command's status, so a missed
         // control comes out as a red job.
@@ -148,21 +165,17 @@ fn seeded_violation(out: &std::path::Path) -> ExitCode {
     for v in &report.violations {
         println!("  {v}");
     }
-    let minimized = fuzz::minimize_failure(&cfg, &workload, &plan);
-    let scored = fuzz::run_cell(&cfg, &workload, &minimized);
-    let repro = fuzz::make_repro(cfg.run_seed, &cfg, &workload, &minimized, scored.violations);
-    match fuzz::write_repro(out, &repro) {
-        Ok(path) => println!(
-            "minimized to {} fault(s); repro written to {}",
-            minimized.faults.len(),
+    match write_minimized(&control, out) {
+        (faults, Ok(path)) => println!(
+            "minimized to {faults} fault(s); repro written to {}",
             path.display()
         ),
-        Err(err) => eprintln!("warning: could not write repro: {err}"),
+        (_, Err(err)) => eprintln!("warning: could not write repro: {err}"),
     }
     ExitCode::FAILURE
 }
 
-fn campaign(seeds: (u64, u64), jobs: usize, out: &std::path::Path) -> ExitCode {
+fn campaign(seeds: (u64, u64), jobs: usize, out: &Path) -> ExitCode {
     let seed_list: Vec<u64> = (seeds.0..seeds.1).collect();
     // The worker count is deliberately not echoed: stdout must be
     // byte-identical at any --jobs value.
@@ -180,12 +193,13 @@ fn campaign(seeds: (u64, u64), jobs: usize, out: &std::path::Path) -> ExitCode {
         } else {
             "FAIL"
         };
+        let scenario = &result.cell.scenario;
         println!(
             "  seed {:>4}  {:<20} {:<11} {} faults  bfgts {:>9}c  backoff {:>9}c  {status}",
-            result.seed,
-            result.workload,
-            result.bfgts,
-            result.plan.faults.len(),
+            result.cell.seed,
+            scenario.workload.name(),
+            fuzz::bfgts_key(scenario),
+            fuzz::fault_plan(scenario).faults.len(),
             result.report.bfgts_makespan,
             result.report.backoff_makespan,
         );
@@ -201,31 +215,17 @@ fn campaign(seeds: (u64, u64), jobs: usize, out: &std::path::Path) -> ExitCode {
         return ExitCode::SUCCESS;
     }
     for result in &failures {
+        let seed = result.cell.seed;
         for v in &result.report.violations {
-            println!("seed {}: {v}", result.seed);
+            println!("seed {seed}: {v}");
         }
-        let cell = fuzz::campaign_cell(result.seed);
-        let minimized = fuzz::minimize_failure(&cell.cfg, &cell.workload, &result.plan);
-        let scored = fuzz::run_cell(&cell.cfg, &cell.workload, &minimized);
-        let repro = fuzz::make_repro(
-            result.seed,
-            &cell.cfg,
-            &cell.workload,
-            &minimized,
-            scored.violations,
-        );
-        match fuzz::write_repro(out, &repro) {
-            Ok(path) => println!(
-                "seed {}: minimized {} -> {} fault(s); repro written to {}",
-                result.seed,
-                result.plan.faults.len(),
-                minimized.faults.len(),
+        match write_minimized(&result.cell, out) {
+            (faults, Ok(path)) => println!(
+                "seed {seed}: minimized {} -> {faults} fault(s); repro written to {}",
+                fuzz::fault_plan(&result.cell.scenario).faults.len(),
                 path.display()
             ),
-            Err(err) => eprintln!(
-                "warning: could not write repro for seed {}: {err}",
-                result.seed
-            ),
+            (_, Err(err)) => eprintln!("warning: could not write repro for seed {seed}: {err}"),
         }
     }
     println!(

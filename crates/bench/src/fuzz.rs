@@ -1,32 +1,31 @@
 //! Seeded fault-injection fuzz campaigns (DESIGN.md §9).
 //!
 //! A campaign runs a grid of cells, each fully derived from a single
-//! `u64` seed: an adversarial workload, a BFGTS flavour and a randomized
-//! [`FaultPlan`]. Every cell is executed through
-//! [`bfgts_faultsim::run_cell`], which audits the accounting invariants
-//! I1–I7 and checks the graceful-degradation bound against the Backoff
-//! baseline. Violating cells are auto-minimized (greedy fault removal,
-//! then magnitude halving) and written as replayable repro JSON that
-//! `bfgts_fuzz --repro PATH` re-executes byte-identically, verified by a
-//! fingerprint over the run's JSONL event trace.
+//! `u64` seed: an adversarial workload, a BFGTS flavour, a detection
+//! model and a randomized [`FaultPlan`], captured as one canonical
+//! [`Scenario`]. [`run_cell`] executes that scenario and its Backoff
+//! twin through [`RunCell::execute_report`] — the path every grid cell,
+//! scenario file and served request takes — audits both traces and
+//! checks the graceful-degradation bound. Violating cells are
+//! auto-minimized (greedy fault removal, then magnitude halving) and
+//! written as replayable repro JSON that `bfgts_fuzz --repro PATH`
+//! re-executes byte-identically, verified by a fingerprint over the
+//! run's JSONL event trace.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
-use bfgts_core::BfgtsConfig;
-pub use bfgts_faultsim::run_cell;
-use bfgts_faultsim::{minimize, CellConfig, CellReport, Fault, FaultPlan};
+use bfgts_core::BfgtsVariant;
+use bfgts_faultsim::{minimize, Fault, FaultPlan};
+use bfgts_htm::TmRunReport;
 use bfgts_scenario::{
-    fnv1a, variant_key, BfgtsTunables, Detection, ManagerSpec, Platform, ResolvedWorkload,
-    Scenario, WorkloadSpec,
+    fnv1a, variant_key, BfgtsTunables, ManagerKind, ManagerSpec, Platform, Scenario, WorkloadSpec,
 };
 use bfgts_sim::TraceMode;
 use bfgts_testkit::Gen;
 use bfgts_workloads::AdversarialSpec;
 
 use crate::json::Json;
-use crate::runner::RunCell;
+use crate::runner::{parallel_map, RunCell};
 use crate::trace_export;
 
 /// Format version of a repro file; bump on any schema change. Version 2
@@ -35,166 +34,256 @@ use crate::trace_export;
 /// `bfgts_run` executes and the trace header records.
 pub const REPRO_VERSION: u64 = 2;
 
-/// BFGTS flavours the campaign rotates through, as stable repro keys.
-pub const BFGTS_KEYS: [&str; 4] = ["sw", "hw", "hw_backoff", "no_overhead"];
+/// BFGTS flavours the campaign rotates through. Cells draw from this
+/// list by index, so its order is part of every cell's derivation.
+const VARIANTS: [BfgtsVariant; 4] = [
+    BfgtsVariant::Sw,
+    BfgtsVariant::Hw,
+    BfgtsVariant::HwBackoff,
+    BfgtsVariant::NoOverhead,
+];
 
-fn bfgts_config(key: &str) -> Option<BfgtsConfig> {
-    match key {
-        "sw" => Some(BfgtsConfig::sw()),
-        "hw" => Some(BfgtsConfig::hw()),
-        "hw_backoff" => Some(BfgtsConfig::hw_backoff()),
-        "no_overhead" => Some(BfgtsConfig::no_overhead()),
-        _ => None,
+/// Workload scale of a campaign cell: a tenth of the generator's size.
+const CELL_SCALE: f64 = 0.1;
+
+/// The campaign's graceful-degradation floor, in percent: faulted BFGTS
+/// must reach at least this fraction of Backoff's throughput, i.e. be
+/// at most 10× slower.
+const MIN_FRACTION_PCT: u64 = 10;
+
+/// One campaign cell: the BFGTS run under test and the floor it is
+/// judged against.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CampaignCell {
+    /// The seed the cell was derived from (a label seed for controls).
+    pub seed: u64,
+    /// The canonical BFGTS run: platform, scaled workload, flavour,
+    /// fault plan and full tracing.
+    pub scenario: Scenario,
+    /// Graceful-degradation bound, in percent: the cell passes only if
+    /// `bfgts_makespan * min_fraction_pct <= backoff_makespan * 100`.
+    pub min_fraction_pct: u64,
+}
+
+/// The small overcommitted platform campaign cells run on (4 CPUs,
+/// 8 threads, perfect detection), seeded with `seed`.
+fn quick_platform(seed: u64) -> Platform {
+    Platform {
+        seed,
+        ..Platform::small()
     }
 }
 
-/// One campaign cell, fully derived from its seed.
-#[derive(Debug, Clone)]
-pub struct CampaignCell {
-    /// The seed everything below is derived from.
-    pub seed: u64,
-    /// Platform, bound and BFGTS flavour for the cell.
-    pub cfg: CellConfig,
-    /// Stable key of the BFGTS flavour (see [`BFGTS_KEYS`]).
-    pub bfgts_key: &'static str,
-    /// The adversarial workload under test.
-    pub workload: AdversarialSpec,
-    /// The randomized fault plan.
-    pub plan: FaultPlan,
+/// The scenario of a campaign cell: `workload` at a tenth of its size on
+/// `platform`, run by BFGTS `variant` under `plan` with full tracing.
+/// The workload is recorded at its already-scaled transaction count and
+/// the result is canonical, so its `id()` is the cell's cache key and
+/// its JSON is what a repro file embeds.
+fn scenario_for(
+    workload: &AdversarialSpec,
+    variant: BfgtsVariant,
+    platform: Platform,
+    plan: FaultPlan,
+) -> Scenario {
+    let mut scenario = Scenario::new(
+        WorkloadSpec::from_adversarial(&workload.clone().scaled(CELL_SCALE)),
+        ManagerSpec::Bfgts(BfgtsTunables::new(variant)),
+        platform,
+    );
+    scenario.faults = Some(plan);
+    scenario.trace = TraceMode::Full;
+    scenario.canonical()
 }
 
-/// Derives campaign cell `seed`: workload, BFGTS flavour and fault plan
-/// all come from the seed through independent splitmix64 draws, so a
-/// seed range covers the (workload × flavour × plan) space without any
-/// cell depending on which others ran.
+/// Derives campaign cell `seed`: workload, BFGTS flavour, detection
+/// model and fault plan all come from the seed through independent
+/// splitmix64 draws, so a seed range covers the (workload × flavour ×
+/// plan) space without any cell depending on which others ran.
 pub fn campaign_cell(seed: u64) -> CampaignCell {
     let mut g = Gen::new(seed ^ 0xF022_CA3B);
-    let workloads = AdversarialSpec::all();
-    let workload = g.choose(&workloads).clone();
-    let bfgts_key = *g.choose(&BFGTS_KEYS);
-    let mut cfg = CellConfig::quick(seed);
-    cfg.bfgts = bfgts_config(bfgts_key).expect("BFGTS_KEYS entries are all mapped");
+    let workload = g.choose(&AdversarialSpec::all()).clone();
+    let variant = *g.choose(&VARIANTS);
+    let mut platform = quick_platform(seed);
     // Half the cells run on capacity-limited signature hardware, so the
     // campaign hammers the bounded-detection path (false-positive and
     // capacity aborts, fallback latch, I10) under the same fault plans
     // as perfect detection. Small capacities are deliberate: quick-cell
     // transactions must actually overflow them.
     if g.bool() {
-        cfg.detection = Detection::BoundedSig {
-            bits: 64 * g.u32_in(1, 9),
-            hashes: g.u32_in(1, 5),
-            capacity: g.u32_in(4, 65),
-        };
+        platform = platform.bounded(64 * g.u32_in(1, 9), g.u32_in(1, 5), g.u32_in(4, 65));
     }
     CampaignCell {
         seed,
-        cfg,
-        bfgts_key,
-        workload,
-        plan: FaultPlan::randomized(seed),
+        scenario: scenario_for(&workload, variant, platform, FaultPlan::randomized(seed)),
+        min_fraction_pct: MIN_FRACTION_PCT,
+    }
+}
+
+/// Stable key of the scenario's BFGTS flavour, for display.
+pub fn bfgts_key(scenario: &Scenario) -> &'static str {
+    match &scenario.manager {
+        ManagerSpec::Bfgts(tunables) => variant_key(tunables.variant),
+        _ => "non-bfgts",
+    }
+}
+
+/// The fault plan a scenario carries. Canonical scenarios drop empty
+/// plans, which run clean.
+pub fn fault_plan(scenario: &Scenario) -> FaultPlan {
+    scenario
+        .faults
+        .clone()
+        .unwrap_or_else(|| FaultPlan::new(scenario.platform.seed))
+}
+
+/// `scenario` with its fault plan replaced by `plan`, canonicalised.
+fn with_plan(scenario: &Scenario, plan: FaultPlan) -> Scenario {
+    let mut scenario = scenario.clone();
+    scenario.faults = Some(plan);
+    scenario.canonical()
+}
+
+/// Everything a cell execution produced, violations included. Derives
+/// `PartialEq` so determinism tests can compare whole reports.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CellReport {
+    /// Makespan of the faulted BFGTS run, in cycles.
+    pub bfgts_makespan: u64,
+    /// Makespan of the Backoff run under the same plan, in cycles.
+    pub backoff_makespan: u64,
+    /// Commits of the BFGTS run.
+    pub bfgts_commits: u64,
+    /// Commits of the Backoff run.
+    pub backoff_commits: u64,
+    /// Fault events the BFGTS trace recorded (0 when its audit failed
+    /// outright, since the summary is then unavailable).
+    pub faults_seen: u64,
+    /// Every violation the cell produced: audit invariant breaks from
+    /// either run, then the degradation bound if it broke. Empty means
+    /// the cell passed.
+    pub violations: Vec<String>,
+}
+
+impl CellReport {
+    /// Whether the cell passed every check.
+    pub fn passed(&self) -> bool {
+        self.violations.is_empty()
+    }
+}
+
+/// Runs `scenario` fully traced through the one execution path.
+///
+/// # Panics
+///
+/// Panics if the scenario's workload does not resolve; campaign cells
+/// always do, and [`replay`] checks a loaded repro first.
+fn execute(scenario: &Scenario) -> TmRunReport {
+    RunCell::from_scenario(scenario.clone())
+        .expect("fuzz scenarios resolve")
+        .execute_report(TraceMode::Full)
+}
+
+fn audited(
+    report: &TmRunReport,
+    violations: &mut Vec<String>,
+) -> Option<bfgts_trace::AuditSummary> {
+    match report.audit() {
+        Ok(summary) => Some(summary),
+        Err(list) => {
+            for v in list {
+                violations.push(format!("[{}] {v}", report.cm_name));
+            }
+            None
+        }
+    }
+}
+
+/// Runs one cell: `scenario` (a BFGTS run) and its Backoff twin — the
+/// same scenario with manager `Kind { Backoff, bloom_bits: None }` —
+/// both fully traced, audited, and checked against the degradation
+/// bound `min_fraction_pct`.
+///
+/// Cost perturbation applies engine-wide, so both managers pay the same
+/// jittered latencies; the manager-level faults (corruption, poisoning)
+/// only exist inside BFGTS, which is exactly the asymmetry the
+/// degradation bound is about: a scheduler whose learning inputs are
+/// being sabotaged must still not lose to a scheduler that never learns
+/// by more than the configured factor.
+///
+/// # Panics
+///
+/// Panics if the scenario's workload does not resolve.
+pub fn run_cell(scenario: &Scenario, min_fraction_pct: u64) -> CellReport {
+    let mut twin = scenario.clone();
+    twin.manager = ManagerSpec::Kind {
+        kind: ManagerKind::Backoff,
+        bloom_bits: None,
+    };
+    let bfgts = execute(scenario);
+    let backoff = execute(&twin);
+
+    let mut violations = Vec::new();
+    let bfgts_summary = audited(&bfgts, &mut violations);
+    audited(&backoff, &mut violations);
+
+    let bfgts_makespan = bfgts.sim.makespan.as_u64();
+    let backoff_makespan = backoff.sim.makespan.as_u64();
+    if bfgts_makespan * min_fraction_pct > backoff_makespan * 100 {
+        violations.push(format!(
+            "degradation bound broken: {} makespan {bfgts_makespan} exceeds \
+             {min_fraction_pct}% floor of Backoff's {backoff_makespan} \
+             (allowed at most {})",
+            bfgts.cm_name,
+            backoff_makespan * 100 / min_fraction_pct,
+        ));
+    }
+
+    CellReport {
+        bfgts_makespan,
+        backoff_makespan,
+        bfgts_commits: bfgts.stats.commits(),
+        backoff_commits: backoff.stats.commits(),
+        faults_seen: bfgts_summary.map_or(0, |s| s.faults),
+        violations,
     }
 }
 
 /// The outcome of one campaign cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignResult {
-    /// The cell's seed.
-    pub seed: u64,
-    /// Workload generator name.
-    pub workload: &'static str,
-    /// BFGTS flavour key.
-    pub bfgts: &'static str,
-    /// The fault plan that was injected.
-    pub plan: FaultPlan,
+    /// The cell that ran.
+    pub cell: CampaignCell,
     /// Scores, audit counts and violations.
     pub report: CellReport,
 }
 
-/// Runs one campaign cell per seed, `jobs`-wide. Each cell is an
-/// independent deterministic simulation and results are reassembled in
-/// seed order, so the returned vector is identical for every `jobs`
-/// value — the same contract as `runner::run_grid`.
+/// Runs one campaign cell per seed, `jobs`-wide, on the runner's worker
+/// pool. Each cell is an independent deterministic simulation and
+/// results come back in seed order, so the returned vector is identical
+/// for every `jobs` value — the same contract as `runner::run_grid`.
 pub fn run_campaign(seeds: &[u64], jobs: usize) -> Vec<CampaignResult> {
-    let slots: Vec<OnceLock<CampaignResult>> = (0..seeds.len()).map(|_| OnceLock::new()).collect();
-    let next = AtomicUsize::new(0);
-    let workers = jobs.max(1).min(seeds.len().max(1));
-    let run_one = |i: usize| {
+    parallel_map(seeds.len(), jobs, |i| {
         let cell = campaign_cell(seeds[i]);
-        let report = run_cell(&cell.cfg, &cell.workload, &cell.plan);
-        slots[i]
-            .set(CampaignResult {
-                seed: cell.seed,
-                workload: cell.workload.name,
-                bfgts: cell.bfgts_key,
-                plan: cell.plan,
-                report,
-            })
-            .expect("each slot is filled exactly once");
-    };
-    if workers <= 1 {
-        for i in 0..seeds.len() {
-            run_one(i);
-        }
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= seeds.len() {
-                        break;
-                    }
-                    run_one(i);
-                });
-            }
-        });
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every slot was filled"))
-        .collect()
-}
-
-/// Minimizes a violating plan by re-running the cell as the oracle:
-/// a candidate plan "still fails" iff the re-run produces any violation.
-pub fn minimize_failure(
-    cfg: &CellConfig,
-    workload: &AdversarialSpec,
-    plan: &FaultPlan,
-) -> FaultPlan {
-    minimize(plan, |candidate| {
-        !run_cell(cfg, workload, candidate).passed()
+        let report = run_cell(&cell.scenario, cell.min_fraction_pct);
+        CampaignResult { cell, report }
     })
 }
 
-/// Lifts a fuzz cell into the [`Scenario`] that names it: the platform
-/// and BFGTS tunables come straight from the [`CellConfig`], the
-/// workload is recorded at its already-scaled transaction count, and the
-/// fault plan rides along. The result is canonical, so its `id()` is the
-/// cell's cache key and its JSON is what the repro file embeds.
-pub fn scenario_for(cfg: &CellConfig, workload: &AdversarialSpec, plan: &FaultPlan) -> Scenario {
-    let scaled = workload.clone().scaled(cfg.scale);
-    let mut scenario = Scenario::new(
-        WorkloadSpec::from_adversarial(&scaled),
-        ManagerSpec::Bfgts(BfgtsTunables::from_config(&cfg.bfgts)),
-        Platform {
-            cpus: cfg.num_cpus,
-            threads: cfg.num_threads,
-            seed: cfg.run_seed,
-            shards: 1,
-            detection: cfg.detection,
-        },
-    );
-    scenario.faults = Some(plan.clone());
-    scenario.trace = TraceMode::Full;
-    scenario.canonical()
+/// Minimizes a violating cell's fault plan by re-running the cell as the
+/// oracle: a candidate plan "still fails" iff the re-run produces any
+/// violation. Returns `scenario` carrying the minimized plan.
+pub fn minimize_failure(scenario: &Scenario, min_fraction_pct: u64) -> Scenario {
+    let minimized = minimize(&fault_plan(scenario), |candidate| {
+        !run_cell(&with_plan(scenario, candidate.clone()), min_fraction_pct).passed()
+    });
+    with_plan(scenario, minimized)
 }
 
 /// The JSONL event trace of the scenario's run — the byte string a repro
 /// fingerprint commits to. The scenario itself is embedded in the trace
 /// header, so the fingerprint also covers the run descriptor.
 pub fn trace_jsonl(scenario: &Scenario) -> String {
-    let cell =
-        RunCell::from_scenario(scenario.clone()).expect("fuzz scenarios are always executable");
+    let cell = RunCell::from_scenario(scenario.clone()).expect("fuzz scenarios resolve");
     let report = cell.execute_report(TraceMode::Full);
     let inputs = report.audit_inputs();
     trace_export::to_jsonl_with_scenario(&report.sim.trace, &inputs, Some(&cell.scenario))
@@ -228,54 +317,6 @@ pub struct Repro {
 }
 
 impl Repro {
-    /// Reconstructs the cell configuration this repro describes. The
-    /// scenario records the already-scaled transaction count, so the
-    /// rebuilt cell runs at scale 1.
-    pub fn cell_config(&self) -> Result<CellConfig, String> {
-        let ManagerSpec::Bfgts(tunables) = &self.scenario.manager else {
-            return Err(format!(
-                "repro scenario must use a BFGTS manager, got '{}'",
-                self.scenario.manager.label()
-            ));
-        };
-        Ok(CellConfig {
-            num_cpus: self.scenario.platform.cpus,
-            num_threads: self.scenario.platform.threads,
-            run_seed: self.scenario.platform.seed,
-            scale: 1.0,
-            min_fraction_pct: self.min_fraction_pct,
-            bfgts: tunables.config(),
-            detection: self.scenario.platform.detection,
-        })
-    }
-
-    /// Resolves the workload generator from the scenario.
-    pub fn workload_spec(&self) -> Result<AdversarialSpec, String> {
-        match self.scenario.workload.resolve()? {
-            ResolvedWorkload::Adversarial(spec) => Ok(spec),
-            ResolvedWorkload::Benchmark(_) => {
-                Err("repro scenario must use an adversarial workload".into())
-            }
-        }
-    }
-
-    /// The (minimized) fault plan the scenario carries. Canonical
-    /// scenarios drop empty plans, which replay as a clean run.
-    pub fn plan(&self) -> FaultPlan {
-        self.scenario
-            .faults
-            .clone()
-            .unwrap_or_else(|| FaultPlan::new(self.scenario.platform.seed))
-    }
-
-    /// Stable key of the BFGTS flavour, for display.
-    pub fn bfgts_key(&self) -> &'static str {
-        match &self.scenario.manager {
-            ManagerSpec::Bfgts(tunables) => variant_key(tunables.variant),
-            _ => "non-bfgts",
-        }
-    }
-
     /// Serialises to the canonical repro JSON document.
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -331,20 +372,19 @@ impl Repro {
 }
 
 /// Builds the repro record for a violating cell: the fingerprint commits
-/// to the trace of exactly the (usually minimized) plan being recorded.
+/// to the trace of exactly the (usually minimized) scenario being
+/// recorded.
 pub fn make_repro(
     seed: u64,
-    cfg: &CellConfig,
-    workload: &AdversarialSpec,
-    plan: &FaultPlan,
+    scenario: Scenario,
+    min_fraction_pct: u64,
     violations: Vec<String>,
 ) -> Repro {
-    let scenario = scenario_for(cfg, workload, plan);
     Repro {
         seed,
-        min_fraction_pct: cfg.min_fraction_pct,
         fingerprint: fingerprint(&scenario),
         scenario,
+        min_fraction_pct,
         violations,
     }
 }
@@ -367,8 +407,13 @@ pub fn load_repro(path: &Path) -> Result<Repro, String> {
 /// must still violate, and its event trace must be byte-identical to the
 /// recorded one (equal fingerprints). Returns the replayed report.
 pub fn replay(repro: &Repro) -> Result<CellReport, String> {
-    let cfg = repro.cell_config()?;
-    let workload = repro.workload_spec()?;
+    if !matches!(repro.scenario.manager, ManagerSpec::Bfgts(_)) {
+        return Err(format!(
+            "repro scenario must use a BFGTS manager, got '{}'",
+            repro.scenario.manager.label()
+        ));
+    }
+    repro.scenario.workload.resolve()?;
     let fp = fingerprint(&repro.scenario);
     if fp != repro.fingerprint {
         return Err(format!(
@@ -376,7 +421,7 @@ pub fn replay(repro: &Repro) -> Result<CellReport, String> {
             repro.fingerprint
         ));
     }
-    let report = run_cell(&cfg, &workload, &repro.plan());
+    let report = run_cell(&repro.scenario, repro.min_fraction_pct);
     if report.passed() {
         return Err("replay no longer violates (fixed, or a stale repro)".into());
     }
@@ -388,19 +433,113 @@ pub fn replay(repro: &Repro) -> Result<CellReport, String> {
 /// 100×), guaranteed to violate. CI runs this to prove the campaign
 /// harness actually catches failures — the fuzz-lane analogue of
 /// detlint's seeded-violation step.
-pub fn violating_control() -> (CellConfig, AdversarialSpec, FaultPlan) {
-    let mut cfg = CellConfig::quick(0xC0_47_01);
-    cfg.min_fraction_pct = 10_000;
+pub fn violating_control() -> CampaignCell {
+    let seed = 0xC0_47_01;
     let plan = FaultPlan::new(0xC047).fault(Fault::ConfPoison {
         period: 1,
         saturate: true,
     });
-    (cfg, AdversarialSpec::hotspot_skew(), plan)
+    CampaignCell {
+        seed,
+        scenario: scenario_for(
+            &AdversarialSpec::hotspot_skew(),
+            BfgtsVariant::Hw,
+            quick_platform(seed),
+            plan,
+        ),
+        min_fraction_pct: 10_000,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn quick(seed: u64, workload: AdversarialSpec, plan: FaultPlan) -> Scenario {
+        scenario_for(&workload, BfgtsVariant::Hw, quick_platform(seed), plan)
+    }
+
+    #[test]
+    fn clean_cell_passes_and_sees_no_faults() {
+        let scenario = quick(0xCE11, AdversarialSpec::hotspot_skew(), FaultPlan::new(1));
+        let report = run_cell(&scenario, MIN_FRACTION_PCT);
+        assert!(report.passed(), "violations: {:?}", report.violations);
+        assert_eq!(report.faults_seen, 0);
+        assert_eq!(report.bfgts_commits, report.backoff_commits);
+        assert!(report.bfgts_makespan > 0);
+    }
+
+    #[test]
+    fn faulted_cell_still_audits_clean_and_degrades_gracefully() {
+        let plan = FaultPlan::new(5)
+            .fault(Fault::CostPerturb { max_percent: 25 })
+            .fault(Fault::BloomCorrupt {
+                rate_pct: 80,
+                bits: 64,
+            })
+            .fault(Fault::ConfPoison {
+                period: 30,
+                saturate: true,
+            });
+        let scenario = quick(0xCE12, AdversarialSpec::contention_storm(), plan);
+        let report = run_cell(&scenario, MIN_FRACTION_PCT);
+        assert!(report.passed(), "violations: {:?}", report.violations);
+        assert!(report.faults_seen > 0, "faults must actually fire");
+    }
+
+    #[test]
+    fn bounded_detection_cell_audits_clean_and_replays() {
+        let plan = FaultPlan::new(7).fault(Fault::BloomCorrupt {
+            rate_pct: 60,
+            bits: 16,
+        });
+        let scenario = scenario_for(
+            &AdversarialSpec::hotspot_skew(),
+            BfgtsVariant::Hw,
+            quick_platform(0xCE15).bounded(64, 1, 16),
+            plan,
+        );
+        let a = run_cell(&scenario, MIN_FRACTION_PCT);
+        assert!(a.passed(), "violations: {:?}", a.violations);
+        assert!(
+            a.faults_seen > 0,
+            "detection-signature corruption must be traced"
+        );
+        assert_eq!(a, run_cell(&scenario, MIN_FRACTION_PCT), "replay");
+    }
+
+    #[test]
+    fn cells_replay_byte_identically() {
+        let scenario = quick(
+            0xCE13,
+            AdversarialSpec::phase_shift(),
+            FaultPlan::randomized(3),
+        );
+        let a = run_cell(&scenario, MIN_FRACTION_PCT);
+        let b = run_cell(&scenario, MIN_FRACTION_PCT);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn impossible_bound_is_reported_as_a_violation() {
+        // A floor above 100% demands BFGTS beat Backoff outright on a
+        // workload engineered against it — the seeded negative control.
+        let plan = FaultPlan::new(6).fault(Fault::ConfPoison {
+            period: 1,
+            saturate: true,
+        });
+        let scenario = quick(0xCE14, AdversarialSpec::hotspot_skew(), plan);
+        let report = run_cell(&scenario, 10_000);
+        assert!(!report.passed());
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| v.contains("degradation bound")),
+            "violations: {:?}",
+            report.violations
+        );
+    }
 
     #[test]
     fn campaign_is_identical_across_job_counts() {
@@ -410,18 +549,17 @@ mod tests {
         assert_eq!(serial, parallel);
         assert_eq!(serial.len(), 6);
         for (seed, result) in seeds.iter().zip(&serial) {
-            assert_eq!(*seed, result.seed);
+            assert_eq!(*seed, result.cell.seed);
         }
     }
 
     #[test]
     fn trace_fingerprint_is_stable_and_plan_sensitive() {
         let cell = campaign_cell(2);
-        let faulted = scenario_for(&cell.cfg, &cell.workload, &cell.plan);
-        let a = trace_jsonl(&faulted);
-        let b = trace_jsonl(&faulted);
+        let a = trace_jsonl(&cell.scenario);
+        let b = trace_jsonl(&cell.scenario);
         assert_eq!(a, b, "same scenario, byte-identical trace");
-        let clean = scenario_for(&cell.cfg, &cell.workload, &FaultPlan::new(cell.plan.seed));
+        let clean = with_plan(&cell.scenario, FaultPlan::new(0));
         assert_ne!(
             fnv1a(&a, 0),
             fingerprint(&clean),
@@ -430,26 +568,9 @@ mod tests {
     }
 
     #[test]
-    fn scenario_path_matches_faultsim_execution() {
-        // The fingerprint runs through `RunCell::from_scenario`, while
-        // `run_cell`/`replay` execute through faultsim's `bfgts_run`.
-        // The repro contract only holds if both paths produce the same
-        // event trace, byte for byte.
-        let cell = campaign_cell(5);
-        let scenario = scenario_for(&cell.cfg, &cell.workload, &cell.plan);
-        let report = bfgts_faultsim::bfgts_run(&cell.cfg, &cell.workload, &cell.plan);
-        let direct = trace_export::to_jsonl_with_scenario(
-            &report.sim.trace,
-            &report.audit_inputs(),
-            Some(&scenario),
-        );
-        assert_eq!(trace_jsonl(&scenario), direct);
-    }
-
-    #[test]
     fn repro_json_round_trips() {
-        let (cfg, workload, plan) = violating_control();
-        let plan = plan
+        let control = violating_control();
+        let plan = fault_plan(&control.scenario)
             .fault(Fault::CostPerturb { max_percent: 9 })
             .fault(Fault::BloomCorrupt {
                 rate_pct: 33,
@@ -457,59 +578,65 @@ mod tests {
             });
         let repro = Repro {
             seed: 42,
-            scenario: scenario_for(&cfg, &workload, &plan),
-            min_fraction_pct: cfg.min_fraction_pct,
+            scenario: with_plan(&control.scenario, plan.clone()),
+            min_fraction_pct: control.min_fraction_pct,
             fingerprint: 0xDEAD_BEEF,
             violations: vec!["degradation bound broken: …".to_string()],
         };
         let text = repro.to_json().to_string();
         let parsed = Repro::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(parsed, repro);
-        assert_eq!(parsed.plan(), plan);
-        assert_eq!(parsed.bfgts_key(), "hw");
+        assert_eq!(fault_plan(&parsed.scenario), plan);
+        assert_eq!(bfgts_key(&parsed.scenario), "hw");
         assert!(Repro::from_json(&Json::parse("{}").unwrap()).is_err());
     }
 
     #[test]
     fn seeded_control_violates_minimizes_and_replays() {
-        let (cfg, workload, plan) = violating_control();
-        let report = run_cell(&cfg, &workload, &plan);
+        let control = violating_control();
+        let floor = control.min_fraction_pct;
+        let report = run_cell(&control.scenario, floor);
         assert!(!report.passed(), "the control must violate");
         // The bound is impossible even without faults, so minimization
         // strips the plan down to nothing — the true root cause.
-        let minimized = minimize_failure(&cfg, &workload, &plan);
-        assert!(minimized.is_empty());
-        assert_eq!(minimized, minimize_failure(&cfg, &workload, &plan));
-        let scored = run_cell(&cfg, &workload, &minimized);
-        let repro = make_repro(7, &cfg, &workload, &minimized, scored.violations);
+        let minimized = minimize_failure(&control.scenario, floor);
+        assert_eq!(minimized.faults, None);
+        assert_eq!(minimized, minimize_failure(&control.scenario, floor));
+        let scored = run_cell(&minimized, floor);
+        let repro = make_repro(7, minimized, floor, scored.violations);
         let replayed = replay(&repro).expect("the repro must reproduce");
         assert!(!replayed.passed());
     }
 
     #[test]
-    fn repro_cell_config_round_trips_the_cell() {
+    fn repro_rebuilds_the_campaign_cell() {
         let cell = campaign_cell(9);
-        let repro = make_repro(9, &cell.cfg, &cell.workload, &cell.plan, vec![]);
-        let cfg = repro.cell_config().unwrap();
-        assert_eq!(cfg.num_cpus, cell.cfg.num_cpus);
-        assert_eq!(cfg.num_threads, cell.cfg.num_threads);
-        assert_eq!(cfg.run_seed, cell.cfg.run_seed);
-        assert_eq!(cfg.min_fraction_pct, cell.cfg.min_fraction_pct);
-        assert_eq!(cfg.bfgts, cell.cfg.bfgts);
+        let repro = make_repro(9, cell.scenario.clone(), cell.min_fraction_pct, vec![]);
+        let parsed = Repro::from_json(&Json::parse(&repro.to_json().to_string()).unwrap()).unwrap();
+        assert_eq!(parsed.scenario, cell.scenario);
+        assert_eq!(parsed.min_fraction_pct, cell.min_fraction_pct);
+        assert_eq!(fingerprint(&parsed.scenario), repro.fingerprint);
         // The scenario stores the already-scaled transaction count, so
-        // the rebuilt cell runs at scale 1 over the same workload.
-        let rebuilt = repro.workload_spec().unwrap().scaled(cfg.scale);
-        let original = cell.workload.clone().scaled(cell.cfg.scale);
-        assert_eq!(rebuilt.name, original.name);
-        assert_eq!(rebuilt.total_txs, original.total_txs);
-        assert_eq!(repro.plan(), cell.plan);
-        assert_eq!(repro.bfgts_key(), cell.bfgts_key);
+        // the replay runs the same workload at scale 1.
+        let full = AdversarialSpec::all()
+            .into_iter()
+            .find(|spec| spec.name == cell.scenario.workload.name())
+            .unwrap();
+        assert_eq!(
+            parsed.scenario.workload.total_txs(),
+            full.scaled(CELL_SCALE).total_txs
+        );
     }
 
     #[test]
     fn repro_files_round_trip_on_disk() {
-        let (cfg, workload, plan) = violating_control();
-        let repro = make_repro(11, &cfg, &workload, &plan, vec!["x".into()]);
+        let control = violating_control();
+        let repro = make_repro(
+            11,
+            control.scenario,
+            control.min_fraction_pct,
+            vec!["x".into()],
+        );
         let dir = std::env::temp_dir().join(format!("bfgts-fuzz-{}", std::process::id()));
         let path = write_repro(&dir, &repro).unwrap();
         assert!(path.ends_with("11.json"));
@@ -520,18 +647,21 @@ mod tests {
 
     #[test]
     fn stale_fingerprints_and_unknown_names_are_rejected() {
-        let (cfg, workload, plan) = violating_control();
-        let scored = run_cell(&cfg, &workload, &plan);
-        let mut repro = make_repro(3, &cfg, &workload, &plan, scored.violations);
+        let control = violating_control();
+        let floor = control.min_fraction_pct;
+        let scored = run_cell(&control.scenario, floor);
+        let mut repro = make_repro(3, control.scenario, floor, scored.violations);
         repro.fingerprint ^= 1;
         let err = replay(&repro).unwrap_err();
         assert!(err.contains("fingerprint mismatch"), "{err}");
-        repro.scenario.manager = ManagerSpec::Serial;
-        assert!(repro.cell_config().is_err());
+        let mut serial = repro.clone();
+        serial.scenario.manager = ManagerSpec::Serial;
+        let err = replay(&serial).unwrap_err();
+        assert!(err.contains("BFGTS manager"), "{err}");
         repro.scenario.workload = WorkloadSpec::Adversarial {
             name: "adv-unknown".to_string(),
             total_txs: 100,
         };
-        assert!(repro.workload_spec().is_err());
+        assert!(replay(&repro).is_err());
     }
 }

@@ -1,10 +1,12 @@
 //! Shared experiment infrastructure for regenerating the paper's tables
 //! and figures.
 //!
-//! Every binary in `src/bin/` drives the same pipeline: pick a benchmark
-//! preset, pick a [`ManagerKind`], run it on the paper platform (16
-//! CPUs, 64 threads) with [`run_one`], and compare against the 1-thread
-//! serial baseline with [`speedup`]. See `DESIGN.md` §4 for the
+//! Every binary in `src/bin/` drives the same pipeline: describe each
+//! run as a [`runner::RunCell`] — a benchmark preset under a
+//! [`ManagerKind`] on the paper platform (16 CPUs, 64 threads), or the
+//! 1-thread serial baseline — execute the grid with
+//! [`runner::run_grid`], and divide serial by parallel makespans with
+//! [`runner::CellSummary::speedup_over`]. See `DESIGN.md` §4 for the
 //! experiment-to-binary index.
 //!
 //! The run descriptions themselves — [`Platform`], [`ManagerKind`], the
@@ -25,38 +27,6 @@ pub use bfgts_scenario::{
     BfgtsTunables, ManagerKind, ManagerSpec, Platform, Scenario, WorkloadSpec,
 };
 
-use bfgts_baselines::BackoffCm;
-use bfgts_htm::{run_workload, TmRunConfig, TmRunReport};
-use bfgts_workloads::BenchmarkSpec;
-
-/// Runs `spec` under `kind` on `platform` with the benchmark's optimal
-/// Bloom filter size.
-pub fn run_one(spec: &BenchmarkSpec, kind: ManagerKind, platform: Platform) -> TmRunReport {
-    run_one_with_bloom(spec, kind, platform, kind.optimal_bloom_bits(spec.name))
-}
-
-/// Runs `spec` under `kind` with an explicit Bloom filter size (the
-/// Figure 6 sweep).
-pub fn run_one_with_bloom(
-    spec: &BenchmarkSpec,
-    kind: ManagerKind,
-    platform: Platform,
-    bloom_bits: u32,
-) -> TmRunReport {
-    let cfg = TmRunConfig::new(platform.cpus, platform.threads).seed(platform.seed);
-    run_workload(&cfg, spec.sources(platform.threads), kind.build(bloom_bits))
-}
-
-/// Runs the serial baseline: the same total work on one CPU with one
-/// thread (no conflicts are possible, so the manager choice is
-/// irrelevant; Backoff adds zero overhead without contention). Returns
-/// the serial makespan in cycles.
-pub fn serial_baseline(spec: &BenchmarkSpec, seed: u64) -> u64 {
-    let cfg = TmRunConfig::new(1, 1).seed(seed);
-    let report = run_workload(&cfg, spec.sources(1), Box::new(BackoffCm::default()));
-    report.sim.makespan.as_u64()
-}
-
 /// Runs `f` and returns its result plus the elapsed wall-clock in
 /// milliseconds. The one sanctioned wall-clock read in this crate,
 /// shared by every benchmark binary (`bfgts_run --bench-json`,
@@ -67,16 +37,6 @@ pub fn timed_ms<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let started = std::time::Instant::now();
     let out = f();
     (out, started.elapsed().as_millis() as u64)
-}
-
-/// Speedup of a parallel run over the serial baseline.
-pub fn speedup(parallel: &TmRunReport, serial_makespan: u64) -> f64 {
-    let span = parallel.sim.makespan.as_u64();
-    if span == 0 {
-        0.0
-    } else {
-        serial_makespan as f64 / span as f64
-    }
 }
 
 /// Geometric-mean helper for "AVG" columns (the paper averages speedups
@@ -266,7 +226,6 @@ pub fn parse_common_args() -> CommonArgs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bfgts_workloads::presets;
 
     #[test]
     fn manager_labels_unique() {
@@ -291,12 +250,6 @@ mod tests {
             ManagerKind::BfgtsHwBackoff.optimal_bloom_bits("Vacation")
                 > ManagerKind::BfgtsHw.optimal_bloom_bits("Vacation")
         );
-    }
-
-    #[test]
-    fn serial_baseline_is_deterministic() {
-        let spec = presets::ssca2().scaled(0.02);
-        assert_eq!(serial_baseline(&spec, 1), serial_baseline(&spec, 1));
     }
 
     #[test]
@@ -365,12 +318,5 @@ mod tests {
     fn help_short_circuits() {
         assert!(parse(&["--help"]).unwrap().is_none());
         assert!(parse(&["-h", "--frobnicate"]).unwrap().is_none());
-    }
-
-    #[test]
-    fn quick_run_completes_on_small_platform() {
-        let spec = presets::kmeans().scaled(0.02);
-        let report = run_one(&spec, ManagerKind::Backoff, Platform::small());
-        assert!(report.stats.commits() > 0);
     }
 }

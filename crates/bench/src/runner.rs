@@ -12,7 +12,8 @@
 //! * [`run_grid`] executes cells across a [`std::thread::scope`] worker
 //!   pool (an atomic work index hands out jobs; `--jobs N` sets the pool
 //!   size) and reassembles [`CellSummary`] results in grid order, so the
-//!   printed output is byte-identical to a sequential run.
+//!   printed output is byte-identical to a sequential run. The fuzz
+//!   campaign shares the same pool.
 //! * Cells with identical cache keys are computed once per grid — the
 //!   serial baselines every benchmark needs are therefore memoised
 //!   automatically instead of being re-simulated per manager.
@@ -24,9 +25,9 @@
 //! Since cache version 2 a cell *is* a [`Scenario`] (DESIGN.md §10): the
 //! cache key is the scenario's content hash, `--emit` dumps any grid as
 //! a scenario file, and `bfgts_run` executes such files through this
-//! same runner. Closure-built custom cells are the one exception — their
-//! configuration lives outside the scenario, so they are memoised within
-//! a grid but never persisted to disk.
+//! same runner. [`RunCell::execute_report`] is the one place a run
+//! description becomes a simulation: grid cells, scenario files, served
+//! requests and fuzz-campaign cells all execute through it.
 //!
 //! Floating-point statistics are cached as `u64` bit patterns, so a
 //! cache hit reproduces the fresh run's output byte for byte.
@@ -43,7 +44,7 @@ use bfgts_workloads::{open_sources, ArrivalSpec, BenchmarkSpec};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 pub use bfgts_scenario::CostKind;
 
@@ -53,18 +54,13 @@ pub use bfgts_scenario::CostKind;
 /// open-system latency digest to the summary layout.
 pub const CACHE_VERSION: u64 = 3;
 
-/// One cell of an experiment grid: a [`Scenario`] plus, for the one
-/// escape hatch the scenario cannot express, a closure building an
-/// arbitrary contention manager.
+/// One cell of an experiment grid: a canonical [`Scenario`]. The
+/// constructors below are shorthand for the common scenario shapes.
 #[derive(Clone)]
 pub struct RunCell {
     /// The complete, canonicalised run description. Its content hash is
     /// the cell's cache identity.
     pub scenario: Scenario,
-    /// Set only by [`RunCell::custom`]: builds the manager the scenario
-    /// describes opaquely as [`ManagerSpec::Custom`]. Such cells are
-    /// never persisted to the disk cache.
-    custom_build: Option<Arc<dyn Fn() -> Box<dyn ContentionManager> + Send + Sync>>,
 }
 
 impl RunCell {
@@ -103,37 +99,6 @@ impl RunCell {
         Self {
             scenario: Scenario::new(WorkloadSpec::from_benchmark(spec), manager, platform)
                 .canonical(),
-            custom_build: None,
-        }
-    }
-
-    /// A cell running `spec` under a closure-built manager. `tag` should
-    /// describe the configuration for humans; because the closure's
-    /// actual configuration is invisible to the scenario, the cell is
-    /// executed fresh every grid and never persisted to the disk cache
-    /// (a cached summary keyed only on the tag could silently go stale
-    /// when the builder changes).
-    ///
-    /// **Test support only.** Every production configuration is
-    /// expressible as a structured [`ManagerSpec`] and must go through
-    /// [`RunCell::with_manager`] so its scenarios cache, emit and replay;
-    /// no binary in `src/bin/` constructs custom cells (pinned by
-    /// `roster_constructors_emit_cacheable_scenarios`). This remains
-    /// `pub` solely for the cache-exclusion integration tests.
-    pub fn custom(
-        spec: &BenchmarkSpec,
-        platform: Platform,
-        tag: impl Into<String>,
-        build: impl Fn() -> Box<dyn ContentionManager> + Send + Sync + 'static,
-    ) -> Self {
-        Self {
-            scenario: Scenario::new(
-                WorkloadSpec::from_benchmark(spec),
-                ManagerSpec::Custom { tag: tag.into() },
-                platform,
-            )
-            .canonical(),
-            custom_build: Some(Arc::new(build)),
         }
     }
 
@@ -143,21 +108,12 @@ impl RunCell {
     }
 
     /// A cell executing `scenario` exactly as described. Fails on a
-    /// scenario that cannot be executed from data alone: an opaque
-    /// [`ManagerSpec::Custom`] manager, or a workload that does not
-    /// resolve (unknown preset name, invalid inline class).
+    /// workload that does not resolve (unknown preset name, invalid
+    /// inline class).
     pub fn from_scenario(scenario: Scenario) -> Result<Self, String> {
-        if !scenario.manager.executable() {
-            return Err(
-                "scenario describes a closure-built custom manager; it cannot be rebuilt \
-                 from data"
-                    .to_string(),
-            );
-        }
         scenario.workload.resolve()?;
         Ok(Self {
             scenario: scenario.canonical(),
-            custom_build: None,
         })
     }
 
@@ -180,12 +136,6 @@ impl RunCell {
         self.scenario.arrivals = Some(spec);
         self.scenario = self.scenario.canonical();
         self
-    }
-
-    /// Whether this cell's summary may be persisted to (and served from)
-    /// the on-disk cache. False only for closure-built custom cells.
-    pub fn cacheable(&self) -> bool {
-        self.custom_build.is_none() && self.scenario.manager.cacheable()
     }
 
     /// The canonical cache key: the scenario's content hash under the
@@ -240,16 +190,10 @@ impl RunCell {
                 }
             }
         }
-        let cm_faults = plan.and_then(|p| p.cm_faults());
-        let cm = match &self.custom_build {
-            // Custom builders carry their own configuration; they still
-            // feel the cost perturbation above.
-            Some(build) => build(),
-            None => scenario
-                .manager
-                .build(resolved.name(), cm_faults)
-                .expect("non-custom managers build from data"),
-        };
+        let cm = scenario
+            .manager
+            .build(resolved.name(), plan.and_then(FaultPlan::cm_faults))
+            .expect("every manager builds from data");
         let threads = scenario.platform.threads;
         dispatch_sources(
             &cfg,
@@ -601,13 +545,14 @@ impl RunnerOptions {
 /// output printed from it) is identical for every `jobs` value.
 pub fn run_grid(cells: &[RunCell], opts: &RunnerOptions) -> Vec<CellSummary> {
     let keys: Vec<String> = cells.iter().map(RunCell::cache_key).collect();
-    // First cell index for each distinct key, in grid order.
+    // The distinct keys' first cell indices, in grid order, and each
+    // key's position in that list.
     let mut first_of: HashMap<&str, usize> = HashMap::new();
     let mut unique: Vec<usize> = Vec::new();
     for (i, key) in keys.iter().enumerate() {
         first_of.entry(key).or_insert_with(|| {
             unique.push(i);
-            i
+            unique.len() - 1
         });
     }
 
@@ -616,57 +561,56 @@ pub fn run_grid(cells: &[RunCell], opts: &RunnerOptions) -> Vec<CellSummary> {
         let _ = std::fs::create_dir_all(dir);
     }
 
-    let results: Vec<OnceLock<CellSummary>> = (0..cells.len()).map(|_| OnceLock::new()).collect();
-    let next = AtomicUsize::new(0);
-    let workers = opts.jobs.max(1).min(unique.len().max(1));
-
-    let run_one_cell = |slot: usize| {
-        let cell = &cells[slot];
+    let summaries = parallel_map(unique.len(), opts.jobs, |j| {
+        let slot = unique[j];
         let key = &keys[slot];
-        // Closure-built custom cells are memoised within the grid (by
-        // tag) but never persisted: their tag is not tied to the
-        // closure's actual configuration, so a disk hit could silently
-        // serve a stale summary after the builder changes.
-        let disk = opts.cache_dir.as_deref().filter(|_| cell.cacheable());
-        let cached = disk.and_then(|dir| load_cached(dir, key));
-        let summary = match cached {
+        let disk = opts.cache_dir.as_deref();
+        match disk.and_then(|dir| load_cached(dir, key)) {
             Some(summary) => summary,
             None => {
-                let summary = cell.execute();
+                let summary = cells[slot].execute();
                 if let Some(dir) = disk {
                     store_cached(dir, key, &summary);
                 }
                 summary
             }
-        };
-        results[slot]
-            .set(summary)
-            .expect("each unique cell is computed exactly once");
-    };
-
-    if workers <= 1 {
-        for &slot in &unique {
-            run_one_cell(slot);
         }
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&slot) = unique.get(j) else { break };
-                    run_one_cell(slot);
-                });
-            }
-        });
-    }
-
+    });
     keys.iter()
-        .map(|key| {
-            results[first_of[key.as_str()]]
-                .get()
-                .expect("every unique key was computed")
-                .clone()
-        })
+        .map(|key| summaries[first_of[key.as_str()]].clone())
+        .collect()
+}
+
+/// Computes `task(i)` for every `i` in `0..n` and returns the results in
+/// index order. With more than one job, `jobs` scoped workers claim
+/// indices through an atomic counter; at `jobs <= 1` every task runs on
+/// the calling thread. Because results are placed by index, the output
+/// is identical for every `jobs` value whenever `task` is deterministic.
+pub(crate) fn parallel_map<T: Send + Sync>(
+    n: usize,
+    jobs: usize,
+    task: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let workers = jobs.min(n);
+    if workers <= 1 {
+        return (0..n).map(task).collect();
+    }
+    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                assert!(slots[i].set(task(i)).is_ok(), "index {i} claimed twice");
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every index was claimed"))
         .collect()
 }
 
@@ -698,18 +642,11 @@ pub fn run_grid_with_args(cells: &[RunCell], args: &CommonArgs) -> Vec<CellSumma
     if let Some(path) = &args.emit {
         match emit_scenarios(path, cells) {
             Ok(()) => {
-                let opaque = cells.iter().filter(|c| !c.cacheable()).count();
                 eprintln!(
                     "emit: wrote {} scenario(s) to {}",
                     cells.len(),
                     path.display()
                 );
-                if opaque > 0 {
-                    eprintln!(
-                        "emit: note: {opaque} cell(s) use closure-built custom managers; \
-                         bfgts_run cannot execute those entries"
-                    );
-                }
                 std::process::exit(0);
             }
             Err(err) => {
@@ -987,7 +924,6 @@ mod tests {
             RunCell::one(&spec, ManagerKind::Backoff, p)
                 .stm()
                 .cache_key(),
-            RunCell::custom(&spec, p, "interval=10", || Box::new(BackoffCm::default())).cache_key(),
         ];
         let mut seeded = RunCell::one(&spec, ManagerKind::Backoff, p);
         seeded.scenario.platform.seed ^= 1;
@@ -997,10 +933,9 @@ mod tests {
     }
 
     #[test]
-    fn roster_constructors_emit_cacheable_scenarios() {
-        // Every structured constructor a roster binary uses must produce
-        // cells that cache, emit and replay from data alone — the
-        // closure-built escape hatch is test support, nothing more.
+    fn roster_constructors_round_trip_through_scenarios() {
+        // Every constructor a roster binary uses must produce cells that
+        // emit and replay from data alone.
         let spec = tiny_spec();
         let p = Platform::small();
         let mut cells = vec![
@@ -1022,12 +957,6 @@ mod tests {
             cells.push(RunCell::one(&spec, kind, p));
         }
         for cell in &cells {
-            assert!(
-                cell.cacheable(),
-                "{} must be cacheable",
-                cell.scenario.manager.label()
-            );
-            // Emit-and-replay: the scenario alone rebuilds the cell.
             let rebuilt = RunCell::from_scenario(cell.scenario.clone())
                 .unwrap_or_else(|e| panic!("{}: {e}", cell.scenario.manager.label()));
             assert_eq!(rebuilt.cache_key(), cell.cache_key());
@@ -1120,42 +1049,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_cells_never_touch_the_disk_cache() {
-        let dir =
-            std::env::temp_dir().join(format!("bfgts-cache-test-custom-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let opts = RunnerOptions {
-            jobs: 1,
-            cache_dir: Some(dir.clone()),
-        };
-        let spec = tiny_spec();
-        let cell = RunCell::custom(&spec, Platform::small(), "tag-a", || {
-            Box::new(BackoffCm::default())
-        });
-        assert!(!cell.cacheable());
-        let first = run_grid(std::slice::from_ref(&cell), &opts);
-        assert_eq!(
-            std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0),
-            0,
-            "closure-built cells must not be persisted"
-        );
-        // A stale entry planted under the cell's key is ignored: the tag
-        // does not pin the closure's configuration, so disk results
-        // cannot be trusted.
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut summary = first[0].clone();
-        summary.makespan ^= 1;
-        std::fs::write(
-            cache_path(&dir, &cell.cache_key()),
-            summary.to_json(&cell.cache_key()).to_string() + "\n",
-        )
-        .unwrap();
-        let second = run_grid(std::slice::from_ref(&cell), &opts);
-        assert_eq!(first, second, "planted cache entry was served");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn scenario_round_trip_preserves_key_and_summary() {
         let spec = tiny_spec();
         let cell = RunCell::one(&spec, ManagerKind::BfgtsHw, Platform::small());
@@ -1164,15 +1057,6 @@ mod tests {
         let rebuilt = RunCell::from_scenario(parsed).unwrap();
         assert_eq!(rebuilt.cache_key(), cell.cache_key());
         assert_eq!(rebuilt.execute(), cell.execute());
-    }
-
-    #[test]
-    fn custom_scenarios_do_not_rebuild() {
-        let spec = tiny_spec();
-        let cell = RunCell::custom(&spec, Platform::small(), "mystery", || {
-            Box::new(BackoffCm::default())
-        });
-        assert!(RunCell::from_scenario(cell.scenario.clone()).is_err());
     }
 
     #[test]

@@ -4,13 +4,15 @@
 //! same cache keys, byte-identical summaries and the identical set of
 //! disk-cache entries as the originating binary's grid.
 
-use bfgts_baselines::BackoffCm;
+use bfgts_bench::json::Json;
 use bfgts_bench::runner::{emit_scenarios, run_grid, RunCell, RunnerOptions};
 use bfgts_bench::{BfgtsTunables, ManagerKind, ManagerSpec, Platform};
 use bfgts_core::BfgtsVariant;
 use bfgts_workloads::presets;
 use std::collections::BTreeSet;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -144,28 +146,62 @@ fn both_paths_share_one_disk_cache() {
 }
 
 #[test]
-fn custom_cells_stay_out_of_the_cache_and_the_scenario_path() {
-    let cache = temp_dir("custom");
-    let _ = std::fs::remove_dir_all(&cache);
+fn custom_managers_are_rejected_by_run_and_serve() {
+    // `custom` is not a manager kind: a document naming it is a parse
+    // error for both scenario front ends, and the server keeps serving
+    // the lines after it.
+    let valid = RunCell::one(
+        &presets::kmeans().scaled(0.02),
+        ManagerKind::Backoff,
+        Platform::small(),
+    )
+    .scenario
+    .to_json();
+    let mut custom = valid.clone();
+    if let Json::Obj(map) = &mut custom {
+        map.insert(
+            "manager".into(),
+            Json::obj([
+                ("kind", Json::Str("custom".into())),
+                ("tag", Json::Str("x".into())),
+            ]),
+        );
+    }
+    let dir = temp_dir("custom");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("custom.scenario.json");
+    std::fs::write(&file, custom.to_string()).unwrap();
 
-    let spec = presets::kmeans().scaled(0.02);
-    let cell = RunCell::custom(&spec, Platform::small(), "opaque", || {
-        Box::new(BackoffCm::default())
-    });
-    assert!(!cell.cacheable());
-    assert!(RunCell::from_scenario(cell.scenario.clone()).is_err());
+    let run = Command::new(env!("CARGO_BIN_EXE_bfgts_run"))
+        .arg(&file)
+        .arg("--no-cache")
+        .output()
+        .unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(!run.status.success(), "bfgts_run accepted a custom manager");
+    assert!(stderr.contains("unknown manager kind 'custom'"), "{stderr}");
 
-    let _ = run_grid(
-        std::slice::from_ref(&cell),
-        &RunnerOptions {
-            jobs: 1,
-            cache_dir: Some(cache.clone()),
-        },
+    let mut serve = Command::new(env!("CARGO_BIN_EXE_bfgts_serve"))
+        .arg("--stdin")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    serve
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(format!("{custom}\n{valid}\n").as_bytes())
+        .unwrap();
+    let served = serve.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&served.stderr);
+    assert_eq!(served.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("stdin:1: unknown manager kind 'custom'"),
+        "{stderr}"
     );
-    assert_eq!(
-        cache_entries(&cache).len(),
-        0,
-        "closure-built cells must never be persisted"
-    );
-    let _ = std::fs::remove_dir_all(&cache);
+    assert!(stderr.contains("serve: stdin:2: 1 scenario(s)"), "{stderr}");
+    assert!(!served.stdout.is_empty(), "the valid line was not served");
 }

@@ -5,8 +5,7 @@
 //! from the three classes the design document defines:
 //!
 //! * **cost perturbation** — every latency of the simulator's cost model
-//!   jittered within a bounded envelope
-//!   ([`bfgts_htm::TmRunConfig::perturb_costs`]);
+//!   jittered within a bounded envelope ([`FaultPlan::cost_percent`]);
 //! * **Bloom corruption** — false-positive bits forced into freshly
 //!   built commit signatures at a configured rate
 //!   ([`bfgts_core::CmFaults::bloom_corruption`]), exercising the
@@ -15,28 +14,22 @@
 //!   scheduler's learned confidence table
 //!   ([`bfgts_core::CmFaults::poisoning`]).
 //!
-//! [`run_cell`] executes one campaign cell — an adversarial workload
-//! under a fault plan — for both BFGTS and the Backoff baseline, replays
-//! both traces through the accounting invariant checker (I1–I7,
-//! [`mod@bfgts_trace::audit`]) and checks the graceful-degradation bound:
-//! faulted BFGTS must never fall below a configured fraction of
-//! Backoff's throughput on the same workload and plan.
-//!
-//! When a cell fails, [`minimize`] greedily shrinks the plan — dropping
+//! A plan is data: it rides in a scenario's `faults` field, and the
+//! experiment runner arms the cost model and the manager from it. The
+//! fuzz campaign in `bfgts-bench` runs its cells that way and, when a
+//! cell fails, calls [`minimize`] to greedily shrink the plan — dropping
 //! faults, then halving their magnitudes — to the smallest plan that
 //! still reproduces the failure, so a repro file carries signal instead
 //! of noise.
 //!
-//! Everything here is a pure function of its seeds: the same plan and
-//! cell configuration replay byte-identically at any parallelism.
+//! Everything here is a pure function of its seeds: the same plan
+//! replays byte-identically at any parallelism.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cell;
 mod minimize;
 mod plan;
 
-pub use cell::{bfgts_run, run_cell, CellConfig, CellReport};
 pub use minimize::minimize;
 pub use plan::{Fault, FaultPlan, SATURATE_VALUE};

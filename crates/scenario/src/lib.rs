@@ -397,15 +397,12 @@ pub fn variant_from_key(key: &str) -> Option<BfgtsVariant> {
 }
 
 /// The structured BFGTS tunables the experiments vary, stored resolved
-/// (no "default" sentinel values) so equal configurations hash equally.
-/// This replaces the old free-form `CellManager::Custom` tags for every
-/// interval/aliasing/similarity study: the parameters *are* the
-/// identity, so editing a builder can no longer serve stale cache
-/// entries recorded under an unchanged tag.
+/// (no "default" sentinel values) so equal configurations hash equally:
+/// the parameters themselves are the cache identity of every
+/// interval/aliasing/similarity study.
 ///
 /// Tunables outside this set (confidence thresholds, pressure smoothing,
-/// …) keep their paper defaults; a run that varies those is not
-/// scenario-expressible and must use a non-cacheable custom cell.
+/// …) keep their paper defaults; varying one means adding it here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BfgtsTunables {
     /// Which flavour to run.
@@ -589,32 +586,9 @@ pub enum ManagerSpec {
         /// Commits per execution window, or `None` for the default.
         window_size: Option<u32>,
     },
-    /// An opaque, closure-built manager known only by a tag. The one
-    /// escape hatch left for configurations the structured variants
-    /// cannot express — it cannot be rebuilt from JSON and must never
-    /// be served from a content-keyed cache.
-    Custom {
-        /// Free-form description of the configuration.
-        tag: String,
-    },
 }
 
 impl ManagerSpec {
-    /// Whether results under this manager may be persisted in (and
-    /// served from) the content-addressed cell cache. Only closure-built
-    /// custom cells are excluded: their tag is not tied to the closure's
-    /// actual configuration, so a cached summary could silently go stale
-    /// when the builder changes.
-    pub fn cacheable(&self) -> bool {
-        !matches!(self, ManagerSpec::Custom { .. })
-    }
-
-    /// Whether the manager can be instantiated from this description
-    /// alone (everything except [`ManagerSpec::Custom`]).
-    pub fn executable(&self) -> bool {
-        !matches!(self, ManagerSpec::Custom { .. })
-    }
-
     /// A human-readable label for result tables and error messages.
     pub fn label(&self) -> String {
         match self {
@@ -634,14 +608,16 @@ impl ManagerSpec {
                 Some(w) => format!("BalancedGreedy (w{w})"),
                 None => "BalancedGreedy".to_string(),
             },
-            ManagerSpec::Custom { tag } => format!("custom:{tag}"),
         }
     }
 
-    /// Instantiates the described manager, or `None` for a custom cell
-    /// (whose builder lives outside the scenario). `workload_name`
-    /// selects the measured-optimal Bloom geometry when none is pinned;
-    /// `faults` arms BFGTS variants with manager-level fault injection.
+    /// Instantiates the described manager. `workload_name` selects the
+    /// measured-optimal Bloom geometry when none is pinned; `faults` arms
+    /// BFGTS variants with manager-level fault injection.
+    ///
+    /// Every variant builds from data, so the result is always `Some`.
+    /// The `Option` stays because out-of-workspace callers (the
+    /// `perfbench` harness) unwrap it with `.expect`.
     pub fn build(
         &self,
         workload_name: &str,
@@ -676,7 +652,6 @@ impl ManagerSpec {
                     base_delay: defaults.base_delay,
                 })))
             }
-            ManagerSpec::Custom { .. } => None,
         }
     }
 
@@ -718,10 +693,6 @@ impl ManagerSpec {
                 }
                 Json::obj(pairs)
             }
-            ManagerSpec::Custom { tag } => Json::obj([
-                ("kind", Json::Str("custom".into())),
-                ("tag", Json::Str(tag.clone())),
-            ]),
         }
     }
 
@@ -753,13 +724,6 @@ impl ManagerSpec {
             }),
             Some("balanced_greedy") => Ok(ManagerSpec::BalancedGreedy {
                 window_size: Self::opt_u32(value, "window_size")?,
-            }),
-            Some("custom") => Ok(ManagerSpec::Custom {
-                tag: value
-                    .get("tag")
-                    .and_then(Json::as_str)
-                    .ok_or("custom manager needs a 'tag' string")?
-                    .to_string(),
             }),
             Some(other) => Err(format!("unknown manager kind '{other}'")),
             None => Err("manager is missing a 'kind' string".into()),
@@ -1776,12 +1740,20 @@ mod tests {
     }
 
     #[test]
-    fn custom_cells_are_neither_cacheable_nor_executable() {
-        let custom = ManagerSpec::Custom { tag: "x".into() };
-        assert!(!custom.cacheable());
-        assert!(!custom.executable());
-        assert!(custom.build("Kmeans", None).is_none());
-        assert!(ManagerSpec::Serial.cacheable());
+    fn custom_managers_are_rejected_at_parse_time() {
+        // Every manager is data: there is no opaque, tag-only kind.
+        let mut doc = sample().to_json();
+        if let Json::Obj(map) = &mut doc {
+            map.insert(
+                "manager".into(),
+                Json::obj([
+                    ("kind", Json::Str("custom".into())),
+                    ("tag", Json::Str("x".into())),
+                ]),
+            );
+        }
+        let err = Scenario::from_json(&doc).unwrap_err();
+        assert!(err.contains("unknown manager kind 'custom'"), "{err}");
         assert!(ManagerSpec::Polka.build("Kmeans", None).is_some());
     }
 
