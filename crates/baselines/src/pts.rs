@@ -131,16 +131,15 @@ impl ContentionManager for PtsCm {
         _trace: &mut TraceSink,
     ) -> BeginOutcome {
         let mut cost = self.cfg.scan_base_cost;
-        for slot in tm.cpu_table() {
-            let Some(target) = slot else { continue };
+        for (_, target) in tm.running() {
             if target.thread == q.thread {
                 continue;
             }
             cost += self.cfg.scan_entry_cost;
-            if self.conf(q.dtx, *target) > self.cfg.threshold && tm.is_active(*target) {
+            if self.conf(q.dtx, target) > self.cfg.threshold && tm.is_active(target) {
                 self.waiting_on.insert(q.dtx.pack(), target.pack());
                 return BeginOutcome {
-                    decision: BeginDecision::YieldUntilDone { target: *target },
+                    decision: BeginDecision::YieldUntilDone { target },
                     cost,
                 };
             }

@@ -205,3 +205,47 @@ fn custom_managers_are_rejected_by_run_and_serve() {
     assert!(stderr.contains("serve: stdin:2: 1 scenario(s)"), "{stderr}");
     assert!(!served.stdout.is_empty(), "the valid line was not served");
 }
+
+#[test]
+fn hostile_stx_gets_an_error_reply_from_serve() {
+    // An inline class with sTxID u32::MAX would size the confidence
+    // table at (2^32)^2 entries on its first conflict: the server must
+    // reject the line at parse time and go on serving.
+    let valid = RunCell::one(
+        &presets::kmeans().scaled(0.02),
+        ManagerKind::Backoff,
+        Platform::small(),
+    )
+    .scenario
+    .to_json();
+    let mut spec = presets::kmeans().scaled(0.02);
+    let mut classes = spec.classes.to_vec();
+    classes[0].stx = u32::MAX;
+    spec.classes = classes.into();
+    let hostile = RunCell::one(&spec, ManagerKind::BfgtsHw, Platform::small())
+        .scenario
+        .to_json();
+
+    let mut serve = Command::new(env!("CARGO_BIN_EXE_bfgts_serve"))
+        .arg("--stdin")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    serve
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(format!("{hostile}\n{valid}\n").as_bytes())
+        .unwrap();
+    let served = serve.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&served.stderr);
+    assert_eq!(served.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("stdin:1: class field 'stx' is 4294967295"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("serve: stdin:2: 1 scenario(s)"), "{stderr}");
+    assert!(!served.stdout.is_empty(), "the valid line was not served");
+}

@@ -4,13 +4,12 @@ use crate::config::{BfgtsConfig, BfgtsVariant};
 use crate::faults::{CmFaults, PoisonMode};
 use crate::hw::HwPredictor;
 use crate::sig::Sig;
-use crate::tables::{ConfidenceTable, TxStatsTable};
+use crate::tables::{ConfidenceTable, DtxMap, TxStatsTable};
 use bfgts_htm::{
     AbortPlan, BeginDecision, BeginOutcome, BeginQuery, CommitOutcome, CommitRecord, ConflictEvent,
-    ContentionManager, DTxId, STxId, TmState,
+    ContentionManager, DTxId, LineAddr, STxId, TmState,
 };
 use bfgts_sim::{ConfKind, CostModel, SimRng, TraceEvent, TraceSink};
-use std::collections::BTreeMap;
 
 /// Fixed software-path costs in cycles, calibrated to the instruction
 /// counts of the paper's pseudo-code (Examples 1–4) on the simulated
@@ -48,19 +47,27 @@ pub struct BfgtsCm {
     cfg: BfgtsConfig,
     confidence: ConfidenceTable,
     stats: TxStatsTable,
-    signatures: BTreeMap<u64, Sig>,
-    /// Per-shard signature tables (DESIGN.md §11): table `s` maps a
-    /// dTxID to the signature of the lines its last stored commit
-    /// touched *in shard `s`*. Empty on single-shard platforms, where
-    /// the monolithic `signatures` table serves every check; populated
-    /// lazily to the machine's shard count otherwise. The
-    /// `checkWasSerialized` intersection then consults only the shards
-    /// both transactions touched, so a partitioned machine never ships
-    /// whole filters across shards.
-    shard_sigs: Vec<BTreeMap<u64, Sig>>,
+    /// Figure 3's Bloom table: per dTxID, the signatures of its last
+    /// stored commit.
+    signatures: DtxMap<StoredSigs>,
     predictors: Vec<HwPredictor>,
     pressure: Vec<f64>,
     faults: Option<FaultState>,
+}
+
+/// The signatures one commit stores for its dTxID. A later store
+/// replaces the whole entry, so a shard the dTxID's newest commit did not
+/// touch holds nothing for it.
+struct StoredSigs {
+    /// The whole read/write set: the similarity update and the
+    /// single-shard `checkWasSerialized` intersect it.
+    whole: Sig,
+    /// Sharded platforms (DESIGN.md §11): one signature per shard the
+    /// commit touched, ascending by shard; empty on a single shard. The
+    /// sharded `checkWasSerialized` intersects only the shards both
+    /// transactions touched, one per-shard filter at a time, so a
+    /// partitioned machine never ships whole filters across shards.
+    shards: Box<[(u32, Sig)]>,
 }
 
 /// Live state of an injected fault plan: the plan itself, the manager's
@@ -85,8 +92,7 @@ impl BfgtsCm {
             cfg,
             confidence,
             stats,
-            signatures: BTreeMap::new(),
-            shard_sigs: Vec::new(),
+            signatures: DtxMap::default(),
             predictors: Vec::new(),
             pressure: Vec::new(),
             faults: None,
@@ -155,36 +161,30 @@ impl BfgtsCm {
     }
 
     /// Builds this dTxID's signature from a committed read/write set.
-    fn build_sig(&self, rw_set: &[bfgts_htm::LineAddr]) -> Sig {
+    fn build_sig(&self, rw_set: &[LineAddr]) -> Sig {
         Sig::from_set(self.cfg.signature, self.cfg.bloom_hashes, rw_set)
     }
 
     /// Partitions `rw_set` by conflict-detection shard and builds one
     /// signature per non-empty shard, in ascending shard order.
-    fn build_shard_sigs(&self, tm: &TmState, rw_set: &[bfgts_htm::LineAddr]) -> Vec<(u32, Sig)> {
-        let mut parts: BTreeMap<u32, Vec<bfgts_htm::LineAddr>> = BTreeMap::new();
+    fn build_shard_sigs(&self, tm: &TmState, rw_set: &[LineAddr]) -> Box<[(u32, Sig)]> {
+        let mut shards: Vec<u32> = rw_set.iter().map(|&addr| tm.shard_of(addr)).collect();
+        shards.sort_unstable();
+        shards.dedup();
+        // Sized exactly: a stored commit keeps these for the dTxID's
+        // lifetime, one 2048-bit filter per touched shard.
+        let mut parts: Box<[(u32, Sig)]> = shards
+            .into_iter()
+            .map(|shard| (shard, Sig::new(self.cfg.signature, self.cfg.bloom_hashes)))
+            .collect();
         for &addr in rw_set {
-            parts.entry(tm.shard_of(addr)).or_default().push(addr);
+            let shard = tm.shard_of(addr);
+            let i = parts
+                .binary_search_by_key(&shard, |p| p.0)
+                .expect("every shard of the set has a part");
+            parts[i].1.insert(addr);
         }
         parts
-            .into_iter()
-            .map(|(shard, lines)| (shard, self.build_sig(&lines)))
-            .collect()
-    }
-
-    /// Replaces `dtx`'s entries in the per-shard signature tables with
-    /// fresh per-shard signatures of `rw_set` (sharded platforms only).
-    fn store_shard_sigs(&mut self, tm: &TmState, key: u64, rw_set: &[bfgts_htm::LineAddr]) {
-        let shards = tm.num_shards() as usize;
-        if self.shard_sigs.len() < shards {
-            self.shard_sigs.resize_with(shards, BTreeMap::new);
-        }
-        for table in &mut self.shard_sigs {
-            table.remove(&key);
-        }
-        for (shard, sig) in self.build_shard_sigs(tm, rw_set) {
-            self.shard_sigs[shard as usize].insert(key, sig);
-        }
     }
 
     fn is_free(&self) -> bool {
@@ -232,14 +232,9 @@ impl ContentionManager for BfgtsCm {
             BfgtsVariant::NoOverhead => cost = 1,
         }
 
-        // Walk the CPU table (Example 1).
-        let cpu_table: Vec<Option<DTxId>> = tm.cpu_table().to_vec();
-        for (cpu_idx, slot) in cpu_table.iter().enumerate() {
-            if cpu_idx == q.cpu {
-                continue;
-            }
-            let Some(target) = slot else { continue };
-            if target.thread == q.thread {
+        // Walk the CPU table's running transactions (Example 1).
+        for (cpu_idx, target) in tm.running() {
+            if cpu_idx == q.cpu || target.thread == q.thread {
                 continue;
             }
             cost += match self.cfg.variant {
@@ -250,10 +245,10 @@ impl ContentionManager for BfgtsCm {
                 BfgtsVariant::NoOverhead => 0,
             };
             if self.confidence.get(q.dtx.stx, target.stx) > self.cfg.conf_threshold
-                && tm.is_active(*target)
+                && tm.is_active(target)
             {
                 // Predicted conflict: suspendTx bookkeeping (Example 2).
-                let (sim, sim_a, sim_b) = self.paired_sim_parts(q.dtx, *target);
+                let (sim, sim_a, sim_b) = self.paired_sim_parts(q.dtx, target);
                 let applied = -(self.cfg.decay_val * (1.0 - sim));
                 self.confidence.bump(q.dtx.stx, target.stx, applied);
                 trace.emit(q.now.as_u64(), || TraceEvent::ConfUpdate {
@@ -265,12 +260,12 @@ impl ContentionManager for BfgtsCm {
                     param_bits: self.cfg.decay_val.to_bits(),
                     applied_bits: applied.to_bits(),
                 });
-                self.stats.entry(q.dtx).waiting_on = Some(*target);
+                self.stats.entry(q.dtx).waiting_on = Some(target);
                 cost += self.priced(sw_cost::SUSPEND);
-                let decision = if self.stats.avg_size_of(*target) >= self.cfg.yield_wait_threshold {
-                    BeginDecision::YieldUntilDone { target: *target }
+                let decision = if self.stats.avg_size_of(target) >= self.cfg.yield_wait_threshold {
+                    BeginDecision::YieldUntilDone { target }
                 } else {
-                    BeginDecision::SpinUntilDone { target: *target }
+                    BeginDecision::SpinUntilDone { target }
                 };
                 return BeginOutcome { decision, cost };
             }
@@ -406,7 +401,7 @@ impl ContentionManager for BfgtsCm {
                     }
                 }
             }
-            if let Some(old) = self.signatures.get(&rec.dtx.pack()) {
+            if let Some(old) = self.signatures.get(rec.dtx).map(|s| &s.whole) {
                 // Clamp contract: only the clamped estimate may enter the
                 // similarity average. The trace records the raw value so
                 // the audit (invariant I6) can prove the clamp happened.
@@ -432,45 +427,50 @@ impl ContentionManager for BfgtsCm {
             new_sig = Some(sig);
         }
 
+        // Per-shard signatures of this commit, built once for both the
+        // sharded checkWasSerialized and the store below.
+        let sharded = tm.num_shards() > 1;
+        let shard_sigs = if sharded && (waiting_on.is_some() || new_sig.is_some()) {
+            self.build_shard_sigs(tm, rec.rw_set)
+        } else {
+            Box::default()
+        };
+
         // checkWasSerialized: was the wait justified?
         if let Some(target) = waiting_on {
-            let verdict: Option<bool> = if tm.num_shards() > 1 {
+            let verdict: Option<bool> = if sharded {
                 // Sharded check: intersect only the shards both
                 // transactions touched, one per-shard filter at a time —
                 // whole signatures never cross a shard boundary.
                 if new_sig.is_none() {
                     cost += self.priced(2 * 32);
                 }
+                let theirs_all = self.signatures.get(target).map_or(&[][..], |s| &s.shards);
                 let mut verdict = None;
-                for (shard, mine) in &self.build_shard_sigs(tm, rec.rw_set) {
-                    let Some(theirs) = self
-                        .shard_sigs
-                        .get(*shard as usize)
-                        .and_then(|table| table.get(&target.pack()))
-                    else {
+                for (shard, mine) in shard_sigs.iter() {
+                    let Ok(i) = theirs_all.binary_search_by_key(shard, |p| p.0) else {
                         continue;
                     };
                     cost += self.priced(costs.bloom_intersect(mine.word_count()));
-                    verdict = Some(verdict.unwrap_or(false) || mine.intersects(theirs));
+                    verdict = Some(verdict.unwrap_or(false) || mine.intersects(&theirs_all[i].1));
                 }
                 verdict
             } else {
-                let my_sig = match &new_sig {
-                    Some(s) => Some(s.clone()),
+                let built;
+                let mine = match &new_sig {
+                    Some(s) => s,
                     None => {
                         // Need a signature for the intersection even if
                         // the similarity update was batched away.
                         cost += self.priced(2 * 32);
-                        Some(self.build_sig(rec.rw_set))
+                        built = self.build_sig(rec.rw_set);
+                        &built
                     }
                 };
-                match (my_sig.as_ref(), self.signatures.get(&target.pack())) {
-                    (Some(mine), Some(theirs)) => {
-                        cost += self.priced(costs.bloom_intersect(mine.word_count()));
-                        Some(mine.intersects(theirs))
-                    }
-                    _ => None,
-                }
+                self.signatures.get(target).map(|theirs| {
+                    cost += self.priced(costs.bloom_intersect(mine.word_count()));
+                    mine.intersects(&theirs.whole)
+                })
             };
             if let Some(justified) = verdict {
                 let (sim, sim_a, sim_b) = self.paired_sim_parts(rec.dtx, target);
@@ -500,11 +500,14 @@ impl ContentionManager for BfgtsCm {
             }
         }
 
-        if let Some(sig) = new_sig {
-            if tm.num_shards() > 1 {
-                self.store_shard_sigs(tm, rec.dtx.pack(), rec.rw_set);
-            }
-            self.signatures.insert(rec.dtx.pack(), sig);
+        if let Some(whole) = new_sig {
+            self.signatures.insert(
+                rec.dtx,
+                StoredSigs {
+                    whole,
+                    shards: shard_sigs,
+                },
+            );
         }
 
         CommitOutcome {
@@ -521,7 +524,6 @@ impl ContentionManager for BfgtsCm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bfgts_htm::LineAddr;
     use bfgts_sim::{Cycle, ThreadId};
 
     fn dtx(t: usize, s: u32) -> DTxId {
@@ -998,6 +1000,37 @@ mod tests {
             &mut rng,
             &mut TraceSink::disabled(),
         );
+        assert!(cm.confidence().get(STxId(0), STxId(1)) > 0.0);
+    }
+
+    #[test]
+    fn sharded_recommit_replaces_the_stored_shard_signatures() {
+        let (mut tm, costs, mut rng) = env();
+        tm.configure_shards(2);
+        let mut cm = BfgtsCm::new(BfgtsConfig::no_overhead());
+        let mut commit = |cm: &mut BfgtsCm, d: DTxId, rw: &[LineAddr]| {
+            cm.on_commit(
+                &commit_rec(d, rw),
+                &tm,
+                &costs,
+                &mut rng,
+                &mut TraceSink::disabled(),
+            );
+        };
+        // The enemy commits in shard 0 (block 0), then again in shard 1
+        // (block 1) only: its newest stored commit has no shard-0 part.
+        commit(&mut cm, dtx(1, 1), &lines(0..30));
+        commit(&mut cm, dtx(1, 1), &lines(64..94));
+
+        // A waiter overlapping only the enemy's *old* shard-0 lines finds
+        // no co-touched shard: no verdict, confidence untouched.
+        cm.stats.entry(dtx(0, 0)).waiting_on = Some(dtx(1, 1));
+        commit(&mut cm, dtx(0, 0), &lines(20..50));
+        assert_eq!(cm.confidence().get(STxId(0), STxId(1)), 0.0);
+
+        // Overlapping the enemy's new shard-1 lines is a justified wait.
+        cm.stats.entry(dtx(0, 0)).waiting_on = Some(dtx(1, 1));
+        commit(&mut cm, dtx(0, 0), &lines(80..110));
         assert!(cm.confidence().get(STxId(0), STxId(1)) > 0.0);
     }
 

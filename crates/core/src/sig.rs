@@ -25,13 +25,17 @@ impl Sig {
 
     pub(crate) fn from_set(kind: SignatureKind, hashes: u32, set: &[LineAddr]) -> Self {
         let mut sig = Sig::new(kind, hashes);
-        for addr in set {
-            match &mut sig {
-                Sig::Bloom(b) => b.insert(addr.get()),
-                Sig::Perfect(p) => p.insert(addr.get()),
-            }
+        for &addr in set {
+            sig.insert(addr);
         }
         sig
+    }
+
+    pub(crate) fn insert(&mut self, addr: LineAddr) {
+        match self {
+            Sig::Bloom(b) => b.insert(addr.get()),
+            Sig::Perfect(p) => p.insert(addr.get()),
+        }
     }
 
     /// Estimated `|self ∩ other|` (exact for perfect signatures).

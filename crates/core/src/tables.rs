@@ -1,5 +1,6 @@
 //! BFGTS software data structures (paper §4.2.1, Figure 3): the compact
-//! sTxID×sTxID confidence table and the per-dTxID statistics array.
+//! sTxID×sTxID confidence table, the per-dTxID statistics array, and the
+//! per-dTxID row layout both the statistics and the signature tables use.
 
 use bfgts_htm::{DTxId, STxId};
 
@@ -144,11 +145,12 @@ pub struct TxStat {
     pub waiting_on: Option<DTxId>,
 }
 
-/// The statistics array, keyed by packed dTxID.
+/// The statistics array: per thread, a short vector of entries sorted by
+/// sTxID (the layout the manager's signature table shares).
 #[derive(Debug, Clone)]
 pub struct TxStatsTable {
     initial_sim: f64,
-    stats: std::collections::BTreeMap<u64, TxStat>,
+    stats: DtxMap<TxStat>,
 }
 
 impl TxStatsTable {
@@ -157,14 +159,14 @@ impl TxStatsTable {
     pub fn new(initial_sim: f64) -> Self {
         Self {
             initial_sim,
-            stats: std::collections::BTreeMap::new(),
+            stats: DtxMap::default(),
         }
     }
 
     /// The entry for `dtx`, created on first touch.
     pub fn entry(&mut self, dtx: DTxId) -> &mut TxStat {
         let initial_sim = self.initial_sim;
-        self.stats.entry(dtx.pack()).or_insert_with(|| TxStat {
+        self.stats.get_or_insert_with(dtx, || TxStat {
             avg_size: 0.0,
             sim: initial_sim,
             commits: 0,
@@ -175,18 +177,12 @@ impl TxStatsTable {
 
     /// Smoothed similarity of `dtx` (`initial_sim` before any commit).
     pub fn sim_of(&self, dtx: DTxId) -> f64 {
-        self.stats
-            .get(&dtx.pack())
-            .map(|s| s.sim)
-            .unwrap_or(self.initial_sim)
+        self.stats.get(dtx).map_or(self.initial_sim, |s| s.sim)
     }
 
     /// Smoothed average size of `dtx` (0 before any commit).
     pub fn avg_size_of(&self, dtx: DTxId) -> f64 {
-        self.stats
-            .get(&dtx.pack())
-            .map(|s| s.avg_size)
-            .unwrap_or(0.0)
+        self.stats.get(dtx).map_or(0.0, |s| s.avg_size)
     }
 
     /// Number of tracked dTxIDs.
@@ -196,7 +192,80 @@ impl TxStatsTable {
 
     /// True if no dTxID has been tracked yet.
     pub fn is_empty(&self) -> bool {
-        self.stats.is_empty()
+        self.len() == 0
+    }
+}
+
+/// Per-dTxID storage in the shape of the paper's Figure 3 arrays: one
+/// row per thread, each a short vector of `(sTxID, value)` entries kept
+/// sorted by sTxID. A lookup indexes the thread's row and binary-searches
+/// the handful of static transactions that thread has run, so nothing is
+/// allocated in proportion to an sTxID's value and there is no tree to
+/// rebalance.
+#[derive(Debug, Clone)]
+pub(crate) struct DtxMap<T> {
+    rows: Vec<Vec<(STxId, T)>>,
+}
+
+impl<T> Default for DtxMap<T> {
+    fn default() -> Self {
+        Self { rows: Vec::new() }
+    }
+}
+
+impl<T> DtxMap<T> {
+    /// The value stored for `dtx`, if any.
+    pub(crate) fn get(&self, dtx: DTxId) -> Option<&T> {
+        let row = self.rows.get(dtx.thread.index())?;
+        let i = row.binary_search_by_key(&dtx.stx, |e| e.0).ok()?;
+        row.get(i).map(|e| &e.1)
+    }
+
+    /// The value stored for `dtx`, inserting `init()` first if absent.
+    pub(crate) fn get_or_insert_with(&mut self, dtx: DTxId, init: impl FnOnce() -> T) -> &mut T {
+        let row = self.row_mut(dtx);
+        let i = row
+            .binary_search_by_key(&dtx.stx, |e| e.0)
+            .unwrap_or_else(|i| {
+                row.insert(i, (dtx.stx, init()));
+                i
+            });
+        &mut row[i].1
+    }
+
+    /// Stores `value` for `dtx`, replacing (and returning) any previous
+    /// value.
+    pub(crate) fn insert(&mut self, dtx: DTxId, value: T) -> Option<T> {
+        let row = self.row_mut(dtx);
+        match row.binary_search_by_key(&dtx.stx, |e| e.0) {
+            Ok(i) => Some(std::mem::replace(&mut row[i].1, value)),
+            Err(i) => {
+                row.insert(i, (dtx.stx, value));
+                None
+            }
+        }
+    }
+
+    /// Number of stored dTxIDs.
+    pub(crate) fn len(&self) -> usize {
+        self.rows.iter().map(Vec::len).sum()
+    }
+
+    /// Every stored `(dTxID, value)`, ascending by packed dTxID.
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (DTxId, &T)> {
+        self.rows.iter().enumerate().flat_map(|(t, row)| {
+            row.iter()
+                .map(move |(stx, v)| (DTxId::new(bfgts_sim::ThreadId(t), *stx), v))
+        })
+    }
+
+    fn row_mut(&mut self, dtx: DTxId) -> &mut Vec<(STxId, T)> {
+        let t = dtx.thread.index();
+        if self.rows.len() <= t {
+            self.rows.resize_with(t + 1, Vec::new);
+        }
+        &mut self.rows[t]
     }
 }
 
@@ -349,6 +418,36 @@ mod tests {
         assert_eq!(t.avg_size_of(dtx(1, 2)), 12.0);
         assert_eq!(t.sim_of(dtx(1, 2)), 0.9);
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn dtx_map_matches_a_btreemap_reference() {
+        use std::collections::BTreeMap;
+        // Random inserts, replacements and get-or-inserts over a few
+        // threads and sTxIDs at both ends of the u32 range.
+        let stxs = [0, 1, 2, 7, 1023, u32::MAX - 1, u32::MAX];
+        let mut map: DtxMap<u64> = DtxMap::default();
+        let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut rng = bfgts_sim::SimRng::seed_from(14);
+        for step in 0..4000u64 {
+            let key = dtx(
+                rng.gen_range(9) as usize,
+                stxs[rng.gen_range(stxs.len() as u64) as usize],
+            );
+            match rng.gen_range(3) {
+                0 => assert_eq!(map.insert(key, step), reference.insert(key.pack(), step)),
+                1 => {
+                    *map.get_or_insert_with(key, || step) += 1;
+                    *reference.entry(key.pack()).or_insert(step) += 1;
+                }
+                _ => assert_eq!(map.get(key), reference.get(&key.pack())),
+            }
+            assert_eq!(map.len(), reference.len());
+        }
+        let listed: Vec<(u64, u64)> = map.iter().map(|(d, &v)| (d.pack(), v)).collect();
+        let expected: Vec<(u64, u64)> = reference.into_iter().collect();
+        assert_eq!(listed, expected, "same entries, ascending packed order");
+        assert_eq!(map.get(dtx(50, u32::MAX)), None, "unseen thread");
     }
 
     #[test]

@@ -148,10 +148,47 @@ struct DetFault {
     rng: SimRng,
 }
 
+/// Iterator behind [`TmState::running`]: pops the set bits of one
+/// occupancy word at a time.
+struct Running<'a> {
+    table: &'a [Option<DTxId>],
+    words: std::iter::Enumerate<std::slice::Iter<'a, u64>>,
+    /// CPU index of bit 0 of `word`.
+    base: usize,
+    /// Set bits of the current word not yet yielded.
+    word: u64,
+}
+
+impl Iterator for Running<'_> {
+    type Item = (usize, DTxId);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        while self.word == 0 {
+            let (w, &word) = self.words.next()?;
+            self.base = w << 6;
+            self.word = word;
+        }
+        let cpu = self.base | self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        let dtx = self
+            .table
+            .get(cpu)
+            .copied()
+            .flatten()
+            .expect("an occupancy bit marks a filled CPU-table slot");
+        Some((cpu, dtx))
+    }
+}
+
 /// The transaction a thread is currently executing.
 #[derive(Debug, Clone)]
 struct ActiveTx {
     dtx: DTxId,
+    /// The CPU whose table slot this attempt's begin broadcast wrote:
+    /// the only slot that can still hold `dtx` (see
+    /// `TmState::clear_cpu_broadcast`).
+    cpu: usize,
     /// LogTM-style age timestamp: set on the *first* attempt of an
     /// instance and kept across retries so starved transactions win
     /// arbitration eventually.
@@ -184,6 +221,10 @@ pub struct TmState {
     /// hardware CPU table including its overwrite semantics under
     /// overcommit.
     cpu_table: Vec<Option<DTxId>>,
+    /// Occupancy bitmap of `cpu_table`: bit `c % 64` of word `c / 64` is
+    /// set iff slot `c` holds a dTxID, so [`TmState::running`] visits
+    /// only occupied slots instead of the whole machine width.
+    occupied: Vec<u64>,
     waiting_on: Vec<Option<ThreadId>>,
     stats: TmStats,
     history: Option<History>,
@@ -216,6 +257,7 @@ impl TmState {
             lines: BTreeMap::new(),
             active: vec![None; num_threads],
             cpu_table: vec![None; num_cpus],
+            occupied: vec![0; num_cpus.div_ceil(64)],
             waiting_on: vec![None; num_threads],
             stats: TmStats::new(),
             history: None,
@@ -344,6 +386,20 @@ impl TmState {
         &self.cpu_table
     }
 
+    /// The occupied CPU-table slots as `(cpu, dTxID)`, in ascending CPU
+    /// order: exactly the `Some` entries of [`TmState::cpu_table`], found
+    /// through the occupancy bitmap, so a walk costs the number of
+    /// running transactions (plus one word test per 64 CPUs) rather than
+    /// the machine width.
+    pub fn running(&self) -> impl Iterator<Item = (usize, DTxId)> + '_ {
+        Running {
+            table: &self.cpu_table,
+            words: self.occupied.iter().enumerate(),
+            base: 0,
+            word: 0,
+        }
+    }
+
     /// True if `dtx` is currently executing (its thread has it active).
     pub fn is_active(&self, dtx: DTxId) -> bool {
         self.active[dtx.thread.index()]
@@ -388,6 +444,7 @@ impl TmState {
         };
         self.active[thread.index()] = Some(ActiveTx {
             dtx,
+            cpu,
             timestamp,
             attempt,
             read_set: BTreeSet::new(),
@@ -396,6 +453,7 @@ impl TmState {
             sig,
         });
         self.cpu_table[cpu] = Some(dtx);
+        self.occupied[cpu >> 6] |= 1 << (cpu & 63);
     }
 
     /// Bounded detection: scans the *other* threads' active signatures
@@ -645,7 +703,7 @@ impl TmState {
         // again. Aborts keep the latch — the retry is the fallback.
         self.fallback[thread.index()] = false;
         self.release_lines(thread, &tx);
-        self.clear_cpu_broadcast(tx.dtx);
+        self.clear_cpu_broadcast(&tx);
         if let (Some(h), Some(a)) = (self.history.as_mut(), tx.attempt) {
             h.commit(a);
         }
@@ -670,7 +728,7 @@ impl TmState {
             .take()
             .expect("abort outside transaction");
         self.release_lines(thread, &tx);
-        self.clear_cpu_broadcast(tx.dtx);
+        self.clear_cpu_broadcast(&tx);
         if let (Some(h), Some(a)) = (self.history.as_mut(), tx.attempt) {
             h.abort(a);
         }
@@ -693,11 +751,15 @@ impl TmState {
         }
     }
 
-    fn clear_cpu_broadcast(&mut self, dtx: DTxId) {
-        for slot in &mut self.cpu_table {
-            if *slot == Some(dtx) {
-                *slot = None;
-            }
+    /// Clears `tx`'s begin broadcast in O(1). A dTxID is only ever
+    /// written to the slot of the CPU it began on, and its thread has no
+    /// other attempt in flight, so that slot is the only one that can
+    /// still hold it — unless a later broadcast overwrote it, in which
+    /// case there is nothing left to clear.
+    fn clear_cpu_broadcast(&mut self, tx: &ActiveTx) {
+        if self.cpu_table[tx.cpu] == Some(tx.dtx) {
+            self.cpu_table[tx.cpu] = None;
+            self.occupied[tx.cpu >> 6] &= !(1 << (tx.cpu & 63));
         }
     }
 
@@ -802,6 +864,25 @@ mod tests {
         assert_eq!(tm.cpu_table()[0], Some(dtx(2, 3)));
         // Thread 0's tx is still active even though its broadcast is gone.
         assert!(tm.is_active(dtx(0, 1)));
+        // Its commit leaves the overwriting broadcast in place.
+        tm.commit_tx(ThreadId(0));
+        assert_eq!(tm.running().collect::<Vec<_>>(), vec![(0, dtx(2, 3))]);
+    }
+
+    #[test]
+    fn running_walks_occupied_slots_in_cpu_order() {
+        let mut tm = TmState::new(130, 4);
+        tm.begin_tx(ThreadId(2), 129, dtx(2, 0), Cycle::ZERO);
+        tm.begin_tx(ThreadId(0), 64, dtx(0, 1), Cycle::ZERO);
+        tm.begin_tx(ThreadId(1), 3, dtx(1, 2), Cycle::ZERO);
+        assert_eq!(
+            tm.running().collect::<Vec<_>>(),
+            vec![(3, dtx(1, 2)), (64, dtx(0, 1)), (129, dtx(2, 0))]
+        );
+        tm.abort_tx(ThreadId(0));
+        tm.commit_tx(ThreadId(2));
+        assert_eq!(tm.running().collect::<Vec<_>>(), vec![(3, dtx(1, 2))]);
+        assert_eq!(tm.cpu_table().iter().flatten().count(), 1);
     }
 
     #[test]

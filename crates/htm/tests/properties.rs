@@ -3,8 +3,10 @@
 //! isolation state. Driven by the deterministic case generator in
 //! `bfgts-testkit`.
 
-use bfgts_htm::{run_workload, Access, NullCm, STxId, ScriptSource, TmRunConfig, TxInstance};
-use bfgts_sim::CostModel;
+use bfgts_htm::{
+    run_workload, Access, DTxId, NullCm, STxId, ScriptSource, TmRunConfig, TmState, TxInstance,
+};
+use bfgts_sim::{CostModel, Cycle, ThreadId};
 use bfgts_testkit::{run_cases, Gen};
 
 #[derive(Debug, Clone)]
@@ -136,5 +138,54 @@ fn identical_seeds_identical_outcomes() {
         assert_eq!(a.sim.makespan, b.sim.makespan);
         assert_eq!(a.stats.aborts(), b.stats.aborts());
         assert_eq!(a.stats.stalls(), b.stats.stalls());
+    });
+}
+
+/// The CPU table under random begin/commit/abort sequences with more
+/// threads than CPUs, so broadcasts overwrite each other: after every
+/// operation `running()` lists exactly the occupied slots in CPU order,
+/// and the O(1) one-slot clear leaves the same table as a reference that
+/// sweeps every slot for the finished dTxID.
+#[test]
+fn cpu_table_matches_a_full_sweep_reference() {
+    run_cases("cpu_table_matches_a_full_sweep_reference", 64, |g| {
+        let cpus = g.usize_in(1, 140);
+        let threads = g.usize_in(cpus + 1, 2 * cpus + 4);
+        let mut tm = TmState::new(cpus, threads);
+        let mut model: Vec<Option<DTxId>> = vec![None; cpus];
+        let mut active: Vec<Option<DTxId>> = vec![None; threads];
+        for _ in 0..400 {
+            let t = g.usize_in(0, threads);
+            match active[t] {
+                None => {
+                    let cpu = g.usize_in(0, cpus);
+                    let dtx = DTxId::new(ThreadId(t), STxId(g.u32_in(0, 4)));
+                    tm.begin_tx(ThreadId(t), cpu, dtx, Cycle::ZERO);
+                    model[cpu] = Some(dtx);
+                    active[t] = Some(dtx);
+                }
+                Some(dtx) => {
+                    let finished = if g.bool() {
+                        tm.commit_tx(ThreadId(t)).0
+                    } else {
+                        tm.abort_tx(ThreadId(t)).0
+                    };
+                    assert_eq!(finished, dtx);
+                    for slot in &mut model {
+                        if *slot == Some(dtx) {
+                            *slot = None;
+                        }
+                    }
+                    active[t] = None;
+                }
+            }
+            assert_eq!(tm.cpu_table(), model.as_slice());
+            let occupied: Vec<(usize, DTxId)> = model
+                .iter()
+                .enumerate()
+                .filter_map(|(cpu, slot)| slot.map(|d| (cpu, d)))
+                .collect();
+            assert_eq!(tm.running().collect::<Vec<_>>(), occupied);
+        }
     });
 }

@@ -34,7 +34,7 @@ use bfgts_htm::{ContentionManager, TmRunConfig};
 use bfgts_sim::TraceMode;
 use bfgts_workloads::{
     presets, AdversarialSpec, ArrivalProcess, ArrivalSpec, BenchmarkSpec, ExpectedProfile,
-    RandomRegion, Region, TxClass,
+    RandomRegion, Region, TxClass, MAX_STX,
 };
 use json::Json;
 use std::sync::Arc;
@@ -810,6 +810,9 @@ fn intern_name(name: &str) -> &'static str {
 }
 
 fn check_class(class: &TxClass) -> Result<(), String> {
+    if class.stx > MAX_STX {
+        return Err(stx_bound_error(class.stx.into()));
+    }
     if class.size() == 0 {
         return Err(format!(
             "inline class sTx{} performs no accesses",
@@ -1061,6 +1064,10 @@ fn class_to_json(class: &TxClass) -> Json {
     Json::obj(pairs)
 }
 
+fn stx_bound_error(stx: u64) -> String {
+    format!("class field 'stx' is {stx}, above the static transaction id bound {MAX_STX}")
+}
+
 fn class_from_json(value: &Json) -> Result<TxClass, String> {
     let uint = |key: &str| {
         value
@@ -1068,6 +1075,12 @@ fn class_from_json(value: &Json) -> Result<TxClass, String> {
             .and_then(Json::as_u64)
             .ok_or_else(|| format!("class field '{key}' must be an unsigned integer"))
     };
+    // Scheduler tables are indexed by sTxID, so an unbounded id is an
+    // allocation request (see `MAX_STX`).
+    let stx = uint("stx")?;
+    if stx > u64::from(MAX_STX) {
+        return Err(stx_bound_error(stx));
+    }
     let pre_work = value
         .get("pre_work")
         .and_then(Json::as_arr)
@@ -1087,7 +1100,7 @@ fn class_from_json(value: &Json) -> Result<TxClass, String> {
         _ => return Err("random_region needs a kind of shared|per_thread".into()),
     };
     Ok(TxClass {
-        stx: u32::try_from(uint("stx")?).map_err(|_| "class field 'stx' exceeds u32")?,
+        stx: stx as u32,
         weight: f64::from_bits(uint("weight_bits")?),
         private_hot: uint("private_hot")? as usize,
         shared_picks: uint("shared_picks")? as usize,
@@ -1600,6 +1613,36 @@ mod tests {
                 assert_eq!(resolved.classes[..], spec.classes[..]);
             }
             other => panic!("resolved to {other:?}"),
+        }
+    }
+
+    #[test]
+    fn stx_above_the_bound_is_a_parse_error() {
+        let with_stx = |stx: u32| {
+            let mut spec = presets::kmeans().scaled(0.01);
+            let mut classes = spec.classes.to_vec();
+            classes[0].stx = stx;
+            spec.classes = Arc::from(classes);
+            let scenario = Scenario::new(
+                WorkloadSpec::from_benchmark(&spec),
+                ManagerSpec::Kind {
+                    kind: ManagerKind::BfgtsHw,
+                    bloom_bits: None,
+                },
+                Platform::small(),
+            );
+            let text = scenario.to_json().to_string();
+            (scenario, Scenario::from_json(&Json::parse(&text).unwrap()))
+        };
+        let (at_bound, parsed) = with_stx(MAX_STX);
+        assert_eq!(parsed.unwrap(), at_bound);
+        assert!(at_bound.workload.resolve().is_ok());
+        for hostile in [MAX_STX + 1, u32::MAX] {
+            let (built, parsed) = with_stx(hostile);
+            let err = parsed.unwrap_err();
+            assert!(err.contains("static transaction id bound 1024"), "{err}");
+            // A programmatic spec is held to the same bound at resolve.
+            assert!(built.workload.resolve().is_err());
         }
     }
 

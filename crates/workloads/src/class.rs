@@ -26,6 +26,16 @@ impl Region {
     }
 }
 
+/// The largest static transaction id a class may carry.
+///
+/// Scheduler state is indexed by sTxID: the BFGTS confidence table is a
+/// dense square of at most `(MAX_STX + 1)²` `f64` entries (8.4 MB) and the
+/// hybrid variant's pressure vector holds one entry per id. Scenario
+/// parsing rejects a larger id, so an untrusted document cannot turn one
+/// class into a multi-gigabyte allocation. Every preset, adversarial
+/// generator and committed fixture uses single-digit ids.
+pub const MAX_STX: u32 = 1024;
+
 /// Where a class draws its random (transient) accesses from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RandomRegion {
@@ -106,11 +116,16 @@ impl TxClass {
     ///
     /// # Panics
     ///
-    /// Panics if the class draws from a shared pool it does not define,
-    /// performs no accesses, or draws random picks from a zero-sized
-    /// region (which would feed `gen_range` a degenerate bound deep in
-    /// instance generation).
+    /// Panics if the class's id exceeds [`MAX_STX`], it draws from a
+    /// shared pool it does not define, performs no accesses, or draws
+    /// random picks from a zero-sized region (which would feed
+    /// `gen_range` a degenerate bound deep in instance generation).
     pub fn validate(&self) {
+        assert!(
+            self.stx <= MAX_STX,
+            "class sTx{} is above MAX_STX ({MAX_STX})",
+            self.stx
+        );
         assert!(
             self.size() > 0,
             "class sTx{} performs no accesses",

@@ -47,7 +47,7 @@ mod synthetic;
 
 pub use adversarial::{AdversarialSource, AdversarialSpec};
 pub use arrivals::{open_sources, ArrivalProcess, ArrivalSpec, OpenSource};
-pub use class::{RandomRegion, Region, TxClass};
+pub use class::{RandomRegion, Region, TxClass, MAX_STX};
 pub use conflict::{drain_canonical, ConflictGraph, LbCosts, LowerBound, TxNode};
 pub use source::WorkloadSource;
 pub use spec::{BenchmarkSpec, ExpectedProfile};
