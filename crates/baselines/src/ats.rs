@@ -7,34 +7,22 @@ use bfgts_htm::{
 use bfgts_sim::{CostModel, SimRng, ThreadId, TraceSink};
 use std::collections::VecDeque;
 
-/// Tunables of the ATS manager.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AtsConfig {
-    /// Weight of past history in the contention-intensity moving average
-    /// (`ci = alpha·ci + (1−alpha)·event`).
-    pub alpha: f64,
-    /// Intensity above which transactions serialise on the central queue.
-    pub threshold: f64,
-    /// Post-abort backoff window (jittered).
-    pub backoff_window: u64,
-    /// Cycles to check the intensity at begin.
-    pub check_cost: u64,
-    /// Cycles of queue manipulation (lock + enqueue/dequeue) beyond the
-    /// kernel block/wake costs the OS model charges.
-    pub queue_cost: u64,
-}
+/// Weight of past history in the contention-intensity moving average
+/// (`ci = ALPHA·ci + (1−ALPHA)·event`).
+const ALPHA: f64 = 0.8;
 
-impl Default for AtsConfig {
-    fn default() -> Self {
-        Self {
-            alpha: 0.8,
-            threshold: 0.4,
-            backoff_window: 300,
-            check_cost: 4,
-            queue_cost: 400,
-        }
-    }
-}
+/// Intensity above which transactions serialise on the central queue.
+const THRESHOLD: f64 = 0.4;
+
+/// Post-abort backoff window (jittered).
+const BACKOFF_WINDOW: u64 = 300;
+
+/// Cycles to check the intensity at begin.
+const CHECK_COST: u64 = 4;
+
+/// Cycles of queue manipulation (lock + enqueue/dequeue) beyond the
+/// kernel block/wake costs the OS model charges.
+const QUEUE_COST: u64 = 400;
 
 /// *Adaptive Transaction Scheduling*: each thread keeps a contention
 /// intensity (a moving average that rises on aborts and decays on
@@ -56,7 +44,6 @@ impl Default for AtsConfig {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct AtsCm {
-    cfg: AtsConfig,
     intensity: Vec<f64>,
     /// Thread currently holding the serial-execution token.
     runner: Option<ThreadId>,
@@ -66,12 +53,9 @@ pub struct AtsCm {
 }
 
 impl AtsCm {
-    /// Creates an ATS manager with the given tunables.
-    pub fn new(cfg: AtsConfig) -> Self {
-        Self {
-            cfg,
-            ..Self::default()
-        }
+    /// Creates an ATS manager.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     fn ci(&mut self, thread: ThreadId) -> &mut f64 {
@@ -100,7 +84,7 @@ impl ContentionManager for AtsCm {
         _rng: &mut SimRng,
         _trace: &mut TraceSink,
     ) -> BeginOutcome {
-        let mut cost = self.cfg.check_cost;
+        let mut cost = CHECK_COST;
         // A designated thread takes the serial token regardless of its
         // (decayed) intensity, keeping the queue draining.
         if self.designated == Some(q.thread) {
@@ -108,7 +92,7 @@ impl ContentionManager for AtsCm {
             self.runner = Some(q.thread);
             return BeginOutcome {
                 decision: BeginDecision::Proceed,
-                cost: cost + self.cfg.queue_cost,
+                cost: cost + QUEUE_COST,
             };
         }
         // The current runner retries after an abort without re-queueing.
@@ -118,13 +102,13 @@ impl ContentionManager for AtsCm {
                 cost,
             };
         }
-        if *self.ci(q.thread) <= self.cfg.threshold {
+        if *self.ci(q.thread) <= THRESHOLD {
             return BeginOutcome {
                 decision: BeginDecision::Proceed,
                 cost,
             };
         }
-        cost += self.cfg.queue_cost;
+        cost += QUEUE_COST;
         if self.runner.is_none() && self.designated.is_none() {
             self.runner = Some(q.thread);
             BeginOutcome {
@@ -148,11 +132,10 @@ impl ContentionManager for AtsCm {
         rng: &mut SimRng,
         _trace: &mut TraceSink,
     ) -> AbortPlan {
-        let alpha = self.cfg.alpha;
         let ci = self.ci(ev.aborter.thread);
-        *ci = alpha * *ci + (1.0 - alpha);
+        *ci = ALPHA * *ci + (1.0 - ALPHA);
         AbortPlan {
-            backoff: rng.jitter(self.cfg.backoff_window),
+            backoff: rng.jitter(BACKOFF_WINDOW),
             cost: 2,
         }
     }
@@ -165,16 +148,15 @@ impl ContentionManager for AtsCm {
         _rng: &mut SimRng,
         _trace: &mut TraceSink,
     ) -> CommitOutcome {
-        let alpha = self.cfg.alpha;
         let ci = self.ci(rec.dtx.thread);
-        *ci *= alpha;
+        *ci *= ALPHA;
         let mut out = CommitOutcome {
             cost: 2,
             wake: Vec::new(),
         };
         if self.runner == Some(rec.dtx.thread) {
             self.runner = None;
-            out.cost += self.cfg.queue_cost;
+            out.cost += QUEUE_COST;
             if let Some(next) = self.parked.pop_front() {
                 self.designated = Some(next);
                 out.wake.push(next);

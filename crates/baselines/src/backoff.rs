@@ -6,24 +6,13 @@ use bfgts_htm::{
 };
 use bfgts_sim::{CostModel, SimRng, TraceSink};
 
-/// Tunables of the backoff manager.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BackoffConfig {
-    /// Base backoff window in cycles after the first abort.
-    pub base: u64,
-    /// Maximum left-shift applied to the window (caps the window at
-    /// `base << max_shift`).
-    pub max_shift: u32,
-}
+/// Base backoff window in cycles after the first abort (DESIGN.md §2,
+/// calibration decision 3).
+const BASE: u64 = 3000;
 
-impl Default for BackoffConfig {
-    fn default() -> Self {
-        Self {
-            base: 3000,
-            max_shift: 8,
-        }
-    }
-}
+/// Maximum left-shift applied to the window (caps the window at
+/// `BASE << MAX_SHIFT`).
+const MAX_SHIFT: u32 = 8;
 
 /// The classic reactive contention manager: on abort, wait a uniformly
 /// random time drawn from an exponentially growing window, then retry.
@@ -40,14 +29,12 @@ impl Default for BackoffConfig {
 /// assert_eq!(cm.name(), "Backoff");
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
-pub struct BackoffCm {
-    cfg: BackoffConfig,
-}
+pub struct BackoffCm {}
 
 impl BackoffCm {
-    /// Creates a manager with the given window parameters.
-    pub fn new(cfg: BackoffConfig) -> Self {
-        Self { cfg }
+    /// Creates a manager.
+    pub fn new() -> Self {
+        Self {}
     }
 }
 
@@ -75,8 +62,7 @@ impl ContentionManager for BackoffCm {
         rng: &mut SimRng,
         _trace: &mut TraceSink,
     ) -> AbortPlan {
-        let shift = ev.retries.min(self.cfg.max_shift);
-        let window = self.cfg.base << shift;
+        let window = BASE << ev.retries.min(MAX_SHIFT);
         AbortPlan {
             backoff: rng.jitter(window),
             cost: 0,
@@ -135,10 +121,7 @@ mod tests {
 
     #[test]
     fn backoff_is_bounded() {
-        let mut cm = BackoffCm::new(BackoffConfig {
-            base: 100,
-            max_shift: 4,
-        });
+        let mut cm = BackoffCm::new();
         let tm = TmState::new(1, 2);
         let mut rng = SimRng::seed_from(7);
         for r in 0..1000u32 {
@@ -149,7 +132,7 @@ mod tests {
                 &mut rng,
                 &mut TraceSink::disabled(),
             );
-            assert!(plan.backoff <= 100 << 4);
+            assert!(plan.backoff <= BASE << MAX_SHIFT);
             assert_eq!(plan.cost, 0);
         }
     }

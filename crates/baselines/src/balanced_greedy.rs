@@ -7,21 +7,19 @@ use bfgts_htm::{
 };
 use bfgts_sim::{CostModel, SimRng, ThreadId, TraceSink};
 
-/// Tunables of the balanced-greedy manager.
+/// Tunables of the balanced-greedy manager. The losing side's backoff
+/// quantum is [`WindowGreedyConfig`]'s default `base_delay`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BalancedGreedyConfig {
     /// Commits per execution window (the randomized tie-break redraws at
     /// this pace, exactly as in [`WindowGreedyConfig::window_size`]).
     pub window_size: u32,
-    /// Backoff quantum in cycles for the losing side.
-    pub base_delay: u64,
 }
 
 impl Default for BalancedGreedyConfig {
     fn default() -> Self {
         Self {
-            window_size: 4,
-            base_delay: 300,
+            window_size: WindowGreedyConfig::default().window_size,
         }
     }
 }
@@ -62,7 +60,7 @@ impl BalancedGreedyCm {
         Self {
             inner: WindowGreedyCm::new(WindowGreedyConfig {
                 window_size: cfg.window_size,
-                base_delay: cfg.base_delay,
+                ..WindowGreedyConfig::default()
             }),
             remaining: Vec::new(),
         }
@@ -233,10 +231,7 @@ mod tests {
     #[test]
     fn windows_advance_and_announce_like_window_greedy() {
         let (tm, costs, mut rng) = env();
-        let mut cm = BalancedGreedyCm::new(BalancedGreedyConfig {
-            window_size: 2,
-            base_delay: 300,
-        });
+        let mut cm = BalancedGreedyCm::new(BalancedGreedyConfig { window_size: 2 });
         cm.on_run_start(9, 2);
         assert_eq!(cm.window_seed(), Some(9));
         let mut trace = TraceSink::new(TraceMode::Full);

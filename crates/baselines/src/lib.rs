@@ -36,10 +36,10 @@ mod pts;
 mod stall;
 mod window_greedy;
 
-pub use ats::{AtsCm, AtsConfig};
-pub use backoff::{BackoffCm, BackoffConfig};
+pub use ats::AtsCm;
+pub use backoff::BackoffCm;
 pub use balanced_greedy::{BalancedGreedyCm, BalancedGreedyConfig};
-pub use polka::{PolkaCm, PolkaConfig};
-pub use pts::{PtsCm, PtsConfig};
-pub use stall::{StallCm, StallConfig};
+pub use polka::PolkaCm;
+pub use pts::PtsCm;
+pub use stall::StallCm;
 pub use window_greedy::{WindowGreedyCm, WindowGreedyConfig};

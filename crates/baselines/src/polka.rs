@@ -7,26 +7,14 @@ use bfgts_htm::{
 use bfgts_sim::{CostModel, SimRng, TraceSink};
 use std::collections::BTreeMap;
 
-/// Tunables of the Polka-style manager.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PolkaConfig {
-    /// Backoff cycles per line of investment difference.
-    pub per_line: u64,
-    /// Exponential growth cap (left-shift of the window per retry).
-    pub max_shift: u32,
-    /// Window floor in cycles.
-    pub floor: u64,
-}
+/// Backoff cycles per line of investment difference.
+const PER_LINE: u64 = 40;
 
-impl Default for PolkaConfig {
-    fn default() -> Self {
-        Self {
-            per_line: 40,
-            max_shift: 6,
-            floor: 400,
-        }
-    }
-}
+/// Exponential growth cap (left-shift of the window per retry).
+const MAX_SHIFT: u32 = 6;
+
+/// Window floor in cycles.
+const FLOOR: u64 = 400;
 
 /// A Polka-flavoured reactive manager: the paper's §2 surveys the
 /// Scherer & Scott contention managers, of which *Polka* (priorities from
@@ -47,18 +35,14 @@ impl Default for PolkaConfig {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PolkaCm {
-    cfg: PolkaConfig,
     /// Last known investment (average set size) per dTxID.
     investment: BTreeMap<u64, f64>,
 }
 
 impl PolkaCm {
-    /// Creates a manager with the given tunables.
-    pub fn new(cfg: PolkaConfig) -> Self {
-        Self {
-            cfg,
-            investment: BTreeMap::new(),
-        }
+    /// Creates a manager.
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
@@ -93,8 +77,8 @@ impl ContentionManager for PolkaCm {
             .get(&ev.enemy.pack())
             .copied()
             .unwrap_or(0.0);
-        let base = self.cfg.floor + (enemy_investment * self.cfg.per_line as f64) as u64;
-        let window = base << ev.retries.min(self.cfg.max_shift);
+        let base = FLOOR + (enemy_investment * PER_LINE as f64) as u64;
+        let window = base << ev.retries.min(MAX_SHIFT);
         AbortPlan {
             backoff: rng.jitter(window),
             cost: 2,

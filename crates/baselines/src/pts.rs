@@ -8,47 +8,35 @@ use bfgts_htm::{
 use bfgts_sim::{CostModel, SimRng, TraceSink};
 use std::collections::BTreeMap;
 
-/// Tunables of the PTS manager.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PtsConfig {
-    /// Confidence above which a predicted conflict serialises.
-    pub threshold: f64,
-    /// Constant confidence increment on conflicts / justified waits.
-    pub inc: f64,
-    /// Constant confidence decrement on unjustified waits.
-    pub dec: f64,
-    /// Bloom filter size in bits for the saved read/write sets.
-    pub bloom_bits: u32,
-    /// Bloom hash-function count.
-    pub bloom_hashes: u32,
-    /// Post-abort backoff window (jittered).
-    pub backoff_window: u64,
-    /// Fixed begin-scan cost before per-entry lookups.
-    pub scan_base_cost: u64,
-    /// Per-CPU-table-entry lookup cost. PTS's conflict graph is keyed by
-    /// dTxID pairs and grows to tens of megabytes, so lookups regularly
-    /// leave the L1; the paper calls out "overhead of executing a scan of
-    /// software structures on every transaction begin".
-    pub scan_entry_cost: u64,
-    /// Cost of one confidence-graph update (abort/commit paths).
-    pub graph_update_cost: u64,
-}
+/// Confidence above which a predicted conflict serialises.
+const THRESHOLD: f64 = 50.0;
 
-impl Default for PtsConfig {
-    fn default() -> Self {
-        Self {
-            threshold: 50.0,
-            inc: 60.0,
-            dec: 40.0,
-            bloom_bits: 2048,
-            bloom_hashes: 4,
-            backoff_window: 300,
-            scan_base_cost: 40,
-            scan_entry_cost: 40,
-            graph_update_cost: 60,
-        }
-    }
-}
+/// Constant confidence increment on conflicts / justified waits.
+const INC: f64 = 60.0;
+
+/// Constant confidence decrement on unjustified waits.
+const DEC: f64 = 40.0;
+
+/// Bloom filter size in bits for the saved read/write sets.
+const BLOOM_BITS: u32 = 2048;
+
+/// Bloom hash-function count.
+const BLOOM_HASHES: u32 = 4;
+
+/// Post-abort backoff window (jittered).
+const BACKOFF_WINDOW: u64 = 300;
+
+/// Fixed begin-scan cost before per-entry lookups.
+const SCAN_BASE_COST: u64 = 40;
+
+/// Per-CPU-table-entry lookup cost. PTS's conflict graph is keyed by
+/// dTxID pairs and grows to tens of megabytes, so lookups regularly
+/// leave the L1; the paper calls out "overhead of executing a scan of
+/// software structures on every transaction begin".
+const SCAN_ENTRY_COST: u64 = 40;
+
+/// Cost of one confidence-graph update (abort/commit paths).
+const GRAPH_UPDATE_COST: u64 = 60;
 
 /// *Proactive Transaction Scheduling*: profiles the pattern of conflicts
 /// between *dynamic* transactions in a global conflict graph. Before each
@@ -71,9 +59,8 @@ impl Default for PtsConfig {
 /// use bfgts_htm::ContentionManager;
 /// assert_eq!(PtsCm::default().name(), "PTS");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PtsCm {
-    cfg: PtsConfig,
     /// Confidence of future conflict between ordered dTxID pairs.
     confidence: BTreeMap<(u64, u64), f64>,
     /// Most recent committed read/write-set Bloom filter per dTxID.
@@ -82,21 +69,10 @@ pub struct PtsCm {
     waiting_on: BTreeMap<u64, u64>,
 }
 
-impl Default for PtsCm {
-    fn default() -> Self {
-        Self::new(PtsConfig::default())
-    }
-}
-
 impl PtsCm {
-    /// Creates a PTS manager with the given tunables.
-    pub fn new(cfg: PtsConfig) -> Self {
-        Self {
-            cfg,
-            confidence: BTreeMap::new(),
-            blooms: BTreeMap::new(),
-            waiting_on: BTreeMap::new(),
-        }
+    /// Creates a PTS manager.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     fn conf(&self, a: DTxId, b: DTxId) -> f64 {
@@ -130,13 +106,13 @@ impl ContentionManager for PtsCm {
         _rng: &mut SimRng,
         _trace: &mut TraceSink,
     ) -> BeginOutcome {
-        let mut cost = self.cfg.scan_base_cost;
+        let mut cost = SCAN_BASE_COST;
         for (_, target) in tm.running() {
             if target.thread == q.thread {
                 continue;
             }
-            cost += self.cfg.scan_entry_cost;
-            if self.conf(q.dtx, target) > self.cfg.threshold && tm.is_active(target) {
+            cost += SCAN_ENTRY_COST;
+            if self.conf(q.dtx, target) > THRESHOLD && tm.is_active(target) {
                 self.waiting_on.insert(q.dtx.pack(), target.pack());
                 return BeginOutcome {
                     decision: BeginDecision::YieldUntilDone { target },
@@ -158,11 +134,11 @@ impl ContentionManager for PtsCm {
         rng: &mut SimRng,
         _trace: &mut TraceSink,
     ) -> AbortPlan {
-        self.bump(ev.aborter, ev.enemy, self.cfg.inc);
-        self.bump(ev.enemy, ev.aborter, self.cfg.inc);
+        self.bump(ev.aborter, ev.enemy, INC);
+        self.bump(ev.enemy, ev.aborter, INC);
         AbortPlan {
-            backoff: rng.jitter(self.cfg.backoff_window << ev.retries.min(6)),
-            cost: 2 * self.cfg.graph_update_cost,
+            backoff: rng.jitter(BACKOFF_WINDOW << ev.retries.min(6)),
+            cost: 2 * GRAPH_UPDATE_COST,
         }
     }
 
@@ -174,14 +150,14 @@ impl ContentionManager for PtsCm {
         _rng: &mut SimRng,
         _trace: &mut TraceSink,
     ) -> CommitOutcome {
-        let mut bloom = BloomFilter::new(self.cfg.bloom_bits, self.cfg.bloom_hashes);
+        let mut bloom = BloomFilter::new(BLOOM_BITS, BLOOM_HASHES);
         for addr in rec.rw_set {
             bloom.insert(addr.get());
         }
         // Copying the hardware signature out: a couple of cycles per word.
         let mut cost = 50 + 2 * bloom.word_count() as u64;
         if let Some(target) = self.waiting_on.remove(&rec.dtx.pack()) {
-            cost += self.cfg.graph_update_cost;
+            cost += GRAPH_UPDATE_COST;
             let justified = self
                 .blooms
                 .get(&target)
@@ -190,9 +166,9 @@ impl ContentionManager for PtsCm {
             cost += 2 * bloom.word_count() as u64;
             let target = DTxId::unpack(target);
             if justified {
-                self.bump(rec.dtx, target, self.cfg.inc);
+                self.bump(rec.dtx, target, INC);
             } else {
-                self.bump(rec.dtx, target, -self.cfg.dec);
+                self.bump(rec.dtx, target, -DEC);
             }
         }
         self.blooms.insert(rec.dtx.pack(), bloom);
@@ -258,7 +234,7 @@ mod tests {
             &mut TraceSink::disabled(),
         );
         assert_eq!(out.decision, BeginDecision::Proceed);
-        assert!(out.cost >= cm.cfg.scan_base_cost);
+        assert!(out.cost >= SCAN_BASE_COST);
     }
 
     #[test]
@@ -330,7 +306,7 @@ mod tests {
                 &mut TraceSink::disabled(),
             )
             .cost;
-        assert_eq!(busy - empty, 2 * cm.cfg.scan_entry_cost);
+        assert_eq!(busy - empty, 2 * SCAN_ENTRY_COST);
     }
 
     #[test]

@@ -9,23 +9,11 @@ use bfgts_htm::{
 use bfgts_sim::{CostModel, SimRng, TraceSink};
 use std::collections::BTreeMap;
 
-/// Tunables of the stall-on-abort manager.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StallConfig {
-    /// Fallback backoff window when the enemy is already gone.
-    pub fallback_window: u64,
-    /// Cycles to look up/record the enemy at begin/abort.
-    pub bookkeeping_cost: u64,
-}
+/// Fallback backoff window when the enemy is already gone.
+const FALLBACK_WINDOW: u64 = 400;
 
-impl Default for StallConfig {
-    fn default() -> Self {
-        Self {
-            fallback_window: 400,
-            bookkeeping_cost: 6,
-        }
-    }
-}
+/// Cycles to look up/record the enemy at begin/abort.
+const BOOKKEEPING_COST: u64 = 6;
 
 /// The paper's §2 cites Zilles & Baugh (and Ansari's steal-on-abort) as
 /// "stalling a transaction to disallow repeated conflicts": when a
@@ -47,18 +35,14 @@ impl Default for StallConfig {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct StallCm {
-    cfg: StallConfig,
     /// Enemy each dTxID last aborted on, consumed at its next begin.
     grudge: BTreeMap<u64, DTxId>,
 }
 
 impl StallCm {
-    /// Creates a manager with the given tunables.
-    pub fn new(cfg: StallConfig) -> Self {
-        Self {
-            cfg,
-            grudge: BTreeMap::new(),
-        }
+    /// Creates a manager.
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
@@ -75,7 +59,7 @@ impl ContentionManager for StallCm {
         _rng: &mut SimRng,
         _trace: &mut TraceSink,
     ) -> BeginOutcome {
-        let cost = self.cfg.bookkeeping_cost;
+        let cost = BOOKKEEPING_COST;
         if let Some(enemy) = self.grudge.remove(&q.dtx.pack()) {
             if tm.is_active(enemy) {
                 return BeginOutcome {
@@ -103,11 +87,11 @@ impl ContentionManager for StallCm {
             self.grudge.insert(ev.aborter.pack(), ev.enemy);
             0
         } else {
-            rng.jitter(self.cfg.fallback_window << ev.retries.min(6))
+            rng.jitter(FALLBACK_WINDOW << ev.retries.min(6))
         };
         AbortPlan {
             backoff,
-            cost: self.cfg.bookkeeping_cost,
+            cost: BOOKKEEPING_COST,
         }
     }
 

@@ -8,8 +8,8 @@
 //! ```
 
 use bfgts_bench::runner::{run_grid_with_args, RunCell};
-use bfgts_bench::{parse_common_args, BfgtsTunables, ManagerKind, ManagerSpec};
-use bfgts_core::BfgtsVariant;
+use bfgts_bench::{parse_common_args, ManagerKind, ManagerSpec};
+use bfgts_core::BfgtsConfig;
 use bfgts_workloads::presets;
 
 const SLOTS: [u32; 3] = [1, 2, 4];
@@ -32,11 +32,7 @@ fn main() {
             cells.push(RunCell::with_manager(
                 spec,
                 args.platform,
-                ManagerSpec::Bfgts(
-                    BfgtsTunables::new(BfgtsVariant::Hw)
-                        .bloom_bits(bits)
-                        .with_alias_slots(slots),
-                ),
+                ManagerSpec::Bfgts(BfgtsConfig::hw().bloom_bits(bits).with_alias_slots(slots)),
             ));
         }
     }

@@ -21,9 +21,10 @@
 use bfgts_bench::json::Json;
 use bfgts_bench::runner::RunCell;
 use bfgts_bench::{ManagerKind, ManagerSpec, Platform, Scenario, WorkloadSpec};
+use bfgts_scenario::CostKind;
 use bfgts_sim::TraceMode;
 use bfgts_workloads::{
-    drain_canonical, presets, AdversarialSpec, BenchmarkSpec, ConflictGraph, LbCosts, LowerBound,
+    drain_canonical, presets, AdversarialSpec, BenchmarkSpec, ConflictGraph, LowerBound,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -228,11 +229,14 @@ fn main() -> ExitCode {
     platform.seed = args.seed;
     let scale = if args.quick { 0.0625 } else { 0.25 };
 
+    // Every row runs under `Scenario::new`'s HTM costs; the bound prices
+    // transactions at exactly those costs.
+    let run = CostKind::Htm.run_config(platform.cpus, platform.threads, platform.seed);
     let mut bounds = Vec::new();
     let mut rows = Vec::new();
     for work in workloads(scale) {
         let streams = work.streams(platform.threads, platform.seed);
-        let graph = ConflictGraph::build(&streams, LbCosts::htm());
+        let graph = ConflictGraph::build(&streams, &run);
         let lb = graph.lower_bound(platform.cpus);
         println!(
             "bench_competitive: {:<20} bound {:>9} (work {}, chain {}, hotline {}; \

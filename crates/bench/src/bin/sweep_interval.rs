@@ -8,10 +8,9 @@
 
 use bfgts_bench::runner::{run_grid_with_args, RunCell};
 use bfgts_bench::{
-    arithmetic_mean, parse_common_args, percent_improvement, BfgtsTunables, ManagerKind,
-    ManagerSpec,
+    arithmetic_mean, parse_common_args, percent_improvement, ManagerKind, ManagerSpec,
 };
-use bfgts_core::BfgtsVariant;
+use bfgts_core::BfgtsConfig;
 use bfgts_workloads::presets;
 
 const INTERVALS: [u32; 3] = [1, 10, 20];
@@ -35,7 +34,7 @@ fn main() {
                 spec,
                 args.platform,
                 ManagerSpec::Bfgts(
-                    BfgtsTunables::new(BfgtsVariant::Hw)
+                    BfgtsConfig::hw()
                         .bloom_bits(bits)
                         .small_tx_interval(interval),
                 ),

@@ -14,11 +14,11 @@
 
 use std::path::{Path, PathBuf};
 
-use bfgts_core::BfgtsVariant;
+use bfgts_core::{BfgtsConfig, BfgtsVariant};
 use bfgts_faultsim::{minimize, Fault, FaultPlan};
 use bfgts_htm::TmRunReport;
 use bfgts_scenario::{
-    fnv1a, variant_key, BfgtsTunables, ManagerKind, ManagerSpec, Platform, Scenario, WorkloadSpec,
+    fnv1a, variant_key, ManagerKind, ManagerSpec, Platform, Scenario, WorkloadSpec,
 };
 use bfgts_sim::TraceMode;
 use bfgts_testkit::Gen;
@@ -87,7 +87,7 @@ fn scenario_for(
 ) -> Scenario {
     let mut scenario = Scenario::new(
         WorkloadSpec::from_adversarial(&workload.clone().scaled(CELL_SCALE)),
-        ManagerSpec::Bfgts(BfgtsTunables::new(variant)),
+        ManagerSpec::Bfgts(BfgtsConfig::new(variant)),
         platform,
     );
     scenario.faults = Some(plan);

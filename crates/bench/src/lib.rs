@@ -23,9 +23,7 @@ pub mod runner;
 pub mod trace_export;
 
 pub use bfgts_scenario::json;
-pub use bfgts_scenario::{
-    BfgtsTunables, ManagerKind, ManagerSpec, Platform, Scenario, WorkloadSpec,
-};
+pub use bfgts_scenario::{ManagerKind, ManagerSpec, Platform, Scenario, WorkloadSpec};
 
 /// Runs `f` and returns its result plus the elapsed wall-clock in
 /// milliseconds. The one sanctioned wall-clock read in this crate,

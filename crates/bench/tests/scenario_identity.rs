@@ -6,8 +6,8 @@
 
 use bfgts_bench::json::Json;
 use bfgts_bench::runner::{emit_scenarios, run_grid, RunCell, RunnerOptions};
-use bfgts_bench::{BfgtsTunables, ManagerKind, ManagerSpec, Platform};
-use bfgts_core::BfgtsVariant;
+use bfgts_bench::{ManagerKind, ManagerSpec, Platform};
+use bfgts_core::BfgtsConfig;
 use bfgts_workloads::presets;
 use std::collections::BTreeSet;
 use std::io::Write as _;
@@ -44,11 +44,7 @@ fn sample_grid() -> Vec<RunCell> {
         RunCell::with_manager(
             &spec,
             p,
-            ManagerSpec::Bfgts(
-                BfgtsTunables::new(BfgtsVariant::Hw)
-                    .bloom_bits(512)
-                    .small_tx_interval(10),
-            ),
+            ManagerSpec::Bfgts(BfgtsConfig::hw().bloom_bits(512).small_tx_interval(10)),
         ),
         RunCell::one(&genome, ManagerKind::Pts, p).stm(),
         RunCell::one(&genome, ManagerKind::BfgtsSw, p).faulted(11),
@@ -244,6 +240,45 @@ fn hostile_stx_gets_an_error_reply_from_serve() {
     assert_eq!(served.status.code(), Some(1), "{stderr}");
     assert!(
         stderr.contains("stdin:1: class field 'stx' is 4294967295"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("serve: stdin:2: 1 scenario(s)"), "{stderr}");
+    assert!(!served.stdout.is_empty(), "the valid line was not served");
+}
+
+#[test]
+fn hostile_platform_gets_an_error_reply_from_serve() {
+    // A platform of 10^12 CPUs would ask for terabytes of per-CPU state
+    // before the first event: the server must reject the line at parse
+    // time and go on serving.
+    let valid = RunCell::one(
+        &presets::kmeans().scaled(0.02),
+        ManagerKind::Backoff,
+        Platform::small(),
+    )
+    .scenario;
+    let mut hostile = valid.clone();
+    hostile.platform.cpus = 1_000_000_000_000;
+    let (hostile, valid) = (hostile.to_json(), valid.to_json());
+
+    let mut serve = Command::new(env!("CARGO_BIN_EXE_bfgts_serve"))
+        .arg("--stdin")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    serve
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(format!("{hostile}\n{valid}\n").as_bytes())
+        .unwrap();
+    let served = serve.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&served.stderr);
+    assert_eq!(served.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("stdin:1: platform 'cpus' 1000000000000 exceeds the maximum of 4096"),
         "{stderr}"
     );
     assert!(stderr.contains("serve: stdin:2: 1 scenario(s)"), "{stderr}");

@@ -33,58 +33,24 @@ impl BfgtsVariant {
     }
 }
 
-/// Full parameter set of a BFGTS manager.
+/// The parameters of a BFGTS manager that experiments vary.
 ///
-/// Defaults reflect the paper's evaluation: 2048-bit Bloom filters with
-/// 4 hash functions, similarity updates for small transactions every 20
-/// commits, small transactions defined as ≤10 cache lines, a pressure
-/// threshold of 0.25 with heavily past-biased smoothing.
-#[derive(Debug, Clone, PartialEq)]
+/// Defaults reflect the paper's evaluation: 2048-bit Bloom filters and
+/// similarity updates for small transactions every 20 commits. The
+/// parameters the paper holds fixed (hash count, confidence rates,
+/// thresholds, smoothing) are constants beside the code that reads them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BfgtsConfig {
     /// Which flavour to run.
     pub variant: BfgtsVariant,
     /// Signature representation used for similarity estimation.
     pub signature: SignatureKind,
-    /// Bloom hash-function count (`k`).
-    pub bloom_hashes: u32,
-    /// Confidence above which a predicted conflict serialises.
-    pub conf_threshold: f64,
-    /// Base confidence increment; scaled by similarity on every conflict
-    /// (paper Example 3: `inc = incVal·sim`).
-    pub inc_val: f64,
-    /// Base confidence decay at suspend; scaled by dissimilarity (paper
-    /// Example 2: `decay = decayVal·(1−sim)`).
-    pub decay_val: f64,
-    /// Base confidence decrement for unjustified waits at commit (paper
-    /// Example 4: `dec = decVal·(1−sim)`).
-    pub dec_val: f64,
-    /// Transactions whose average read/write set is at most this many
-    /// lines are "small" (paper: 10 lines). Controls commit-time
-    /// similarity-update batching.
-    pub small_tx_size: f64,
-    /// Predicted-conflict waits *yield* (switch threads) when the target
-    /// transaction's average size exceeds this many lines, and *spin*
-    /// otherwise (the paper's `suspendTx` stall-vs-yield choice). The
-    /// paper reuses its 10-line small-transaction bound; on this
-    /// simulator's cost model (3-cycle transactional accesses vs a
-    /// 2000-cycle context switch) the economic crossover sits far
-    /// higher, so the default keeps short waits spinning.
-    pub yield_wait_threshold: f64,
     /// Small transactions update similarity once every this many commits
     /// (paper: 20).
     pub small_tx_interval: u32,
-    /// Past-history weight of the conflict-pressure moving average
-    /// (HwBackoff only; paper: "heavily biases past history").
-    pub pressure_alpha: f64,
-    /// Pressure above which BFGTS engages (HwBackoff only; paper: 0.25).
-    pub pressure_threshold: f64,
-    /// Post-abort backoff window in cycles (jittered, doubled per retry).
-    pub backoff_window: u64,
-    /// Similarity assumed for a transaction before any measurement.
-    pub initial_sim: f64,
     /// When false, confidence updates ignore similarity and use the raw
-    /// `inc_val`/`decay_val`/`dec_val` constants (ablation of the paper's
-    /// central idea; PTS-style updates).
+    /// confidence rates (ablation of the paper's central idea;
+    /// PTS-style updates).
     pub similarity_weighting: bool,
     /// Bound the confidence table to `n`×`n` slots with sTxID hashing
     /// (the paper's §4.2.1 future-work *aliasing* scheme for programs
@@ -94,25 +60,16 @@ pub struct BfgtsConfig {
 }
 
 impl BfgtsConfig {
-    fn base(variant: BfgtsVariant) -> Self {
+    /// The paper-default configuration of `variant`: perfect signatures
+    /// for the idealised variant, 2048-bit Bloom filters otherwise.
+    pub fn new(variant: BfgtsVariant) -> Self {
         Self {
             variant,
             signature: match variant {
                 BfgtsVariant::NoOverhead => SignatureKind::Perfect,
                 _ => SignatureKind::Bloom { bits: 2048 },
             },
-            bloom_hashes: 4,
-            conf_threshold: 100.0,
-            inc_val: 80.0,
-            decay_val: 30.0,
-            dec_val: 40.0,
-            small_tx_size: 10.0,
-            yield_wait_threshold: 600.0,
             small_tx_interval: 20,
-            pressure_alpha: 0.9,
-            pressure_threshold: 0.25,
-            backoff_window: 300,
-            initial_sim: 0.5,
             similarity_weighting: true,
             alias_slots: None,
         }
@@ -120,22 +77,22 @@ impl BfgtsConfig {
 
     /// The all-software variant.
     pub fn sw() -> Self {
-        Self::base(BfgtsVariant::Sw)
+        Self::new(BfgtsVariant::Sw)
     }
 
     /// The hardware-accelerated variant.
     pub fn hw() -> Self {
-        Self::base(BfgtsVariant::Hw)
+        Self::new(BfgtsVariant::Hw)
     }
 
     /// The pressure-gated hybrid.
     pub fn hw_backoff() -> Self {
-        Self::base(BfgtsVariant::HwBackoff)
+        Self::new(BfgtsVariant::HwBackoff)
     }
 
     /// The idealised zero-overhead variant (perfect signatures).
     pub fn no_overhead() -> Self {
-        Self::base(BfgtsVariant::NoOverhead)
+        Self::new(BfgtsVariant::NoOverhead)
     }
 
     /// Sets the Bloom filter size in bits (the paper sweeps 512–8192).
@@ -208,9 +165,7 @@ mod tests {
     fn defaults_match_paper_parameters() {
         let cfg = BfgtsConfig::hw_backoff();
         assert_eq!(cfg.small_tx_interval, 20);
-        assert_eq!(cfg.small_tx_size, 10.0);
-        assert_eq!(cfg.pressure_threshold, 0.25);
-        assert!(cfg.pressure_alpha >= 0.75, "past history heavily biased");
+        assert_eq!(cfg.bloom_bits_get(), Some(2048));
         assert!(cfg.similarity_weighting);
     }
 

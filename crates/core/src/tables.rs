@@ -145,39 +145,38 @@ pub struct TxStat {
     pub waiting_on: Option<DTxId>,
 }
 
+/// Similarity assumed for a transaction before any measurement (a
+/// neutral prior).
+const INITIAL_SIM: f64 = 0.5;
+
 /// The statistics array: per thread, a short vector of entries sorted by
 /// sTxID (the layout the manager's signature table shares).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TxStatsTable {
-    initial_sim: f64,
     stats: DtxMap<TxStat>,
 }
 
 impl TxStatsTable {
     /// Creates an empty table; unmeasured transactions report
-    /// `initial_sim` as their similarity (a neutral prior).
-    pub fn new(initial_sim: f64) -> Self {
-        Self {
-            initial_sim,
-            stats: DtxMap::default(),
-        }
+    /// `INITIAL_SIM` (0.5) as their similarity.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// The entry for `dtx`, created on first touch.
     pub fn entry(&mut self, dtx: DTxId) -> &mut TxStat {
-        let initial_sim = self.initial_sim;
         self.stats.get_or_insert_with(dtx, || TxStat {
             avg_size: 0.0,
-            sim: initial_sim,
+            sim: INITIAL_SIM,
             commits: 0,
             since_sim_update: 0,
             waiting_on: None,
         })
     }
 
-    /// Smoothed similarity of `dtx` (`initial_sim` before any commit).
+    /// Smoothed similarity of `dtx`; `INITIAL_SIM` (0.5) before any commit.
     pub fn sim_of(&self, dtx: DTxId) -> f64 {
-        self.stats.get(dtx).map_or(self.initial_sim, |s| s.sim)
+        self.stats.get(dtx).map_or(INITIAL_SIM, |s| s.sim)
     }
 
     /// Smoothed average size of `dtx` (0 before any commit).
@@ -404,15 +403,15 @@ mod tests {
 
     #[test]
     fn stats_default_to_prior() {
-        let t = TxStatsTable::new(0.5);
-        assert_eq!(t.sim_of(dtx(0, 0)), 0.5);
+        let t = TxStatsTable::new();
+        assert_eq!(t.sim_of(dtx(0, 0)), INITIAL_SIM);
         assert_eq!(t.avg_size_of(dtx(0, 0)), 0.0);
         assert!(t.is_empty());
     }
 
     #[test]
     fn entry_creates_and_persists() {
-        let mut t = TxStatsTable::new(0.5);
+        let mut t = TxStatsTable::new();
         t.entry(dtx(1, 2)).avg_size = 12.0;
         t.entry(dtx(1, 2)).sim = 0.9;
         assert_eq!(t.avg_size_of(dtx(1, 2)), 12.0);
@@ -452,7 +451,7 @@ mod tests {
 
     #[test]
     fn distinct_dtx_distinct_entries() {
-        let mut t = TxStatsTable::new(0.0);
+        let mut t = TxStatsTable::new();
         t.entry(dtx(0, 1)).sim = 0.1;
         t.entry(dtx(1, 1)).sim = 0.8;
         assert_eq!(t.sim_of(dtx(0, 1)), 0.1);

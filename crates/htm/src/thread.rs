@@ -9,36 +9,34 @@ use bfgts_sim::{
     Action, Bucket, Cycle, DecisionKind, ThreadCtx, ThreadLogic, TraceEvent, NO_TARGET,
 };
 
+/// Spin-slice length while NACK-stalled on a conflicting line.
+const CONFLICT_POLL: u64 = 25;
+
+/// Spin-slice length while serialised behind a predicted conflictor.
+const PREDICT_POLL: u64 = 30;
+
+/// How long a predicted-conflict wait spins before falling back to
+/// `pthread_yield` (adaptive spin-then-yield).
+const SPIN_BEFORE_YIELD: u64 = 8000;
+
+/// Largest single slice of non-transactional work (keeps quantum
+/// preemption responsive).
+const PREWORK_CHUNK: u64 = 2000;
+
+/// Largest single slice of post-abort backoff or begin-time delay.
+const BACKOFF_CHUNK: u64 = 500;
+
 /// Tunables of the thread driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxThreadConfig {
     /// Cycles per transactional access (models an L1 hit plus a couple of
     /// ALU operations; misses are folded into the average).
     pub access_cost: u64,
-    /// Spin-slice length while NACK-stalled on a conflicting line.
-    pub conflict_poll: u64,
-    /// Spin-slice length while serialised behind a predicted conflictor.
-    pub predict_poll: u64,
-    /// How long a predicted-conflict wait spins before falling back to
-    /// `pthread_yield` (adaptive spin-then-yield).
-    pub spin_before_yield: u64,
-    /// Largest single slice of non-transactional work (keeps quantum
-    /// preemption responsive).
-    pub prework_chunk: u64,
-    /// Largest single slice of post-abort backoff.
-    pub backoff_chunk: u64,
 }
 
 impl Default for TxThreadConfig {
     fn default() -> Self {
-        Self {
-            access_cost: 3,
-            conflict_poll: 25,
-            predict_poll: 30,
-            spin_before_yield: 8000,
-            prework_chunk: 2000,
-            backoff_chunk: 500,
-        }
+        Self { access_cost: 3 }
     }
 }
 
@@ -47,10 +45,7 @@ impl TxThreadConfig {
     /// pays read/write-barrier instrumentation on top of the memory
     /// access itself.
     pub fn stm_like() -> Self {
-        Self {
-            access_cost: 12,
-            ..Self::default()
-        }
+        Self { access_cost: 12 }
     }
 }
 
@@ -59,12 +54,11 @@ impl TxThreadConfig {
 /// decides whether the contention manager hears about the abort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AbortCause {
-    /// A genuine data conflict lost age arbitration to `enemy`.
+    /// A conflict lost age arbitration to `enemy`. Covers
+    /// bounded-signature false positives too: the contention manager
+    /// still hears about `enemy` — the noisy oracle is exactly what the
+    /// scheduler must learn from.
     Conflict { enemy: DTxId },
-    /// A bounded-signature intersection that the exact sets disprove;
-    /// the contention manager still hears about `enemy` — the noisy
-    /// oracle is exactly what the scheduler must learn from.
-    FalsePositive { enemy: DTxId },
     /// The bounded signature overflowed its tracking capacity. A pure
     /// hardware event: no enemy, no contention-manager consult.
     Capacity,
@@ -79,7 +73,6 @@ enum Phase {
     PredictSpin { target: DTxId, spun: u64 },
     PredictYield { target: DTxId },
     BlockedWait { issued: bool },
-    DelayWait { left: u64 },
     InTx { next: usize },
     ConflictStall { next: usize },
     AbortRollback,
@@ -191,7 +184,7 @@ impl<S: TxSource> TxThreadLogic<S> {
                 }
             }
             Phase::PreWork { left } => {
-                let chunk = left.min(self.cfg.prework_chunk);
+                let chunk = left.min(PREWORK_CHUNK);
                 let rest = left.checked_sub(chunk).expect("chunk is clamped to left");
                 self.phase = if rest > 0 {
                     Phase::PreWork { left: rest }
@@ -265,7 +258,7 @@ impl<S: TxSource> TxThreadLogic<S> {
                         self.phase = Phase::BlockedWait { issued: false };
                     }
                     BeginDecision::Delay { cycles } => {
-                        self.phase = Phase::DelayWait { left: cycles };
+                        self.phase = Phase::Backoff { left: cycles };
                     }
                 }
                 if out.cost > 0 {
@@ -307,14 +300,14 @@ impl<S: TxSource> TxThreadLogic<S> {
                     self.phase = Phase::BeginQuery;
                     return None;
                 }
-                if spun < self.cfg.spin_before_yield {
+                if spun < SPIN_BEFORE_YIELD {
                     self.phase = Phase::PredictSpin {
                         target,
                         spun: spun
-                            .checked_add(self.cfg.predict_poll)
+                            .checked_add(PREDICT_POLL)
                             .expect("spin accounting overflowed u64"),
                     };
-                    Some(Action::work(self.cfg.predict_poll, Bucket::Scheduling))
+                    Some(Action::work(PREDICT_POLL, Bucket::Scheduling))
                 } else {
                     Some(Action::Yield)
                 }
@@ -337,17 +330,6 @@ impl<S: TxSource> TxThreadLogic<S> {
                     self.phase = Phase::BlockedWait { issued: true };
                     Some(Action::Block)
                 }
-            }
-            Phase::DelayWait { left } => {
-                if left == 0 {
-                    self.phase = Phase::BeginQuery;
-                    return None;
-                }
-                let chunk = left.min(self.cfg.backoff_chunk);
-                self.phase = Phase::DelayWait {
-                    left: left.checked_sub(chunk).expect("chunk is clamped to left"),
-                };
-                Some(Action::work(chunk, Bucket::Abort))
             }
             Phase::InTx { next } => {
                 let tx = self.cur.as_ref().expect("in transaction without instance");
@@ -386,7 +368,7 @@ impl<S: TxSource> TxThreadLogic<S> {
                         self.phase = Phase::InTx { next: next + 1 };
                         Some(Action::work(self.cfg.access_cost, Bucket::Tx))
                     }
-                    AccessResult::Conflict { owner } => {
+                    AccessResult::Conflict { owner } | AccessResult::FalseConflict { owner } => {
                         if let Some(enemy_stx) = world.tm.active_stx(owner) {
                             world.tm.stats_mut().record_conflict(my_stx, enemy_stx);
                         }
@@ -397,7 +379,11 @@ impl<S: TxSource> TxThreadLogic<S> {
                         // a repeatedly-aborted transaction ages into
                         // the oldest and is guaranteed forward
                         // progress; stall chains are ordered by age and
-                        // therefore acyclic.
+                        // therefore acyclic. A bounded-signature false
+                        // positive (an intersection the exact line table
+                        // disproves) looks the same to the hardware, so
+                        // it arbitrates under the same age order and the
+                        // deadlock-freedom argument carries over.
                         let my_key = (self.timestamp.expect("in tx"), ctx.thread);
                         let owner_key = match world.tm.active_timestamp(owner) {
                             Some(ts) => (ts, owner),
@@ -417,13 +403,37 @@ impl<S: TxSource> TxThreadLogic<S> {
                             self.phase = Phase::AbortRollback;
                             // Remember who beat us for the conflict hook.
                             self.abort_cause = Some(AbortCause::Conflict { enemy });
-                            ctx.trace.emit(ctx.now.as_u64(), || TraceEvent::TxConflict {
-                                thread: ctx.thread.index() as u32,
-                                stx: my_stx.0,
-                                enemy_thread: enemy.thread.index() as u32,
-                                enemy_stx: enemy.stx.0,
-                                stalled: false,
-                            });
+                            let thread = ctx.thread.index() as u32;
+                            let (enemy_thread, enemy_stx) =
+                                (enemy.thread.index() as u32, enemy.stx.0);
+                            if matches!(result, AccessResult::FalseConflict { .. }) {
+                                // Recompute the ground truth while both
+                                // exact sets are still intact; the audit
+                                // (I10) re-derives this count and
+                                // requires zero.
+                                let true_conflicts = world.tm.true_conflict_count(
+                                    ctx.thread,
+                                    access.addr,
+                                    access.is_write,
+                                );
+                                ctx.trace.emit(ctx.now.as_u64(), || {
+                                    TraceEvent::FalsePositiveConflict {
+                                        thread,
+                                        stx: my_stx.0,
+                                        enemy_thread,
+                                        enemy_stx,
+                                        true_conflicts,
+                                    }
+                                });
+                            } else {
+                                ctx.trace.emit(ctx.now.as_u64(), || TraceEvent::TxConflict {
+                                    thread,
+                                    stx: my_stx.0,
+                                    enemy_thread,
+                                    enemy_stx,
+                                    stalled: false,
+                                });
+                            }
                             None
                         } else {
                             if !self.in_stall_episode {
@@ -449,88 +459,10 @@ impl<S: TxSource> TxThreadLogic<S> {
                             // deterministic retry loops cannot
                             // phase-lock into a livelock (LogTM
                             // randomises its retry for the same reason).
-                            let poll = self
-                                .cfg
-                                .conflict_poll
-                                .checked_add(ctx.rng.jitter(self.cfg.conflict_poll))
-                                .expect("retry interval overflowed u64");
-                            Some(Action::work(poll, Bucket::Abort))
-                        }
-                    }
-                    AccessResult::FalseConflict { owner } => {
-                        // The bounded signatures report an intersection
-                        // the exact line table disproves. The hardware
-                        // cannot tell the difference, so arbitration runs
-                        // under the same age order as a real conflict —
-                        // the deadlock-freedom argument carries over
-                        // unchanged.
-                        if let Some(enemy_stx) = world.tm.active_stx(owner) {
-                            world.tm.stats_mut().record_conflict(my_stx, enemy_stx);
-                        }
-                        let my_key = (self.timestamp.expect("in tx"), ctx.thread);
-                        let owner_key = match world.tm.active_timestamp(owner) {
-                            Some(ts) => (ts, owner),
-                            // Owner finished between detection and now —
-                            // its signature is gone, so retry the access.
-                            None => {
-                                self.phase = Phase::InTx { next };
-                                return None;
-                            }
-                        };
-                        if my_key > owner_key {
-                            let enemy = world
-                                .tm
-                                .active_dtx(owner)
-                                .unwrap_or(DTxId::new(owner, my_stx));
-                            // Recompute the ground truth while both exact
-                            // sets are still intact; the audit (I10)
-                            // re-derives this count and requires zero.
-                            let true_conflicts = world.tm.true_conflict_count(
-                                ctx.thread,
-                                access.addr,
-                                access.is_write,
-                            );
-                            self.in_stall_episode = false;
-                            self.phase = Phase::AbortRollback;
-                            self.abort_cause = Some(AbortCause::FalsePositive { enemy });
-                            ctx.trace.emit(ctx.now.as_u64(), || {
-                                TraceEvent::FalsePositiveConflict {
-                                    thread: ctx.thread.index() as u32,
-                                    stx: my_stx.0,
-                                    enemy_thread: enemy.thread.index() as u32,
-                                    enemy_stx: enemy.stx.0,
-                                    true_conflicts,
-                                }
-                            });
-                            None
-                        } else {
-                            // Older requester: stall on the aliasing
-                            // owner exactly as on a real conflict; the
-                            // NACK clears when the owner's signature
-                            // does.
-                            if !self.in_stall_episode {
-                                self.in_stall_episode = true;
-                                world.tm.stats_mut().record_stall();
-                                ctx.trace.emit(ctx.now.as_u64(), || TraceEvent::TxStall {
-                                    thread: ctx.thread.index() as u32,
-                                    stx: my_stx.0,
-                                });
-                            }
-                            world.tm.set_waiting(ctx.thread, owner);
-                            let enemy_stx =
-                                world.tm.active_stx(owner).map(|s| s.0).unwrap_or(NO_TARGET);
-                            ctx.trace.emit(ctx.now.as_u64(), || TraceEvent::TxConflict {
-                                thread: ctx.thread.index() as u32,
-                                stx: my_stx.0,
-                                enemy_thread: owner.index() as u32,
-                                enemy_stx,
-                                stalled: true,
-                            });
-                            self.phase = Phase::ConflictStall { next };
-                            let poll = self
-                                .cfg
-                                .conflict_poll
-                                .checked_add(ctx.rng.jitter(self.cfg.conflict_poll))
+                            // A false positive's NACK clears when the
+                            // aliasing owner's signature does.
+                            let poll = CONFLICT_POLL
+                                .checked_add(ctx.rng.jitter(CONFLICT_POLL))
                                 .expect("retry interval overflowed u64");
                             Some(Action::work(poll, Bucket::Abort))
                         }
@@ -585,7 +517,7 @@ impl<S: TxSource> TxThreadLogic<S> {
                     .take()
                     .expect("abort without recorded cause")
                 {
-                    AbortCause::Conflict { enemy } | AbortCause::FalsePositive { enemy } => {
+                    AbortCause::Conflict { enemy } => {
                         self.phase = Phase::AbortCm { enemy };
                     }
                     AbortCause::Capacity => {
@@ -629,7 +561,7 @@ impl<S: TxSource> TxThreadLogic<S> {
                     self.phase = Phase::BeginQuery;
                     return None;
                 }
-                let chunk = left.min(self.cfg.backoff_chunk);
+                let chunk = left.min(BACKOFF_CHUNK);
                 self.phase = Phase::Backoff {
                     left: left.checked_sub(chunk).expect("chunk is clamped to left"),
                 };

@@ -24,9 +24,12 @@
 pub mod json;
 
 use bfgts_baselines::{
-    AtsCm, BackoffCm, BalancedGreedyCm, BalancedGreedyConfig, PolkaCm, PtsCm, PtsConfig, StallCm,
+    AtsCm, BackoffCm, BalancedGreedyCm, BalancedGreedyConfig, PolkaCm, PtsCm, StallCm,
     WindowGreedyCm, WindowGreedyConfig,
 };
+/// The scenario layer's former name for [`BfgtsConfig`], kept for
+/// callers outside this workspace.
+pub use bfgts_core::BfgtsConfig as BfgtsTunables;
 use bfgts_core::{BfgtsCm, BfgtsConfig, BfgtsVariant, CmFaults};
 use bfgts_faultsim::{Fault, FaultPlan};
 pub use bfgts_htm::Detection;
@@ -90,6 +93,23 @@ pub struct Platform {
 }
 
 impl Platform {
+    /// The largest CPU count a scenario document may ask for.
+    ///
+    /// The engine and the HTM model allocate per-CPU state up front (run
+    /// queues, the CPU table, its occupancy bitmap), so parsing rejects a
+    /// larger count: an untrusted document cannot turn one field into a
+    /// multi-terabyte allocation. This is 4× the largest committed
+    /// platform (1024 CPUs).
+    pub const MAX_CPUS: usize = 4096;
+
+    /// The largest thread count a scenario document may ask for.
+    ///
+    /// Per-thread state (contexts, transaction drivers, detection
+    /// signatures) is allocated up front, so parsing rejects a larger
+    /// count for the same reason as [`Platform::MAX_CPUS`]. This is 4×
+    /// the largest committed platform (4096 threads).
+    pub const MAX_THREADS: usize = 16_384;
+
     /// The paper's platform: 16 CPUs, 64 threads.
     pub fn paper() -> Self {
         Self {
@@ -162,10 +182,22 @@ impl Platform {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| format!("platform field '{key}' must be an unsigned integer"))
         };
-        let cpus = uint("cpus")? as usize;
-        let threads = uint("threads")? as usize;
+        let cpus = uint("cpus")?;
+        let threads = uint("threads")?;
         if cpus == 0 || threads == 0 {
             return Err("platform needs at least one cpu and one thread".into());
+        }
+        if cpus > Self::MAX_CPUS as u64 {
+            return Err(format!(
+                "platform 'cpus' {cpus} exceeds the maximum of {}",
+                Self::MAX_CPUS
+            ));
+        }
+        if threads > Self::MAX_THREADS as u64 {
+            return Err(format!(
+                "platform 'threads' {threads} exceeds the maximum of {}",
+                Self::MAX_THREADS
+            ));
         }
         let shards = match value.get("shards") {
             None => 1,
@@ -200,8 +232,8 @@ impl Platform {
             }
         };
         Ok(Self {
-            cpus,
-            threads,
+            cpus: cpus as usize,
+            threads: threads as usize,
             seed: uint("seed")?,
             shards,
             detection,
@@ -344,7 +376,7 @@ impl ManagerKind {
         };
         match self {
             ManagerKind::Backoff => Box::new(BackoffCm::default()),
-            ManagerKind::Pts => Box::new(PtsCm::new(PtsConfig::default())),
+            ManagerKind::Pts => Box::new(PtsCm::default()),
             ManagerKind::Ats => Box::new(AtsCm::default()),
             ManagerKind::BfgtsSw => bfgts(BfgtsConfig::sw().bloom_bits(bloom_bits)),
             ManagerKind::BfgtsHw => bfgts(BfgtsConfig::hw().bloom_bits(bloom_bits)),
@@ -396,153 +428,48 @@ pub fn variant_from_key(key: &str) -> Option<BfgtsVariant> {
     }
 }
 
-/// The structured BFGTS tunables the experiments vary, stored resolved
-/// (no "default" sentinel values) so equal configurations hash equally:
-/// the parameters themselves are the cache identity of every
-/// interval/aliasing/similarity study.
-///
-/// Tunables outside this set (confidence thresholds, pressure smoothing,
-/// …) keep their paper defaults; varying one means adding it here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BfgtsTunables {
-    /// Which flavour to run.
-    pub variant: BfgtsVariant,
-    /// Bloom filter size in bits; `None` means perfect (exact-set)
-    /// signatures, as the idealised variant uses.
-    pub bloom_bits: Option<u32>,
-    /// Small-transaction similarity update interval (§5.3.2).
-    pub small_tx_interval: u32,
-    /// Confidence-table aliasing bound (§4.2.1), `None` = exact table.
-    pub alias_slots: Option<u32>,
-    /// Whether confidence updates are similarity-weighted (the paper's
-    /// central idea; `false` is the ablation).
-    pub similarity_weighting: bool,
+/// Serialises a BFGTS configuration: every field, with the Bloom size
+/// present only for Bloom signatures.
+fn bfgts_to_json(cfg: &BfgtsConfig) -> Json {
+    let mut pairs = vec![
+        ("kind", Json::Str("bfgts".into())),
+        ("similarity_weighting", Json::Bool(cfg.similarity_weighting)),
+        (
+            "small_tx_interval",
+            Json::UInt(u64::from(cfg.small_tx_interval)),
+        ),
+        ("variant", Json::Str(variant_key(cfg.variant).into())),
+    ];
+    if let Some(bits) = cfg.bloom_bits_get() {
+        pairs.push(("bloom_bits", Json::UInt(u64::from(bits))));
+    }
+    if let Some(slots) = cfg.alias_slots {
+        pairs.push(("alias_slots", Json::UInt(u64::from(slots))));
+    }
+    Json::obj(pairs)
 }
 
-impl BfgtsTunables {
-    /// The paper-default tunables of `variant`.
-    pub fn new(variant: BfgtsVariant) -> Self {
-        Self::from_config(&match variant {
-            BfgtsVariant::Sw => BfgtsConfig::sw(),
-            BfgtsVariant::Hw => BfgtsConfig::hw(),
-            BfgtsVariant::HwBackoff => BfgtsConfig::hw_backoff(),
-            BfgtsVariant::NoOverhead => BfgtsConfig::no_overhead(),
-        })
+/// Parses [`bfgts_to_json`] back. An absent `bloom_bits` keeps the
+/// variant's default signature.
+fn bfgts_from_json(value: &Json) -> Result<BfgtsConfig, String> {
+    let variant = value
+        .get("variant")
+        .and_then(Json::as_str)
+        .and_then(variant_from_key)
+        .ok_or("bfgts manager needs a 'variant' of sw|hw|hw_backoff|no_overhead")?;
+    let mut cfg = BfgtsConfig::new(variant);
+    if let Some(bits) = ManagerSpec::opt_u32(value, "bloom_bits")? {
+        cfg = cfg.bloom_bits(bits);
     }
-
-    /// Extracts the scenario-expressible tunables from a full
-    /// configuration. Lossy by design: fields outside the tunable set
-    /// are assumed to hold their paper defaults.
-    pub fn from_config(cfg: &BfgtsConfig) -> Self {
-        Self {
-            variant: cfg.variant,
-            bloom_bits: cfg.bloom_bits_get(),
-            small_tx_interval: cfg.small_tx_interval,
-            alias_slots: cfg.alias_slots,
-            similarity_weighting: cfg.similarity_weighting,
-        }
-    }
-
-    /// Replaces the Bloom filter size (no-op for the idealised variant,
-    /// which keeps perfect signatures — mirroring
-    /// [`BfgtsConfig::bloom_bits`]).
-    pub fn bloom_bits(mut self, bits: u32) -> Self {
-        if self.variant != BfgtsVariant::NoOverhead {
-            self.bloom_bits = Some(bits);
-        }
-        self
-    }
-
-    /// Replaces the small-transaction update interval.
-    pub fn small_tx_interval(mut self, every: u32) -> Self {
-        self.small_tx_interval = every;
-        self
-    }
-
-    /// Bounds the confidence table with sTxID aliasing.
-    pub fn with_alias_slots(mut self, slots: u32) -> Self {
-        self.alias_slots = Some(slots);
-        self
-    }
-
-    /// Disables similarity weighting (ablation).
-    pub fn without_similarity_weighting(mut self) -> Self {
-        self.similarity_weighting = false;
-        self
-    }
-
-    /// Expands back to the full manager configuration.
-    pub fn config(&self) -> BfgtsConfig {
-        let mut cfg = match self.variant {
-            BfgtsVariant::Sw => BfgtsConfig::sw(),
-            BfgtsVariant::Hw => BfgtsConfig::hw(),
-            BfgtsVariant::HwBackoff => BfgtsConfig::hw_backoff(),
-            BfgtsVariant::NoOverhead => BfgtsConfig::no_overhead(),
-        };
-        if let Some(bits) = self.bloom_bits {
-            cfg = cfg.bloom_bits(bits);
-        }
-        cfg = cfg.small_tx_interval(self.small_tx_interval);
-        if let Some(slots) = self.alias_slots {
-            cfg = cfg.with_alias_slots(slots);
-        }
-        if !self.similarity_weighting {
-            cfg = cfg.without_similarity_weighting();
-        }
-        cfg
-    }
-
-    fn to_json(self) -> Json {
-        let mut pairs = vec![
-            ("kind", Json::Str("bfgts".into())),
-            (
-                "similarity_weighting",
-                Json::Bool(self.similarity_weighting),
-            ),
-            (
-                "small_tx_interval",
-                Json::UInt(u64::from(self.small_tx_interval)),
-            ),
-            ("variant", Json::Str(variant_key(self.variant).into())),
-        ];
-        if let Some(bits) = self.bloom_bits {
-            pairs.push(("bloom_bits", Json::UInt(u64::from(bits))));
-        }
-        if let Some(slots) = self.alias_slots {
-            pairs.push(("alias_slots", Json::UInt(u64::from(slots))));
-        }
-        Json::obj(pairs)
-    }
-
-    fn from_json(value: &Json) -> Result<Self, String> {
-        let variant = value
-            .get("variant")
-            .and_then(Json::as_str)
-            .and_then(variant_from_key)
-            .ok_or("bfgts manager needs a 'variant' of sw|hw|hw_backoff|no_overhead")?;
-        let narrow = |key: &str| -> Result<Option<u32>, String> {
-            match value.get(key) {
-                None => Ok(None),
-                Some(v) => v
-                    .as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .map(Some)
-                    .ok_or_else(|| format!("manager field '{key}' must fit u32")),
-            }
-        };
-        Ok(Self {
-            variant,
-            bloom_bits: narrow("bloom_bits")?,
-            small_tx_interval: narrow("small_tx_interval")?
-                .ok_or("bfgts manager needs a 'small_tx_interval' integer")?,
-            alias_slots: narrow("alias_slots")?,
-            similarity_weighting: match value.get("similarity_weighting") {
-                Some(Json::Bool(b)) => *b,
-                Some(_) => return Err("'similarity_weighting' must be a boolean".into()),
-                None => return Err("bfgts manager needs a 'similarity_weighting' boolean".into()),
-            },
-        })
-    }
+    cfg.small_tx_interval = ManagerSpec::opt_u32(value, "small_tx_interval")?
+        .ok_or("bfgts manager needs a 'small_tx_interval' integer")?;
+    cfg.alias_slots = ManagerSpec::opt_u32(value, "alias_slots")?;
+    cfg.similarity_weighting = match value.get("similarity_weighting") {
+        Some(Json::Bool(b)) => *b,
+        Some(_) => return Err("'similarity_weighting' must be a boolean".into()),
+        None => return Err("bfgts manager needs a 'similarity_weighting' boolean".into()),
+    };
+    Ok(cfg)
 }
 
 /// The contention-manager half of a scenario.
@@ -561,9 +488,9 @@ pub enum ManagerSpec {
         /// the per-benchmark optimum.
         bloom_bits: Option<u32>,
     },
-    /// A BFGTS flavour with explicit tunables (interval sweep, aliasing
-    /// and similarity ablations, fuzz campaign cells).
-    Bfgts(BfgtsTunables),
+    /// A BFGTS flavour with an explicit configuration (interval sweep,
+    /// aliasing and similarity ablations, fuzz campaign cells).
+    Bfgts(BfgtsConfig),
     /// The Polka-style investment baseline (extended roster).
     Polka,
     /// The stall-on-abort baseline (extended roster).
@@ -597,7 +524,7 @@ impl ManagerSpec {
                 Some(bits) => format!("{} ({bits}b)", kind.label()),
                 None => kind.label().to_string(),
             },
-            ManagerSpec::Bfgts(tunables) => tunables.variant.label().to_string(),
+            ManagerSpec::Bfgts(cfg) => cfg.variant.label().to_string(),
             ManagerSpec::Polka => "Polka".to_string(),
             ManagerSpec::Stall => "Stall".to_string(),
             ManagerSpec::WindowGreedy { window_size, .. } => match window_size {
@@ -629,9 +556,9 @@ impl ManagerSpec {
                 let bits = bloom_bits.unwrap_or_else(|| kind.optimal_bloom_bits(workload_name));
                 Some(kind.build_with_faults(bits, faults))
             }
-            ManagerSpec::Bfgts(tunables) => Some(match faults {
-                Some(faults) => Box::new(BfgtsCm::with_faults(tunables.config(), faults)),
-                None => Box::new(BfgtsCm::new(tunables.config())),
+            ManagerSpec::Bfgts(cfg) => Some(match faults {
+                Some(faults) => Box::new(BfgtsCm::with_faults(*cfg, faults)),
+                None => Box::new(BfgtsCm::new(*cfg)),
             }),
             ManagerSpec::Polka => Some(Box::new(PolkaCm::default())),
             ManagerSpec::Stall => Some(Box::new(StallCm::default())),
@@ -646,10 +573,8 @@ impl ManagerSpec {
                 })))
             }
             ManagerSpec::BalancedGreedy { window_size } => {
-                let defaults = BalancedGreedyConfig::default();
                 Some(Box::new(BalancedGreedyCm::new(BalancedGreedyConfig {
-                    window_size: window_size.unwrap_or(defaults.window_size),
-                    base_delay: defaults.base_delay,
+                    window_size: window_size.unwrap_or(BalancedGreedyConfig::default().window_size),
                 })))
             }
         }
@@ -668,7 +593,7 @@ impl ManagerSpec {
                 }
                 Json::obj(pairs)
             }
-            ManagerSpec::Bfgts(tunables) => tunables.to_json(),
+            ManagerSpec::Bfgts(cfg) => bfgts_to_json(cfg),
             ManagerSpec::Polka => Json::obj([("kind", Json::Str("polka".into()))]),
             ManagerSpec::Stall => Json::obj([("kind", Json::Str("stall".into()))]),
             ManagerSpec::WindowGreedy {
@@ -715,7 +640,7 @@ impl ManagerSpec {
                 };
                 Ok(ManagerSpec::Kind { kind, bloom_bits })
             }
-            Some("bfgts") => Ok(ManagerSpec::Bfgts(BfgtsTunables::from_json(value)?)),
+            Some("bfgts") => Ok(ManagerSpec::Bfgts(bfgts_from_json(value)?)),
             Some("polka") => Ok(ManagerSpec::Polka),
             Some("stall") => Ok(ManagerSpec::Stall),
             Some("window_greedy") => Ok(ManagerSpec::WindowGreedy {
@@ -1406,20 +1331,26 @@ impl Scenario {
     /// 1×1 unsharded platform shape and drop fault plans (they always
     /// run clean),
     /// empty fault plans normalise to none, Bloom geometry is dropped
-    /// from managers that never consult it, and BFGTS tunables round-trip
-    /// through the full configuration (so e.g. an explicit Bloom size on
-    /// the perfect-signature variant cannot mint a second identity for
-    /// the same run). Arrival specs pass through untouched — unlike
-    /// faults they change *what* runs, not how it is perturbed, so even
-    /// a serial baseline keeps them.
+    /// from managers that never consult it, and a BFGTS signature is
+    /// re-derived from its variant and Bloom size (so e.g. an explicit
+    /// Bloom size on the perfect-signature variant cannot mint a second
+    /// identity for the same run). Arrival specs pass through
+    /// untouched — unlike faults they change *what* runs, not how it is
+    /// perturbed, so even a serial baseline keeps them.
     pub fn canonical(mut self) -> Self {
         if let ManagerSpec::Kind { kind, bloom_bits } = &mut self.manager {
             if !kind.uses_bloom() {
                 *bloom_bits = None;
             }
         }
-        if let ManagerSpec::Bfgts(tunables) = &self.manager {
-            self.manager = ManagerSpec::Bfgts(BfgtsTunables::from_config(&tunables.config()));
+        if let ManagerSpec::Bfgts(cfg) = &mut self.manager {
+            // Only the Bloom size is serialised: re-derive the signature
+            // from the variant and that size, exactly as parsing does.
+            let base = BfgtsConfig::new(cfg.variant);
+            cfg.signature = match cfg.bloom_bits_get() {
+                Some(bits) => base.bloom_bits(bits).signature,
+                None => base.signature,
+            };
         }
         if matches!(self.manager, ManagerSpec::Serial) {
             self.platform.cpus = 1;
@@ -1566,7 +1497,7 @@ mod tests {
                     name: "adv-hotspot-skew".into(),
                     total_txs: 200,
                 },
-                ManagerSpec::Bfgts(BfgtsTunables::new(BfgtsVariant::HwBackoff).bloom_bits(512)),
+                ManagerSpec::Bfgts(BfgtsConfig::hw_backoff().bloom_bits(512)),
                 Platform::paper(),
             ),
             Scenario::new(
@@ -1647,6 +1578,29 @@ mod tests {
     }
 
     #[test]
+    fn platform_above_the_bounds_is_a_parse_error() {
+        let parse = |cpus: usize, threads: usize| {
+            let mut scenario = sample();
+            scenario.platform.cpus = cpus;
+            scenario.platform.threads = threads;
+            Scenario::from_json(&scenario.to_json()).map(|s| s.platform)
+        };
+        let at_bound = parse(Platform::MAX_CPUS, Platform::MAX_THREADS).unwrap();
+        assert_eq!(at_bound.cpus, Platform::MAX_CPUS);
+        assert_eq!(at_bound.threads, Platform::MAX_THREADS);
+        for (cpus, threads, field) in [
+            (Platform::MAX_CPUS + 1, 8, "'cpus' 4097"),
+            (1_000_000_000_000, 8, "'cpus' 1000000000000"),
+            (4, Platform::MAX_THREADS + 1, "'threads' 16385"),
+            (4, usize::MAX, "'threads' 18446744073709551615"),
+        ] {
+            let err = parse(cpus, threads).unwrap_err();
+            assert!(err.contains(field), "{err}");
+            assert!(err.contains("exceeds the maximum"), "{err}");
+        }
+    }
+
+    #[test]
     fn preset_detection_requires_matching_classes() {
         let spec = presets::kmeans().scaled(0.25);
         assert!(matches!(
@@ -1677,12 +1631,12 @@ mod tests {
         // inert and must not mint a second identity.
         let c = Scenario::new(
             a.workload.clone(),
-            ManagerSpec::Bfgts(BfgtsTunables::new(BfgtsVariant::NoOverhead).bloom_bits(512)),
+            ManagerSpec::Bfgts(BfgtsConfig::no_overhead().bloom_bits(512)),
             Platform::small(),
         );
         let d = Scenario::new(
             a.workload.clone(),
-            ManagerSpec::Bfgts(BfgtsTunables::new(BfgtsVariant::NoOverhead)),
+            ManagerSpec::Bfgts(BfgtsConfig::no_overhead()),
             Platform::small(),
         );
         assert_eq!(c.id(), d.id());
@@ -1758,21 +1712,6 @@ mod tests {
         ] {
             assert_eq!(variant_from_key(variant_key(variant)), Some(variant));
         }
-    }
-
-    #[test]
-    fn tunables_expand_to_the_configs_the_bins_used_to_build() {
-        let hand = BfgtsConfig::hw()
-            .bloom_bits(1024)
-            .small_tx_interval(10)
-            .with_alias_slots(4)
-            .without_similarity_weighting();
-        let tunables = BfgtsTunables::from_config(&hand);
-        assert_eq!(tunables.config(), hand);
-        assert_eq!(
-            BfgtsTunables::new(BfgtsVariant::Sw).config(),
-            BfgtsConfig::sw()
-        );
     }
 
     #[test]

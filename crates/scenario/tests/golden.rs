@@ -8,11 +8,9 @@
 //! change must be deliberate — bump [`bfgts_scenario::SCENARIO_VERSION`]
 //! and re-bless the fixtures by running with `BLESS_SCENARIOS=1`.
 
-use bfgts_core::BfgtsVariant;
+use bfgts_core::BfgtsConfig;
 use bfgts_faultsim::{Fault, FaultPlan};
-use bfgts_scenario::{
-    BfgtsTunables, CostKind, ManagerKind, ManagerSpec, Platform, Scenario, WorkloadSpec,
-};
+use bfgts_scenario::{CostKind, ManagerKind, ManagerSpec, Platform, Scenario, WorkloadSpec};
 use bfgts_sim::TraceMode;
 use bfgts_workloads::{presets, AdversarialSpec};
 
@@ -32,11 +30,7 @@ fn fixtures() -> Vec<(&'static str, Scenario, &'static str)> {
 
     let mut tuned = Scenario::new(
         WorkloadSpec::from_benchmark(&presets::vacation()),
-        ManagerSpec::Bfgts(
-            BfgtsTunables::new(BfgtsVariant::Hw)
-                .bloom_bits(1024)
-                .small_tx_interval(10),
-        ),
+        ManagerSpec::Bfgts(BfgtsConfig::hw().bloom_bits(1024).small_tx_interval(10)),
         Platform::small(),
     );
     tuned.faults = Some(FaultPlan::new(7).fault(Fault::BloomCorrupt {

@@ -4,7 +4,7 @@
 
 use bfgts_faultsim::FaultPlan;
 use bfgts_scenario::{
-    json::Json, BfgtsTunables, CostKind, ManagerKind, ManagerSpec, Platform, Scenario, WorkloadSpec,
+    json::Json, CostKind, ManagerKind, ManagerSpec, Platform, Scenario, WorkloadSpec,
 };
 use bfgts_sim::TraceMode;
 use bfgts_testkit::{run_cases, Gen};
@@ -48,7 +48,7 @@ fn random_manager(g: &mut Gen) -> ManagerSpec {
                 bfgts_core::BfgtsVariant::HwBackoff,
                 bfgts_core::BfgtsVariant::NoOverhead,
             ]);
-            let mut tunables = BfgtsTunables::new(variant);
+            let mut tunables = bfgts_core::BfgtsConfig::new(variant);
             if g.bool() {
                 tunables = tunables.bloom_bits(1 << g.u32_in(6, 13));
             }

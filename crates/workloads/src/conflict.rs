@@ -9,8 +9,8 @@
 //! bound** instead — every measured makespan divided by it yields a
 //! ratio that is provably ≥ 1, and smaller is better.
 //!
-//! Three bounds are combined, each valid under the simulator's cost
-//! model ([`LbCosts`]):
+//! Three bounds are combined, each valid under the run's own cost model
+//! (the [`TmRunConfig`] the managers are measured with):
 //!
 //! 1. **Work**: all committed transaction cycles have to execute on
 //!    `cpus` processors: `ceil(total_work / cpus)`.
@@ -27,49 +27,19 @@
 //! and drains each source without contention — the canonical
 //! realization every manager's first-attempt stream is drawn from.
 
-use bfgts_htm::{TxInstance, TxSource};
+use bfgts_htm::{TmRunConfig, TxInstance, TxSource};
 use bfgts_sim::SimRng;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The slice of the simulator's cost model a lower bound may rely on:
-/// the guaranteed minimum cycles of a committed transaction. Scheduling
-/// overheads, aborts and stalls only add on top, which keeps every bound
-/// derived from these figures conservative.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LbCosts {
-    /// Cycles per transactional access (`TxThreadConfig::access_cost`).
-    pub access_cost: u64,
-    /// Register checkpoint at `TX_BEGIN` (`CostModel::tx_begin`).
-    pub tx_begin: u64,
-    /// Commit bookkeeping (`CostModel::tx_commit`).
-    pub tx_commit: u64,
-}
-
-impl LbCosts {
-    /// The HTM substrate's figures (Table 2 defaults).
-    pub fn htm() -> Self {
-        Self {
-            access_cost: 3,
-            tx_begin: 10,
-            tx_commit: 20,
-        }
-    }
-
-    /// The STM substrate's figures (instrumented barriers, software
-    /// begin/commit).
-    pub fn stm() -> Self {
-        Self {
-            access_cost: 12,
-            tx_begin: 150,
-            tx_commit: 120,
-        }
-    }
-
-    /// Minimum cycles a committed run of `tx` costs: pre-transactional
-    /// work, the begin checkpoint, every access, commit bookkeeping.
-    pub fn tx_cost(&self, tx: &TxInstance) -> u64 {
-        tx.pre_work + self.tx_begin + tx.len() as u64 * self.access_cost + self.tx_commit
-    }
+/// Minimum cycles a committed run of `tx` costs under `run`:
+/// pre-transactional work, the begin checkpoint, every access, commit
+/// bookkeeping. Scheduling overheads, aborts and stalls only add on top,
+/// which keeps every bound derived from these figures conservative.
+fn tx_cost(run: &TmRunConfig, tx: &TxInstance) -> u64 {
+    tx.pre_work
+        + run.costs.tx_begin
+        + tx.len() as u64 * run.thread_cfg.access_cost
+        + run.costs.tx_commit
 }
 
 /// One transaction instance in the realized conflict graph.
@@ -79,7 +49,7 @@ pub struct TxNode {
     pub thread: usize,
     /// Position in that thread's stream.
     pub index: usize,
-    /// Minimum committed cost under the graph's [`LbCosts`].
+    /// Minimum committed cost under the run's costs.
     pub cost: u64,
     /// Distinct lines read (and never written) by the instance.
     pub reads: Vec<u64>,
@@ -92,7 +62,6 @@ pub struct TxNode {
 /// write — exactly the pairs an eager HTM can force to serialize.
 #[derive(Debug, Clone)]
 pub struct ConflictGraph {
-    costs: LbCosts,
     nodes: Vec<TxNode>,
     edges: Vec<(usize, usize)>,
     /// Per line, the summed minimal write-hold of its committing
@@ -135,8 +104,10 @@ pub fn drain_canonical<S: TxSource>(sources: Vec<S>, seed: u64) -> Vec<Vec<TxIns
 }
 
 impl ConflictGraph {
-    /// Builds the graph of the given per-thread streams.
-    pub fn build(streams: &[Vec<TxInstance>], costs: LbCosts) -> Self {
+    /// Builds the graph of the given per-thread streams, pricing each
+    /// committed transaction at `run`'s costs: its `CostModel` begin and
+    /// commit figures and its thread driver's per-access cost.
+    pub fn build(streams: &[Vec<TxInstance>], run: &TmRunConfig) -> Self {
         let mut nodes = Vec::new();
         let mut chains = vec![0u64; streams.len()];
         // Per line: (node ids that write it, node ids that only read it),
@@ -146,7 +117,7 @@ impl ConflictGraph {
         for (thread, stream) in streams.iter().enumerate() {
             for (index, tx) in stream.iter().enumerate() {
                 let id = nodes.len();
-                let cost = costs.tx_cost(tx);
+                let cost = tx_cost(run, tx);
                 chains[thread] += cost;
                 let mut writes = BTreeSet::new();
                 let mut touched = BTreeSet::new();
@@ -156,8 +127,8 @@ impl ConflictGraph {
                         // First write of this line: held in write mode
                         // from here to commit. Conservatively start the
                         // hold *after* the writing access completes.
-                        let hold =
-                            (tx.len() as u64 - 1 - i as u64) * costs.access_cost + costs.tx_commit;
+                        let hold = (tx.len() as u64 - 1 - i as u64) * run.thread_cfg.access_cost
+                            + run.costs.tx_commit;
                         *hotline.entry(line).or_insert(0) += hold;
                     }
                     touched.insert(line);
@@ -190,7 +161,6 @@ impl ConflictGraph {
             }
         }
         Self {
-            costs,
             nodes,
             edges: edges.into_iter().collect(),
             hotline,
@@ -207,11 +177,6 @@ impl ConflictGraph {
     /// sorted and deduplicated.
     pub fn edges(&self) -> &[(usize, usize)] {
         &self.edges
-    }
-
-    /// The cost model the graph was built under.
-    pub fn costs(&self) -> LbCosts {
-        self.costs
     }
 
     /// The clairvoyant lower bound on makespan for `cpus` processors.
@@ -243,15 +208,19 @@ mod tests {
     use bfgts_htm::{Access, STxId};
     use std::sync::Arc;
 
-    fn costs() -> LbCosts {
-        LbCosts::htm()
+    fn costs() -> TmRunConfig {
+        TmRunConfig::new(2, 2)
     }
 
     #[test]
     fn tx_cost_sums_the_guaranteed_minimum() {
-        let tx = TxInstance::writer_over(STxId(0), 0..2, 5);
+        let streams = vec![vec![TxInstance::writer_over(STxId(0), 0..2, 5)]];
         // 5 pre + 10 begin + 2 accesses * 3 + 20 commit
-        assert_eq!(costs().tx_cost(&tx), 41);
+        assert_eq!(ConflictGraph::build(&streams, &costs()).nodes()[0].cost, 41);
+        // The software-TM run prices the same instance at its own costs:
+        // 5 pre + 150 begin + 2 accesses * 12 + 120 commit.
+        let stm = TmRunConfig::stm_like(2, 2);
+        assert_eq!(ConflictGraph::build(&streams, &stm).nodes()[0].cost, 299);
     }
 
     #[test]
@@ -263,7 +232,7 @@ mod tests {
                 TxInstance::writer_over(STxId(2), 100..101, 0), // C: w{100}, cost 33
             ],
         ];
-        let g = ConflictGraph::build(&streams, costs());
+        let g = ConflictGraph::build(&streams, &costs());
         assert_eq!(g.nodes().len(), 3);
         assert_eq!(g.nodes()[0].writes, vec![0, 1]);
         assert_eq!(g.nodes()[1].reads, vec![1, 2]);
@@ -284,7 +253,7 @@ mod tests {
         // disjoint write holds of (1-1-0)*3 + 20 = 20 cycles each.
         let tx = || TxInstance::new(STxId(0), vec![Access::write(7)], 0);
         let streams = vec![vec![tx(), tx(), tx()], vec![tx(), tx(), tx()]];
-        let g = ConflictGraph::build(&streams, costs());
+        let g = ConflictGraph::build(&streams, &costs());
         // Every cross-thread pair conflicts: 3 * 3 = 9 edges.
         assert_eq!(g.edges().len(), 9);
         assert!(g
@@ -303,7 +272,7 @@ mod tests {
             TxInstance::writer_over(STxId(0), 0..2, 0),
             TxInstance::writer_over(STxId(1), 0..2, 0),
         ]];
-        let g = ConflictGraph::build(&streams, costs());
+        let g = ConflictGraph::build(&streams, &costs());
         assert!(g.edges().is_empty());
         assert_eq!(g.lower_bound(1).bound, g.lower_bound(1).chain_bound);
     }
@@ -314,7 +283,7 @@ mod tests {
             vec![TxInstance::reader_over(STxId(0), 0..4, 0)],
             vec![TxInstance::reader_over(STxId(1), 0..4, 0)],
         ];
-        let g = ConflictGraph::build(&streams, costs());
+        let g = ConflictGraph::build(&streams, &costs());
         assert!(g.edges().is_empty());
         assert_eq!(g.lower_bound(2).hotline_bound, 0);
     }

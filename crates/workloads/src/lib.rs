@@ -43,12 +43,10 @@ mod conflict;
 pub mod presets;
 mod source;
 mod spec;
-mod synthetic;
 
 pub use adversarial::{AdversarialSource, AdversarialSpec};
 pub use arrivals::{open_sources, ArrivalProcess, ArrivalSpec, OpenSource};
 pub use class::{RandomRegion, Region, TxClass, MAX_STX};
-pub use conflict::{drain_canonical, ConflictGraph, LbCosts, LowerBound, TxNode};
+pub use conflict::{drain_canonical, ConflictGraph, LowerBound, TxNode};
 pub use source::WorkloadSource;
 pub use spec::{BenchmarkSpec, ExpectedProfile};
-pub use synthetic::{ClassSpec, Contention, SyntheticBuilder};

@@ -11,3 +11,9 @@ pub use bfgts_core as core;
 pub use bfgts_htm as htm;
 pub use bfgts_sim as sim;
 pub use bfgts_workloads as workloads;
+
+/// Compiles the README's Rust blocks as doctests, so `cargo test` fails
+/// when the quickstart's API drifts.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
