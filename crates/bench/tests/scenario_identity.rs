@@ -8,6 +8,8 @@ use bfgts_bench::json::Json;
 use bfgts_bench::runner::{emit_scenarios, run_grid, RunCell, RunnerOptions};
 use bfgts_bench::{ManagerKind, ManagerSpec, Platform};
 use bfgts_core::BfgtsConfig;
+use bfgts_faultsim::{Fault, FaultPlan};
+use bfgts_scenario::Scenario;
 use bfgts_workloads::presets;
 use std::collections::BTreeSet;
 use std::io::Write as _;
@@ -202,26 +204,17 @@ fn custom_managers_are_rejected_by_run_and_serve() {
     assert!(!served.stdout.is_empty(), "the valid line was not served");
 }
 
-#[test]
-fn hostile_stx_gets_an_error_reply_from_serve() {
-    // An inline class with sTxID u32::MAX would size the confidence
-    // table at (2^32)^2 entries on its first conflict: the server must
-    // reject the line at parse time and go on serving.
-    let valid = RunCell::one(
-        &presets::kmeans().scaled(0.02),
-        ManagerKind::Backoff,
-        Platform::small(),
-    )
-    .scenario
-    .to_json();
-    let mut spec = presets::kmeans().scaled(0.02);
-    let mut classes = spec.classes.to_vec();
-    classes[0].stx = u32::MAX;
-    spec.classes = classes.into();
-    let hostile = RunCell::one(&spec, ManagerKind::BfgtsHw, Platform::small())
-        .scenario
-        .to_json();
+/// A small valid scenario under `kind`, the line each hostile test
+/// serves after its hostile one.
+fn small_kmeans(kind: ManagerKind) -> Scenario {
+    RunCell::one(&presets::kmeans().scaled(0.02), kind, Platform::small()).scenario
+}
 
+/// Pipes `hostile` and then a valid line into `bfgts_serve --stdin` and
+/// requires an error reply naming `error` for line 1, exit status 1, and
+/// the valid line 2 served.
+fn assert_serve_rejects_and_goes_on(hostile: &Scenario, error: &str) {
+    let valid = small_kmeans(ManagerKind::Backoff).to_json();
     let mut serve = Command::new(env!("CARGO_BIN_EXE_bfgts_serve"))
         .arg("--stdin")
         .stdin(Stdio::piped())
@@ -233,17 +226,27 @@ fn hostile_stx_gets_an_error_reply_from_serve() {
         .stdin
         .take()
         .unwrap()
-        .write_all(format!("{hostile}\n{valid}\n").as_bytes())
+        .write_all(format!("{}\n{valid}\n", hostile.to_json()).as_bytes())
         .unwrap();
     let served = serve.wait_with_output().unwrap();
     let stderr = String::from_utf8_lossy(&served.stderr);
     assert_eq!(served.status.code(), Some(1), "{stderr}");
-    assert!(
-        stderr.contains("stdin:1: class field 'stx' is 4294967295"),
-        "{stderr}"
-    );
+    assert!(stderr.contains(&format!("stdin:1: {error}")), "{stderr}");
     assert!(stderr.contains("serve: stdin:2: 1 scenario(s)"), "{stderr}");
     assert!(!served.stdout.is_empty(), "the valid line was not served");
+}
+
+#[test]
+fn hostile_stx_gets_an_error_reply_from_serve() {
+    // An inline class with sTxID u32::MAX would size the confidence
+    // table at (2^32)^2 entries on its first conflict: the server must
+    // reject the line at parse time and go on serving.
+    let mut spec = presets::kmeans().scaled(0.02);
+    let mut classes = spec.classes.to_vec();
+    classes[0].stx = u32::MAX;
+    spec.classes = classes.into();
+    let hostile = RunCell::one(&spec, ManagerKind::BfgtsHw, Platform::small()).scenario;
+    assert_serve_rejects_and_goes_on(&hostile, "class field 'stx' is 4294967295");
 }
 
 #[test]
@@ -251,36 +254,67 @@ fn hostile_platform_gets_an_error_reply_from_serve() {
     // A platform of 10^12 CPUs would ask for terabytes of per-CPU state
     // before the first event: the server must reject the line at parse
     // time and go on serving.
-    let valid = RunCell::one(
-        &presets::kmeans().scaled(0.02),
-        ManagerKind::Backoff,
-        Platform::small(),
-    )
-    .scenario;
-    let mut hostile = valid.clone();
+    let mut hostile = small_kmeans(ManagerKind::Backoff);
     hostile.platform.cpus = 1_000_000_000_000;
-    let (hostile, valid) = (hostile.to_json(), valid.to_json());
-
-    let mut serve = Command::new(env!("CARGO_BIN_EXE_bfgts_serve"))
-        .arg("--stdin")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .unwrap();
-    serve
-        .stdin
-        .take()
-        .unwrap()
-        .write_all(format!("{hostile}\n{valid}\n").as_bytes())
-        .unwrap();
-    let served = serve.wait_with_output().unwrap();
-    let stderr = String::from_utf8_lossy(&served.stderr);
-    assert_eq!(served.status.code(), Some(1), "{stderr}");
-    assert!(
-        stderr.contains("stdin:1: platform 'cpus' 1000000000000 exceeds the maximum of 4096"),
-        "{stderr}"
+    assert_serve_rejects_and_goes_on(
+        &hostile,
+        "platform 'cpus' 1000000000000 exceeds the maximum of 4096",
     );
-    assert!(stderr.contains("serve: stdin:2: 1 scenario(s)"), "{stderr}");
-    assert!(!served.stdout.is_empty(), "the valid line was not served");
+}
+
+#[test]
+fn hostile_roster_bloom_bits_get_an_error_reply_from_serve() {
+    // 0 bits panics the estimator and 3 bits the filter's whole-word
+    // assert, both at the first transaction begin.
+    for bits in [0, 3, 8256, u32::MAX] {
+        let mut hostile = small_kmeans(ManagerKind::BfgtsHw);
+        hostile.manager = ManagerSpec::Kind {
+            kind: ManagerKind::BfgtsHw,
+            bloom_bits: Some(bits),
+        };
+        assert_serve_rejects_and_goes_on(
+            &hostile,
+            &format!(
+                "manager field 'bloom_bits' must be a multiple of 64 in 64..=8192, got {bits}"
+            ),
+        );
+    }
+}
+
+#[test]
+fn hostile_tuned_bloom_bits_get_an_error_reply_from_serve() {
+    let mut hostile = small_kmeans(ManagerKind::BfgtsHw);
+    hostile.manager = ManagerSpec::Bfgts(BfgtsConfig::hw().bloom_bits(0));
+    assert_serve_rejects_and_goes_on(
+        &hostile,
+        "manager field 'bloom_bits' must be a multiple of 64 in 64..=8192, got 0",
+    );
+}
+
+#[test]
+fn hostile_alias_slots_get_an_error_reply_from_serve() {
+    // 0 slots panics the confidence table; u32::MAX slots asks it for a
+    // (2^32)^2-entry square on the first conflict.
+    for slots in [0, 1025, u32::MAX] {
+        let mut hostile = small_kmeans(ManagerKind::BfgtsHw);
+        hostile.manager = ManagerSpec::Bfgts(BfgtsConfig::hw().with_alias_slots(slots));
+        assert_serve_rejects_and_goes_on(
+            &hostile,
+            &format!("manager field 'alias_slots' must be in 1..=1024, got {slots}"),
+        );
+    }
+}
+
+#[test]
+fn hostile_cost_perturbation_gets_an_error_reply_from_serve() {
+    // Above 100% the jitter envelope's lower edge is negative, which
+    // panics the cost model before the first event.
+    let mut hostile = small_kmeans(ManagerKind::Backoff);
+    hostile.faults = Some(FaultPlan::new(1).fault(Fault::CostPerturb {
+        max_percent: 1_000_000,
+    }));
+    assert_serve_rejects_and_goes_on(
+        &hostile,
+        "fault field 'max_percent' must be at most 100, got 1000000",
+    );
 }

@@ -55,7 +55,9 @@ pub struct BfgtsConfig {
     /// Bound the confidence table to `n`×`n` slots with sTxID hashing
     /// (the paper's §4.2.1 future-work *aliasing* scheme for programs
     /// with very many static transactions). `None` (the default) grows
-    /// the exact table as the paper evaluates it.
+    /// the exact table as the paper evaluates it. Scenario parsing
+    /// accepts 1 to `MAX_STX` slots (the unaliased table's own bound), so
+    /// an untrusted document cannot ask for a slot-count-squared table.
     pub alias_slots: Option<u32>,
 }
 

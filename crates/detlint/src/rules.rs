@@ -143,7 +143,8 @@ pub const ARITH_CRATES: &[&str] = &["sim", "htm"];
 /// errors (a panic here kills a multi-million-event run mid-flight),
 /// elsewhere they are warnings. The list names the per-event code paths:
 /// the engine step loop, the calendar queue, cycle accounting, the HTM
-/// thread state machine, and the signature algebra.
+/// thread state machine, the HTM access path and its line table, and the
+/// signature algebra.
 pub const HOT_FNS: &[(&str, &str)] = &[
     ("sim", "CalendarQueue::push"),
     ("sim", "CalendarQueue::pop"),
@@ -164,6 +165,14 @@ pub const HOT_FNS: &[(&str, &str)] = &[
     ("sim", "Cycle::since"),
     ("htm", "TxThreadLogic::step"),
     ("htm", "TxThreadLogic::advance"),
+    ("htm", "TmState::read"),
+    ("htm", "TmState::write"),
+    ("htm", "TmState::grant"),
+    ("htm", "TmState::commit_tx"),
+    ("htm", "TmState::abort_tx"),
+    ("htm", "LineTable::probe"),
+    ("htm", "LineTable::insert"),
+    ("htm", "LineTable::release"),
     ("core", "Sig::intersects"),
     ("core", "Sig::intersection_estimate"),
     ("bloomsig", "BloomFilter::insert"),

@@ -9,13 +9,23 @@ use bfgts_testkit::Gen;
 /// so fault plans can stay integer-only and round-trip JSON exactly.
 pub const SATURATE_VALUE: f64 = 1000.0;
 
+/// The widest cost-perturbation envelope, in percent.
+///
+/// [`Fault::CostPerturb`] draws each latency from
+/// `[cost − cost·p/100, cost + cost·p/100]`; above 100% the envelope's
+/// lower edge is negative and `CostModel::perturbed` panics. Scenario
+/// parsing rejects a wider envelope, so an untrusted document cannot
+/// kill a run. Randomized plans draw 5–50%.
+pub const MAX_PERTURB_PERCENT: u32 = 100;
+
 /// One injected fault. All parameters are integers so a plan serialises
 /// to JSON and back without any float-precision escape hatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// Jitter every cost-model latency within `±max_percent`%.
     CostPerturb {
-        /// Envelope half-width in percent (1–100 is sensible).
+        /// Envelope half-width in percent, at most
+        /// [`MAX_PERTURB_PERCENT`].
         max_percent: u32,
     },
     /// With `rate_pct`% probability per commit signature, force `bits`

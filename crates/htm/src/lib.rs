@@ -46,6 +46,7 @@ pub mod cm;
 mod harness;
 pub mod history;
 pub mod ids;
+mod lines;
 pub mod state;
 pub mod stats;
 mod thread;

@@ -3,11 +3,10 @@
 use crate::cm::ContentionManager;
 use crate::history::{AttemptId, History};
 use crate::ids::{DTxId, LineAddr, STxId};
+use crate::lines::LineTable;
 use crate::stats::TmStats;
 use bfgts_bloomsig::BloomFilter;
 use bfgts_sim::{Cycle, SimRng, ThreadId};
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// How per-thread read/write sets are tracked for conflict detection
 /// (DESIGN.md §13).
@@ -108,19 +107,6 @@ pub enum AccessResult {
     },
 }
 
-/// Per-line ownership record for eager conflict detection.
-#[derive(Debug, Default, Clone)]
-struct LineState {
-    writer: Option<ThreadId>,
-    readers: Vec<ThreadId>,
-}
-
-impl LineState {
-    fn is_free(&self) -> bool {
-        self.writer.is_none() && self.readers.is_empty()
-    }
-}
-
 /// Bounded-signature tracking state of one attempt. Absent on perfect
 /// platforms and on fallback attempts (which track exactly).
 #[derive(Debug, Clone)]
@@ -194,19 +180,36 @@ struct ActiveTx {
     /// arbitration eventually.
     timestamp: Cycle,
     attempt: Option<AttemptId>,
-    // BTreeSet, not HashSet: the commit-time read/write-set union is
-    // iterated and handed to the contention manager, so its order must
-    // not depend on hash randomisation (determinism policy, D001).
-    read_set: BTreeSet<u64>,
-    write_set: BTreeSet<u64>,
-    /// Conflict-detection shards this attempt has touched (empty on a
-    /// single-shard platform, where tracking is skipped entirely).
-    shards_touched: BTreeSet<u32>,
     /// Bounded-signature state (`None` under perfect detection and in
-    /// the post-overflow software fallback). The exact sets above stay
-    /// authoritative either way: they are the ground truth the audit
+    /// the post-overflow software fallback). The exact line table stays
+    /// authoritative either way: it is the ground truth the audit
     /// recomputes false positives against.
     sig: Option<DetSig>,
+}
+
+/// One thread's access logs. They outlive the attempt: each attempt
+/// ends by releasing what they name and clearing them, keeping their
+/// capacity, so a steady-state attempt logs without allocating.
+#[derive(Debug, Clone, Default)]
+struct TxLogs {
+    /// Lines the attempt read before it held them in any way, in access
+    /// order: its read set, without duplicates.
+    reads: Vec<u64>,
+    /// Lines the attempt wrote, in first-write order: its write set and
+    /// undo log, without duplicates.
+    writes: Vec<u64>,
+    /// Conflict-detection shards the attempt touched, in first-touch
+    /// order (empty on a single-shard platform, where tracking is
+    /// skipped entirely).
+    shards: Vec<u32>,
+}
+
+impl TxLogs {
+    fn clear(&mut self) {
+        self.reads.clear();
+        self.writes.clear();
+        self.shards.clear();
+    }
 }
 
 /// Exact ("perfect signature") transactional memory state: line ownership,
@@ -214,8 +217,14 @@ struct ActiveTx {
 /// statistics.
 #[derive(Debug)]
 pub struct TmState {
-    lines: BTreeMap<u64, LineState>,
+    /// Which attempts hold each line. Whether an attempt already holds a
+    /// line is read from here (`writer == me`, or `me` among the
+    /// readers), so an attempt keeps no set of its own.
+    lines: LineTable,
     active: Vec<Option<ActiveTx>>,
+    /// Per-thread access logs, indexed by thread and recycled across
+    /// attempts.
+    logs: Vec<TxLogs>,
     /// One slot per CPU: the dTxID most recently broadcast as *started*
     /// on that CPU and not yet committed/aborted. This mirrors the BFGTS
     /// hardware CPU table including its overwrite semantics under
@@ -254,8 +263,9 @@ impl TmState {
     /// Creates state for `num_cpus` CPUs and `num_threads` threads.
     pub fn new(num_cpus: usize, num_threads: usize) -> Self {
         Self {
-            lines: BTreeMap::new(),
+            lines: LineTable::new(),
             active: vec![None; num_threads],
+            logs: vec![TxLogs::default(); num_threads],
             cpu_table: vec![None; num_cpus],
             occupied: vec![0; num_cpus.div_ceil(64)],
             waiting_on: vec![None; num_threads],
@@ -330,18 +340,29 @@ impl TmState {
             return None;
         }
         let shard = self.shard_of(addr);
-        let tx = self.active[thread.index()]
-            .as_mut()
-            .expect("shard touch outside transaction");
-        tx.shards_touched.insert(shard).then_some(shard)
+        assert!(
+            self.active_dtx(thread).is_some(),
+            "shard touch outside transaction"
+        );
+        let touched = &mut self.logs[thread.index()].shards;
+        if touched.contains(&shard) {
+            return None;
+        }
+        touched.push(shard);
+        Some(shard)
     }
 
     /// Distinct shards `thread`'s active transaction has touched (0 when
-    /// no transaction is active or the platform has a single shard).
+    /// no transaction is active or the platform has a single shard: an
+    /// attempt's logs are cleared when it ends).
     pub fn active_shard_count(&self, thread: ThreadId) -> u32 {
-        self.active[thread.index()]
-            .as_ref()
-            .map_or(0, |tx| tx.shards_touched.len() as u32)
+        self.logs[thread.index()].shards.len() as u32
+    }
+
+    /// Lines some active attempt holds. Zero whenever no transaction is
+    /// active: the last release of a line removes it from the table.
+    pub fn held_lines(&self) -> usize {
+        self.lines.len()
     }
 
     /// Enables execution-history recording (see [`crate::History`]).
@@ -447,9 +468,6 @@ impl TmState {
             cpu,
             timestamp,
             attempt,
-            read_set: BTreeSet::new(),
-            write_set: BTreeSet::new(),
-            shards_touched: BTreeSet::new(),
             sig,
         });
         self.cpu_table[cpu] = Some(dtx);
@@ -489,7 +507,7 @@ impl TmState {
     /// `FalsePositiveConflict` event records so the audit (I10) can hold
     /// the hardware model to its own claim of innocence.
     pub fn true_conflict_count(&self, thread: ThreadId, addr: LineAddr, is_write: bool) -> u32 {
-        let Some(line) = self.lines.get(&addr.get()) else {
+        let Some(line) = self.lines.get(addr.get()) else {
             return 0;
         };
         let mut n = 0u32;
@@ -578,54 +596,23 @@ impl TmState {
     ///
     /// Panics if the thread has no active transaction.
     pub fn read(&mut self, thread: ThreadId, addr: LineAddr) -> AccessResult {
-        let tx = self.active[thread.index()]
-            .as_ref()
-            .expect("read outside transaction");
-        if tx.read_set.contains(&addr.get()) || tx.write_set.contains(&addr.get()) {
-            return AccessResult::Granted;
-        }
-        // Real conflicts first: the exact line table is the ground
-        // truth, and every real conflict is a signature hit anyway.
-        if let Some(line) = self.lines.get(&addr.get()) {
+        let bounded = self.attempt(thread).sig.is_some();
+        if let Some(line) = self.lines.get(addr.get()) {
+            if line.held_by(thread) {
+                return AccessResult::Granted;
+            }
+            // Real conflicts first: the exact line table is the ground
+            // truth, and every real conflict is a signature hit anyway.
             if let Some(writer) = line.writer {
-                if writer != thread {
-                    return AccessResult::Conflict { owner: writer };
-                }
+                return AccessResult::Conflict { owner: writer };
             }
         }
-        if tx.sig.is_some() {
-            // Bounded mode: the signature filter sees aliases the exact
-            // sets disconfirm, and tracking a new address costs one
-            // capacity slot.
-            if let Some(owner) = self.signature_alias(thread, addr, false) {
-                return AccessResult::FalseConflict { owner };
-            }
-            let sig = self.active[thread.index()]
-                .as_ref()
-                .and_then(|tx| tx.sig.as_ref())
-                .expect("signature checked above");
-            if sig.tracked >= sig.capacity {
-                let (tracked, capacity) = (sig.tracked + 1, sig.capacity);
-                // Latch the software fallback: the retry tracks exactly.
-                self.fallback[thread.index()] = true;
-                return AccessResult::CapacityExceeded { tracked, capacity };
+        if bounded {
+            if let Some(refused) = self.bounded_refusal(thread, addr, false, true) {
+                return refused;
             }
         }
-        let line = self.lines.entry(addr.get()).or_default();
-        line.readers.push(thread);
-        let tx = self.active[thread.index()]
-            .as_mut()
-            .expect("read outside transaction");
-        tx.read_set.insert(addr.get());
-        if let Some(sig) = tx.sig.as_mut() {
-            sig.read.insert(addr.get());
-            sig.tracked += 1;
-        }
-        let attempt = tx.attempt;
-        if let (Some(h), Some(a)) = (self.history.as_mut(), attempt) {
-            h.access(a, addr, false);
-        }
-        AccessResult::Granted
+        self.grant(thread, addr, false, true)
     }
 
     /// Attempts a transactional write of `addr` by `thread`.
@@ -634,86 +621,149 @@ impl TmState {
     ///
     /// Panics if the thread has no active transaction.
     pub fn write(&mut self, thread: ThreadId, addr: LineAddr) -> AccessResult {
-        let tx = self.active[thread.index()]
-            .as_ref()
-            .expect("write outside transaction");
-        if tx.write_set.contains(&addr.get()) {
-            return AccessResult::Granted;
-        }
-        if let Some(line) = self.lines.get(&addr.get()) {
+        let bounded = self.attempt(thread).sig.is_some();
+        // A read→write upgrade: the attempt already tracks the line.
+        let mut upgrade = false;
+        if let Some(line) = self.lines.get(addr.get()) {
+            if line.writer == Some(thread) {
+                return AccessResult::Granted;
+            }
             if let Some(writer) = line.writer {
-                if writer != thread {
-                    return AccessResult::Conflict { owner: writer };
-                }
+                return AccessResult::Conflict { owner: writer };
             }
             if let Some(&reader) = line.readers.iter().find(|&&r| r != thread) {
                 return AccessResult::Conflict { owner: reader };
             }
+            upgrade = line.readers.contains(&thread);
         }
-        if tx.sig.is_some() {
-            if let Some(owner) = self.signature_alias(thread, addr, true) {
-                return AccessResult::FalseConflict { owner };
-            }
-            // A read→write upgrade is already tracked; only a genuinely
-            // new address costs a capacity slot.
-            let tx = self.active[thread.index()]
-                .as_ref()
-                .expect("write outside transaction");
-            let sig = tx.sig.as_ref().expect("signature checked above");
-            if !tx.read_set.contains(&addr.get()) && sig.tracked >= sig.capacity {
-                let (tracked, capacity) = (sig.tracked + 1, sig.capacity);
-                self.fallback[thread.index()] = true;
-                return AccessResult::CapacityExceeded { tracked, capacity };
+        if bounded {
+            if let Some(refused) = self.bounded_refusal(thread, addr, true, !upgrade) {
+                return refused;
             }
         }
-        let line = self.lines.entry(addr.get()).or_default();
-        line.writer = Some(thread);
-        let tx = self.active[thread.index()]
-            .as_mut()
-            .expect("write outside transaction");
-        let newly_tracked = !tx.read_set.contains(&addr.get());
-        tx.write_set.insert(addr.get());
+        self.grant(thread, addr, true, !upgrade)
+    }
+
+    /// `thread`'s active attempt.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the thread has no active transaction.
+    fn attempt(&self, thread: ThreadId) -> &ActiveTx {
+        self.active
+            .get(thread.index())
+            .and_then(Option::as_ref)
+            .expect("access outside transaction")
+    }
+
+    /// Bounded detection's verdict on an access the exact line table
+    /// allows: a false conflict when another attempt's signature aliases
+    /// `addr` (reads probe write signatures, writes probe both), or a
+    /// capacity overflow when a `new_address` would track one address
+    /// more than the signature holds. `None` lets the access through.
+    fn bounded_refusal(
+        &mut self,
+        thread: ThreadId,
+        addr: LineAddr,
+        is_write: bool,
+        new_address: bool,
+    ) -> Option<AccessResult> {
+        if let Some(owner) = self.signature_alias(thread, addr, is_write) {
+            return Some(AccessResult::FalseConflict { owner });
+        }
+        let sig = self
+            .attempt(thread)
+            .sig
+            .as_ref()
+            .expect("bounded attempts carry a signature");
+        if new_address && sig.tracked >= sig.capacity {
+            let (tracked, capacity) = (sig.tracked + 1, sig.capacity);
+            // Latch the software fallback: the retry tracks exactly.
+            self.set_fallback(thread, true);
+            return Some(AccessResult::CapacityExceeded { tracked, capacity });
+        }
+        None
+    }
+
+    /// Records a granted access: the line's new holder, the attempt's
+    /// log, its signature (a `new_address` costs a capacity slot) and
+    /// the history.
+    fn grant(
+        &mut self,
+        thread: ThreadId,
+        addr: LineAddr,
+        is_write: bool,
+        new_address: bool,
+    ) -> AccessResult {
+        self.lines.insert(addr.get(), thread, is_write);
+        let logs = self
+            .logs
+            .get_mut(thread.index())
+            .expect("thread id in range");
+        if is_write {
+            logs.writes.push(addr.get());
+        } else {
+            logs.reads.push(addr.get());
+        }
+        let tx = self
+            .active
+            .get_mut(thread.index())
+            .and_then(Option::as_mut)
+            .expect("access outside transaction");
         if let Some(sig) = tx.sig.as_mut() {
-            sig.write.insert(addr.get());
-            if newly_tracked {
+            if is_write {
+                sig.write.insert(addr.get());
+            } else {
+                sig.read.insert(addr.get());
+            }
+            if new_address {
                 sig.tracked += 1;
             }
         }
         let attempt = tx.attempt;
         if let (Some(h), Some(a)) = (self.history.as_mut(), attempt) {
-            h.access(a, addr, true);
+            h.access(a, addr, is_write);
         }
         AccessResult::Granted
     }
 
+    fn set_fallback(&mut self, thread: ThreadId, latched: bool) {
+        *self
+            .fallback
+            .get_mut(thread.index())
+            .expect("thread id in range") = latched;
+    }
+
     /// Commits `thread`'s transaction: releases isolation, clears the CPU
-    /// table broadcast, and returns the unique lines it touched (its
-    /// read/write set, sorted by address) for contention-manager
-    /// bookkeeping.
+    /// table broadcast, and writes the unique lines it touched (its
+    /// read/write set, sorted by address) into `rw_set` for
+    /// contention-manager bookkeeping. `rw_set` is cleared first, so the
+    /// caller can hand in the same buffer on every commit.
     ///
     /// # Panics
     ///
     /// Panics if the thread has no active transaction.
-    pub fn commit_tx(&mut self, thread: ThreadId) -> (DTxId, Vec<LineAddr>) {
-        let tx = self.active[thread.index()]
-            .take()
+    pub fn commit_tx(&mut self, thread: ThreadId, rw_set: &mut Vec<LineAddr>) -> DTxId {
+        let tx = self
+            .active
+            .get_mut(thread.index())
+            .and_then(Option::take)
             .expect("commit outside transaction");
         // The commit ends the instance, so the overflow latch (if any)
         // is consumed: the *next* instance gets hardware signatures
         // again. Aborts keep the latch — the retry is the fallback.
-        self.fallback[thread.index()] = false;
-        self.release_lines(thread, &tx);
-        self.clear_cpu_broadcast(&tx);
+        self.set_fallback(thread, false);
+        let logs = self.logs.get(thread.index()).expect("thread id in range");
+        rw_set.clear();
+        rw_set.extend(logs.reads.iter().chain(&logs.writes).map(|&a| LineAddr(a)));
+        rw_set.sort_unstable();
+        rw_set.dedup();
+        self.end_attempt(thread, &tx);
         if let (Some(h), Some(a)) = (self.history.as_mut(), tx.attempt) {
             h.commit(a);
         }
-        let rw_set: Vec<LineAddr> = tx
-            .read_set
-            .union(&tx.write_set)
-            .map(|&a| LineAddr(a))
-            .collect();
-        self.stats.record_commit(tx.dtx, &rw_set);
-        (tx.dtx, rw_set)
+        self.stats.record_commit(tx.dtx, rw_set);
+        tx.dtx
     }
 
     /// Aborts `thread`'s transaction, returning its dTxID and the number
@@ -724,31 +774,37 @@ impl TmState {
     ///
     /// Panics if the thread has no active transaction.
     pub fn abort_tx(&mut self, thread: ThreadId) -> (DTxId, usize) {
-        let tx = self.active[thread.index()]
-            .take()
+        let tx = self
+            .active
+            .get_mut(thread.index())
+            .and_then(Option::take)
             .expect("abort outside transaction");
-        self.release_lines(thread, &tx);
-        self.clear_cpu_broadcast(&tx);
+        let undo_lines = self
+            .logs
+            .get(thread.index())
+            .expect("thread id in range")
+            .writes
+            .len();
+        self.end_attempt(thread, &tx);
         if let (Some(h), Some(a)) = (self.history.as_mut(), tx.attempt) {
             h.abort(a);
         }
         self.stats.record_abort(tx.dtx);
-        (tx.dtx, tx.write_set.len())
+        (tx.dtx, undo_lines)
     }
 
-    fn release_lines(&mut self, thread: ThreadId, tx: &ActiveTx) {
-        for &addr in tx.read_set.iter().chain(tx.write_set.iter()) {
-            if let Entry::Occupied(mut e) = self.lines.entry(addr) {
-                let line = e.get_mut();
-                if line.writer == Some(thread) {
-                    line.writer = None;
-                }
-                line.readers.retain(|&r| r != thread);
-                if line.is_free() {
-                    e.remove();
-                }
-            }
+    /// Releases every line `tx` holds, clears its logs for the thread's
+    /// next attempt and clears its CPU-table broadcast.
+    fn end_attempt(&mut self, thread: ThreadId, tx: &ActiveTx) {
+        let logs = self
+            .logs
+            .get_mut(thread.index())
+            .expect("thread id in range");
+        for &addr in logs.reads.iter().chain(&logs.writes) {
+            self.lines.release(addr, thread);
         }
+        logs.clear();
+        self.clear_cpu_broadcast(tx);
     }
 
     /// Clears `tx`'s begin broadcast in O(1). A dTxID is only ever
@@ -865,7 +921,7 @@ mod tests {
         // Thread 0's tx is still active even though its broadcast is gone.
         assert!(tm.is_active(dtx(0, 1)));
         // Its commit leaves the overwriting broadcast in place.
-        tm.commit_tx(ThreadId(0));
+        tm.commit_tx(ThreadId(0), &mut Vec::new());
         assert_eq!(tm.running().collect::<Vec<_>>(), vec![(0, dtx(2, 3))]);
     }
 
@@ -880,7 +936,7 @@ mod tests {
             vec![(3, dtx(1, 2)), (64, dtx(0, 1)), (129, dtx(2, 0))]
         );
         tm.abort_tx(ThreadId(0));
-        tm.commit_tx(ThreadId(2));
+        tm.commit_tx(ThreadId(2), &mut Vec::new());
         assert_eq!(tm.running().collect::<Vec<_>>(), vec![(3, dtx(1, 2))]);
         assert_eq!(tm.cpu_table().iter().flatten().count(), 1);
     }
@@ -944,7 +1000,8 @@ mod tests {
         let mut tm = state();
         tm.begin_tx(ThreadId(0), 0, dtx(0, 0), Cycle::ZERO);
         tm.write(ThreadId(0), LineAddr(7));
-        let (d, rw) = tm.commit_tx(ThreadId(0));
+        let mut rw = Vec::new();
+        let d = tm.commit_tx(ThreadId(0), &mut rw);
         assert_eq!(d, dtx(0, 0));
         assert_eq!(rw, vec![LineAddr(7)]);
         assert!(!tm.is_active(dtx(0, 0)));
@@ -961,8 +1018,9 @@ mod tests {
         tm.write(ThreadId(0), LineAddr(2));
         tm.read(ThreadId(0), LineAddr(3));
         tm.write(ThreadId(0), LineAddr(3)); // upgrade, not duplicated
-        let (_, mut rw) = tm.commit_tx(ThreadId(0));
-        rw.sort();
+                                            // The buffer's old contents are replaced, not appended to.
+        let mut rw = vec![LineAddr(99)];
+        tm.commit_tx(ThreadId(0), &mut rw);
         assert_eq!(rw, vec![LineAddr(1), LineAddr(2), LineAddr(3)]);
     }
 
@@ -1140,7 +1198,7 @@ mod tests {
         for i in 1..=10 {
             assert_eq!(tm.read(ThreadId(0), LineAddr(i)), AccessResult::Granted);
         }
-        tm.commit_tx(ThreadId(0));
+        tm.commit_tx(ThreadId(0), &mut Vec::new());
         // ...until the commit consumes it.
         assert!(!tm.in_fallback(ThreadId(0)));
     }
@@ -1255,7 +1313,7 @@ mod tests {
         for i in 0..10 {
             tm.write(ThreadId(0), LineAddr(i));
         }
-        tm.commit_tx(ThreadId(0));
-        assert!(tm.lines.is_empty(), "line map should be garbage-free");
+        tm.commit_tx(ThreadId(0), &mut Vec::new());
+        assert_eq!(tm.held_lines(), 0, "line table should be garbage-free");
     }
 }

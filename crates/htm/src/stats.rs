@@ -2,6 +2,7 @@
 //! measured per-transaction similarity (the paper's Tables 1 and 4).
 
 use crate::ids::{DTxId, LineAddr, STxId};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Measured statistics of one simulation run.
@@ -37,7 +38,9 @@ struct StxCounters {
 /// same way the runtime smooths it (`sim = 0.5·(sim + newSim)`).
 #[derive(Debug, Clone, Default)]
 struct SimTracker {
-    prev_set: BTreeSet<u64>,
+    /// The previous commit's read/write set, sorted. Overwritten in
+    /// place on each commit, so its allocation is reused.
+    prev_set: Vec<LineAddr>,
     avg_size: f64,
     sim: f64,
     commits: u64,
@@ -133,17 +136,21 @@ impl TmStats {
     }
 
     /// Records a committed transaction and updates the exact similarity
-    /// tracker from its read/write set.
+    /// tracker from its read/write set, which must be sorted ascending
+    /// without duplicates (as [`crate::TmState::commit_tx`] writes it).
     pub fn record_commit(&mut self, dtx: DTxId, rw_set: &[LineAddr]) {
+        debug_assert!(
+            rw_set.windows(2).all(|w| w[0] < w[1]),
+            "read/write set must be sorted and deduplicated"
+        );
         self.commits += 1;
         self.per_stx.entry(dtx.stx).or_default().commits += 1;
-        let cur: BTreeSet<u64> = rw_set.iter().map(|a| a.get()).collect();
         let t = self.similarity.entry(dtx).or_default();
         t.commits += 1;
         if t.commits == 1 {
-            t.avg_size = cur.len() as f64;
+            t.avg_size = rw_set.len() as f64;
         } else {
-            let inter = t.prev_set.intersection(&cur).count() as f64;
+            let inter = sorted_intersection_len(&t.prev_set, rw_set) as f64;
             let new_sim = if t.avg_size > 0.0 {
                 (inter / t.avg_size).clamp(0.0, 1.0)
             } else {
@@ -154,9 +161,10 @@ impl TmStats {
             } else {
                 0.5 * (t.sim + new_sim)
             };
-            t.avg_size = 0.5 * (t.avg_size + cur.len() as f64);
+            t.avg_size = 0.5 * (t.avg_size + rw_set.len() as f64);
         }
-        t.prev_set = cur;
+        t.prev_set.clear();
+        t.prev_set.extend_from_slice(rw_set);
     }
 
     /// Records an aborted attempt.
@@ -212,6 +220,29 @@ impl TmStats {
         let rank = (pct * n).div_ceil(100).max(1);
         sorted.get(rank as usize - 1).copied()
     }
+}
+
+/// Size of the intersection of two sorted, duplicate-free slices, by a
+/// single merge pass.
+fn sorted_intersection_len(a: &[LineAddr], b: &[LineAddr]) -> usize {
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    let mut shared = 0;
+    while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
+        match x.cmp(y) {
+            Ordering::Less => {
+                a.next();
+            }
+            Ordering::Greater => {
+                b.next();
+            }
+            Ordering::Equal => {
+                shared += 1;
+                a.next();
+                b.next();
+            }
+        }
+    }
+    shared
 }
 
 #[cfg(test)]
@@ -307,6 +338,15 @@ mod tests {
         assert!(s.measured_similarity(STxId(0)).is_none());
         s.record_commit(dtx(0, 0), &lines(&[1]));
         assert!(s.measured_similarity(STxId(0)).is_none());
+    }
+
+    #[test]
+    fn merge_counts_the_shared_lines() {
+        let inter = |a: &[u64], b: &[u64]| sorted_intersection_len(&lines(a), &lines(b));
+        assert_eq!(inter(&[1, 3, 5, 7], &[2, 3, 4, 7, 9]), 2);
+        assert_eq!(inter(&[], &[1, 2]), 0);
+        assert_eq!(inter(&[4, 5], &[4, 5]), 2);
+        assert_eq!(inter(&[1, 2], &[3, 4]), 0);
     }
 
     #[test]

@@ -206,8 +206,9 @@ impl<S: TxSource> TxThreadLogic<S> {
                     retries: self.retries,
                     waits: self.waits,
                 };
-                let costs = ctx.costs().clone();
-                let out = world.cm.on_begin(&q, &world.tm, &costs, ctx.rng, ctx.trace);
+                let out = world
+                    .cm
+                    .on_begin(&q, &world.tm, ctx.costs(), ctx.rng, ctx.trace);
                 let (kind, verdict_target) = match out.decision {
                     BeginDecision::Proceed => (DecisionKind::Proceed, None),
                     BeginDecision::SpinUntilDone { target } => (DecisionKind::Spin, Some(target)),
@@ -544,10 +545,10 @@ impl<S: TxSource> TxThreadLogic<S> {
                     now: ctx.now,
                     retries: self.retries,
                 };
-                let costs = ctx.costs().clone();
-                let plan = world
-                    .cm
-                    .on_conflict_abort(&ev, &world.tm, &costs, ctx.rng, ctx.trace);
+                let plan =
+                    world
+                        .cm
+                        .on_conflict_abort(&ev, &world.tm, ctx.costs(), ctx.rng, ctx.trace);
                 self.retries += 1;
                 self.phase = Phase::Backoff { left: plan.backoff };
                 if plan.cost > 0 {
@@ -569,7 +570,10 @@ impl<S: TxSource> TxThreadLogic<S> {
             }
             Phase::CommitHtm => {
                 let touched = world.tm.active_shard_count(ctx.thread);
-                let (dtx, rw) = world.tm.commit_tx(ctx.thread);
+                // The read/write set lands in `commit_rw`, reused across
+                // commits, where the contention manager reads it next.
+                let dtx = world.tm.commit_tx(ctx.thread, &mut self.commit_rw);
+                let rw_lines = self.commit_rw.len() as u32;
                 let retries = self.retries;
                 let mut commit_cost = ctx.costs().tx_commit;
                 if touched >= 2 {
@@ -599,7 +603,7 @@ impl<S: TxSource> TxThreadLogic<S> {
                     thread: ctx.thread.index() as u32,
                     stx: dtx.stx.0,
                     retries,
-                    rw_lines: rw.len() as u32,
+                    rw_lines,
                 });
                 if let Some(arrived) = self.cur_arrival.take() {
                     // Sojourn = commit − arrival. A fetch never happens
@@ -612,7 +616,6 @@ impl<S: TxSource> TxThreadLogic<S> {
                         .expect("transaction committed before it arrived");
                     world.tm.stats_mut().record_sojourn(sojourn);
                 }
-                self.commit_rw = rw;
                 self.commit_dtx = Some(dtx);
                 self.phase = Phase::CommitCm;
                 Some(Action::work(commit_cost, Bucket::Tx))
@@ -625,10 +628,9 @@ impl<S: TxSource> TxThreadLogic<S> {
                     retries: self.retries,
                     remaining: self.source.remaining_hint(),
                 };
-                let costs = ctx.costs().clone();
                 let out = world
                     .cm
-                    .on_commit(&rec, &world.tm, &costs, ctx.rng, ctx.trace);
+                    .on_commit(&rec, &world.tm, ctx.costs(), ctx.rng, ctx.trace);
                 for t in out.wake {
                     ctx.wake(t);
                 }

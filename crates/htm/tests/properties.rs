@@ -4,10 +4,12 @@
 //! `bfgts-testkit`.
 
 use bfgts_htm::{
-    run_workload, Access, DTxId, NullCm, STxId, ScriptSource, TmRunConfig, TmState, TxInstance,
+    run_workload, Access, AccessResult, DTxId, LineAddr, NullCm, STxId, ScriptSource, TmRunConfig,
+    TmState, TxInstance,
 };
 use bfgts_sim::{CostModel, Cycle, ThreadId};
 use bfgts_testkit::{run_cases, Gen};
+use std::collections::{BTreeMap, BTreeSet};
 
 #[derive(Debug, Clone)]
 struct TxPlan {
@@ -166,7 +168,7 @@ fn cpu_table_matches_a_full_sweep_reference() {
                 }
                 Some(dtx) => {
                     let finished = if g.bool() {
-                        tm.commit_tx(ThreadId(t)).0
+                        tm.commit_tx(ThreadId(t), &mut Vec::new())
                     } else {
                         tm.abort_tx(ThreadId(t)).0
                     };
@@ -187,5 +189,154 @@ fn cpu_table_matches_a_full_sweep_reference() {
                 .collect();
             assert_eq!(tm.running().collect::<Vec<_>>(), occupied);
         }
+    });
+}
+
+/// Reference model of exact conflict detection with the semantics the
+/// line table must keep: an ordered map from line to its writer and its
+/// readers in arrival order, and per-attempt ordered read and write sets.
+#[derive(Default)]
+struct LineModel {
+    lines: BTreeMap<u64, (Option<ThreadId>, Vec<ThreadId>)>,
+    reads: BTreeMap<ThreadId, BTreeSet<u64>>,
+    writes: BTreeMap<ThreadId, BTreeSet<u64>>,
+}
+
+impl LineModel {
+    fn begin(&mut self, t: ThreadId) {
+        self.reads.insert(t, BTreeSet::new());
+        self.writes.insert(t, BTreeSet::new());
+    }
+
+    fn holds(&self, t: ThreadId, addr: u64, write: bool) -> bool {
+        self.writes[&t].contains(&addr) || (!write && self.reads[&t].contains(&addr))
+    }
+
+    fn read(&mut self, t: ThreadId, addr: u64) -> AccessResult {
+        if self.holds(t, addr, false) {
+            return AccessResult::Granted;
+        }
+        if let Some((Some(w), _)) = self.lines.get(&addr) {
+            if *w != t {
+                return AccessResult::Conflict { owner: *w };
+            }
+        }
+        self.lines.entry(addr).or_default().1.push(t);
+        self.reads.get_mut(&t).expect("active").insert(addr);
+        AccessResult::Granted
+    }
+
+    fn write(&mut self, t: ThreadId, addr: u64) -> AccessResult {
+        if self.holds(t, addr, true) {
+            return AccessResult::Granted;
+        }
+        if let Some((writer, readers)) = self.lines.get(&addr) {
+            if let Some(w) = writer.filter(|&w| w != t) {
+                return AccessResult::Conflict { owner: w };
+            }
+            if let Some(&r) = readers.iter().find(|&&r| r != t) {
+                return AccessResult::Conflict { owner: r };
+            }
+        }
+        self.lines.entry(addr).or_default().0 = Some(t);
+        self.writes.get_mut(&t).expect("active").insert(addr);
+        AccessResult::Granted
+    }
+
+    fn true_conflicts(&self, t: ThreadId, addr: u64, write: bool) -> u32 {
+        let Some((writer, readers)) = self.lines.get(&addr) else {
+            return 0;
+        };
+        let mut n = u32::from(writer.is_some_and(|w| w != t));
+        if write {
+            n += readers.iter().filter(|&&r| r != t).count() as u32;
+        }
+        n
+    }
+
+    /// Ends `t`'s attempt: returns its read/write set and undo length.
+    fn end(&mut self, t: ThreadId) -> (Vec<LineAddr>, usize) {
+        let reads = self.reads.remove(&t).expect("active");
+        let writes = self.writes.remove(&t).expect("active");
+        for addr in reads.iter().chain(&writes) {
+            if let Some((writer, readers)) = self.lines.get_mut(addr) {
+                if *writer == Some(t) {
+                    *writer = None;
+                }
+                readers.retain(|&r| r != t);
+                if writer.is_none() && readers.is_empty() {
+                    self.lines.remove(addr);
+                }
+            }
+        }
+        let rw = reads.union(&writes).map(|&a| LineAddr(a)).collect();
+        (rw, writes.len())
+    }
+}
+
+/// The flat line table against the ordered-map model it replaced, under
+/// random begin/read/write/commit/abort sequences over a tiny address
+/// space. A few dozen lines over a 64-slot table collide, wrap past its
+/// end and force it to grow; spread addresses and near-`u64::MAX` ones
+/// probe the hash's high bits. Every access result (the reported owner
+/// included: the writer, else the first other reader in arrival order),
+/// every commit's read/write set, every undo length and every
+/// ground-truth conflict count must match, and nothing may stay held
+/// once every attempt has ended.
+#[test]
+fn line_table_matches_an_ordered_map_reference() {
+    run_cases("line_table_matches_an_ordered_map_reference", 64, |g| {
+        let threads = g.usize_in(1, 7);
+        let lines = g.usize_in(1, 80);
+        let span = *g.choose(&[lines as u64, 1 << 20, u64::MAX]);
+        let pool: Vec<u64> = (0..lines).map(|_| g.below(span)).collect();
+        let mut tm = TmState::new(2, threads);
+        let mut model = LineModel::default();
+        let mut active = vec![false; threads];
+        let mut rw = Vec::new();
+        for step in 0..600 {
+            let t = ThreadId(g.usize_in(0, threads));
+            let addr = *g.choose(&pool);
+            if !active[t.index()] {
+                tm.begin_tx(t, t.index() % 2, DTxId::new(t, STxId(0)), Cycle::new(step));
+                model.begin(t);
+                active[t.index()] = true;
+                continue;
+            }
+            match g.below(20) {
+                0..=8 => {
+                    let got = tm.read(t, LineAddr(addr));
+                    assert_eq!(got, model.read(t, addr), "read {addr} by {t}");
+                }
+                9..=15 => {
+                    let got = tm.write(t, LineAddr(addr));
+                    assert_eq!(got, model.write(t, addr), "write {addr} by {t}");
+                }
+                16..=17 => {
+                    tm.commit_tx(t, &mut rw);
+                    assert_eq!(rw, model.end(t).0, "commit of {t}");
+                    active[t.index()] = false;
+                }
+                _ => {
+                    let (_, undo) = tm.abort_tx(t);
+                    assert_eq!(undo, model.end(t).1, "undo log of {t}");
+                    active[t.index()] = false;
+                }
+            }
+            let probe = *g.choose(&pool);
+            let write = g.bool();
+            assert_eq!(
+                tm.true_conflict_count(t, LineAddr(probe), write),
+                model.true_conflicts(t, probe, write)
+            );
+            assert_eq!(tm.held_lines(), model.lines.len());
+        }
+        for t in (0..threads).map(ThreadId) {
+            if active[t.index()] {
+                tm.commit_tx(t, &mut rw);
+                assert_eq!(rw, model.end(t).0);
+            }
+        }
+        assert_eq!(tm.held_lines(), 0, "a line outlived every attempt");
     });
 }

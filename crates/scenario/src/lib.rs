@@ -31,7 +31,7 @@ use bfgts_baselines::{
 /// callers outside this workspace.
 pub use bfgts_core::BfgtsConfig as BfgtsTunables;
 use bfgts_core::{BfgtsCm, BfgtsConfig, BfgtsVariant, CmFaults};
-use bfgts_faultsim::{Fault, FaultPlan};
+use bfgts_faultsim::{Fault, FaultPlan, MAX_PERTURB_PERCENT};
 pub use bfgts_htm::Detection;
 use bfgts_htm::{ContentionManager, TmRunConfig};
 use bfgts_sim::TraceMode;
@@ -458,12 +458,22 @@ fn bfgts_from_json(value: &Json) -> Result<BfgtsConfig, String> {
         .and_then(variant_from_key)
         .ok_or("bfgts manager needs a 'variant' of sw|hw|hw_backoff|no_overhead")?;
     let mut cfg = BfgtsConfig::new(variant);
-    if let Some(bits) = ManagerSpec::opt_u32(value, "bloom_bits")? {
+    if let Some(bits) = ManagerSpec::opt_bloom_bits(value)? {
         cfg = cfg.bloom_bits(bits);
     }
     cfg.small_tx_interval = ManagerSpec::opt_u32(value, "small_tx_interval")?
         .ok_or("bfgts manager needs a 'small_tx_interval' integer")?;
-    cfg.alias_slots = ManagerSpec::opt_u32(value, "alias_slots")?;
+    // The aliased confidence table is a dense slots × slots square, the
+    // unaliased one is at most (MAX_STX + 1)²: aliasing only ever
+    // shrinks it, so MAX_STX bounds the slot count as it bounds sTxIDs.
+    cfg.alias_slots = match ManagerSpec::opt_u32(value, "alias_slots")? {
+        Some(slots) if !(1..=MAX_STX).contains(&slots) => {
+            return Err(format!(
+                "manager field 'alias_slots' must be in 1..={MAX_STX}, got {slots}"
+            ))
+        }
+        slots => slots,
+    };
     cfg.similarity_weighting = match value.get("similarity_weighting") {
         Some(Json::Bool(b)) => *b,
         Some(_) => return Err("'similarity_weighting' must be a boolean".into()),
@@ -516,6 +526,19 @@ pub enum ManagerSpec {
 }
 
 impl ManagerSpec {
+    /// The largest Bloom signature, in bits, a scenario's manager may
+    /// ask for.
+    ///
+    /// The scheduler builds a signature of this size per transaction
+    /// and its cost model charges the signature algebra per 64-bit word,
+    /// so a size must be a whole, non-zero number of words: the filter
+    /// and its estimator panic on anything else. Parsing rejects such a
+    /// size and anything above this bound, so an untrusted document can
+    /// neither panic a run nor make every transaction begin allocate an
+    /// outsized filter. This is the largest size the Figure 6 sweep
+    /// evaluates.
+    pub const MAX_BLOOM_BITS: u32 = 8192;
+
     /// A human-readable label for result tables and error messages.
     pub fn label(&self) -> String {
         match self {
@@ -630,14 +653,7 @@ impl ManagerSpec {
                     .and_then(Json::as_str)
                     .and_then(ManagerKind::from_key)
                     .ok_or("roster manager needs a known 'manager' key")?;
-                let bloom_bits = match value.get("bloom_bits") {
-                    None => None,
-                    Some(v) => Some(
-                        v.as_u64()
-                            .and_then(|n| u32::try_from(n).ok())
-                            .ok_or("'bloom_bits' must fit u32")?,
-                    ),
-                };
+                let bloom_bits = Self::opt_bloom_bits(value)?;
                 Ok(ManagerSpec::Kind { kind, bloom_bits })
             }
             Some("bfgts") => Ok(ManagerSpec::Bfgts(bfgts_from_json(value)?)),
@@ -665,6 +681,21 @@ impl ManagerSpec {
                 .and_then(|n| u32::try_from(n).ok())
                 .map(Some)
                 .ok_or_else(|| format!("manager field '{key}' must fit u32")),
+        }
+    }
+
+    /// An optional `bloom_bits`, checked against
+    /// [`ManagerSpec::MAX_BLOOM_BITS`].
+    fn opt_bloom_bits(value: &Json) -> Result<Option<u32>, String> {
+        let bits = Self::opt_u32(value, "bloom_bits")?;
+        match bits {
+            Some(b) if !b.is_multiple_of(64) || !(64..=Self::MAX_BLOOM_BITS).contains(&b) => {
+                Err(format!(
+                    "manager field 'bloom_bits' must be a multiple of 64 in 64..={}, got {b}",
+                    Self::MAX_BLOOM_BITS
+                ))
+            }
+            _ => Ok(bits),
         }
     }
 }
@@ -1080,9 +1111,16 @@ pub fn fault_from_json(value: &Json) -> Result<Fault, String> {
         u32::try_from(uint(key)?).map_err(|_| format!("fault field '{key}' exceeds u32"))
     };
     match value.get("kind").and_then(Json::as_str) {
-        Some("cost_perturb") => Ok(Fault::CostPerturb {
-            max_percent: narrow("max_percent")?,
-        }),
+        Some("cost_perturb") => {
+            let max_percent = narrow("max_percent")?;
+            if max_percent > MAX_PERTURB_PERCENT {
+                return Err(format!(
+                    "fault field 'max_percent' must be at most {MAX_PERTURB_PERCENT}, \
+                     got {max_percent}"
+                ));
+            }
+            Ok(Fault::CostPerturb { max_percent })
+        }
         Some("bloom_corrupt") => Ok(Fault::BloomCorrupt {
             rate_pct: narrow("rate_pct")?,
             bits: narrow("bits")?,
@@ -1597,6 +1635,43 @@ mod tests {
             let err = parse(cpus, threads).unwrap_err();
             assert!(err.contains(field), "{err}");
             assert!(err.contains("exceeds the maximum"), "{err}");
+        }
+    }
+
+    #[test]
+    fn manager_and_fault_bounds_accept_their_edges() {
+        let parse = |manager: ManagerSpec, faults: Option<FaultPlan>| {
+            let mut scenario = sample();
+            scenario.manager = manager;
+            scenario.faults = faults;
+            Scenario::from_json(&scenario.to_json())
+        };
+        let roster = |bits| ManagerSpec::Kind {
+            kind: ManagerKind::BfgtsHw,
+            bloom_bits: Some(bits),
+        };
+        for bits in [64, ManagerSpec::MAX_BLOOM_BITS] {
+            assert!(parse(roster(bits), None).is_ok(), "{bits} bits");
+            let tuned = ManagerSpec::Bfgts(BfgtsConfig::hw().bloom_bits(bits));
+            assert!(parse(tuned, None).is_ok(), "{bits} bits");
+        }
+        for bits in [0, 32, 100, ManagerSpec::MAX_BLOOM_BITS + 64] {
+            assert!(parse(roster(bits), None).is_err(), "{bits} bits");
+        }
+        for (slots, ok) in [(0, false), (1, true), (MAX_STX, true), (MAX_STX + 1, false)] {
+            let tuned = ManagerSpec::Bfgts(BfgtsConfig::hw().with_alias_slots(slots));
+            assert_eq!(parse(tuned, None).is_ok(), ok, "{slots} slots");
+        }
+        for (max_percent, ok) in [
+            (MAX_PERTURB_PERCENT, true),
+            (MAX_PERTURB_PERCENT + 1, false),
+        ] {
+            let plan = FaultPlan::new(1).fault(Fault::CostPerturb { max_percent });
+            let manager = ManagerSpec::Kind {
+                kind: ManagerKind::Backoff,
+                bloom_bits: None,
+            };
+            assert_eq!(parse(manager, Some(plan)).is_ok(), ok, "{max_percent}%");
         }
     }
 

@@ -84,9 +84,10 @@ pub struct ThreadCtx<'a> {
     wakes: Vec<ThreadId>,
 }
 
-impl ThreadCtx<'_> {
-    /// The machine's latency parameters.
-    pub fn costs(&self) -> &CostModel {
+impl<'a> ThreadCtx<'a> {
+    /// The machine's latency parameters. The borrow is the run's, not
+    /// the context's, so callers can pass it alongside `rng` and `trace`.
+    pub fn costs(&self) -> &'a CostModel {
         self.costs
     }
 
@@ -473,7 +474,17 @@ impl<W> Engine<W> {
     }
 
     fn service_cpu(&mut self, cpu: CpuId) {
-        let costs = self.config.costs.clone();
+        // The OS latencies this service may charge, copied out so the
+        // slot borrows below can coexist with them; the thread step
+        // borrows the whole model.
+        let CostModel {
+            context_switch,
+            quantum,
+            futex_wake,
+            yield_syscall,
+            futex_block,
+            ..
+        } = self.config.costs;
         // Promote due timed sleepers pinned to this CPU back into its run
         // queue, in (deadline, thread) order, before any pickup decision.
         if !self.sleepers.is_empty() {
@@ -509,7 +520,7 @@ impl<W> Engine<W> {
             };
             let slot = self.cpu_mut(cpu);
             let switched = slot.last != Some(next);
-            let switch = if switched { costs.context_switch } else { 0 };
+            let switch = if switched { context_switch } else { 0 };
             slot.current = Some(next);
             slot.last = Some(next);
             slot.ran_since_switch = 0;
@@ -543,7 +554,7 @@ impl<W> Engine<W> {
         // Quantum preemption: only if someone else is waiting.
         {
             let slot = self.cpu_mut(cpu);
-            if slot.ran_since_switch >= costs.quantum && !slot.run_queue.is_empty() {
+            if slot.ran_since_switch >= quantum && !slot.run_queue.is_empty() {
                 slot.current = None;
                 slot.run_queue.push_back(tid);
                 self.thread_mut(tid).state = ThreadState::Ready;
@@ -565,7 +576,7 @@ impl<W> Engine<W> {
             rng: &mut thread.rng,
             buckets: &mut thread.buckets,
             trace: &mut self.trace,
-            costs: &costs,
+            costs: &self.config.costs,
             wakes: Vec::new(),
         };
         let action = thread.logic.step(&mut self.world, &mut ctx);
@@ -575,7 +586,7 @@ impl<W> Engine<W> {
         let mut extra = 0u64;
         for target in wakes {
             extra = extra
-                .checked_add(costs.futex_wake)
+                .checked_add(futex_wake)
                 .expect("wake-cost accounting overflowed u64");
             self.wake_internal(target);
         }
@@ -626,21 +637,20 @@ impl<W> Engine<W> {
             Action::Yield => {
                 self.thread_mut(tid)
                     .buckets
-                    .charge(Bucket::Kernel, costs.yield_syscall);
-                if costs.yield_syscall > 0 {
+                    .charge(Bucket::Kernel, yield_syscall);
+                if yield_syscall > 0 {
                     self.trace.emit(at_after, || TraceEvent::Charge {
                         cpu: cpu_u,
                         thread: thread_u,
                         bucket: kernel,
-                        cycles: costs.yield_syscall,
+                        cycles: yield_syscall,
                     });
                 }
                 self.thread_mut(tid).state = ThreadState::Ready;
                 let slot = self.cpu_mut(cpu);
                 slot.current = None;
                 slot.run_queue.push_back(tid);
-                let pause = costs
-                    .yield_syscall
+                let pause = yield_syscall
                     .checked_add(extra)
                     .expect("yield-charge accounting overflowed u64");
                 // A yield must advance time even with a zero-cost OS
@@ -651,13 +661,13 @@ impl<W> Engine<W> {
             Action::Block => {
                 self.thread_mut(tid)
                     .buckets
-                    .charge(Bucket::Kernel, costs.futex_block);
-                if costs.futex_block > 0 {
+                    .charge(Bucket::Kernel, futex_block);
+                if futex_block > 0 {
                     self.trace.emit(at_after, || TraceEvent::Charge {
                         cpu: cpu_u,
                         thread: thread_u,
                         bucket: kernel,
-                        cycles: costs.futex_block,
+                        cycles: futex_block,
                     });
                 }
                 let slot = self.thread_mut(tid);
@@ -671,8 +681,7 @@ impl<W> Engine<W> {
                     slot.state = ThreadState::Blocked;
                 }
                 self.cpu_mut(cpu).current = None;
-                let pause = costs
-                    .futex_block
+                let pause = futex_block
                     .checked_add(extra)
                     .expect("block-charge accounting overflowed u64");
                 self.arm(cpu, self.now + Cycle::new(pause.max(1)));
