@@ -152,15 +152,18 @@ fn fold_intervals(recording: &TraceRecording, makespan: u64, interval: u64) -> V
 
 /// Serves one scenario: executes it with full tracing, streams interval
 /// rows plus a summary row to `out`, and audits the recording when
-/// asked. Returns `Err` (with the violations already printed) on an
-/// audit failure.
+/// asked. Returns the error message when the run ends early (a
+/// deadlock, or simulated time past the cycle budget) or, with the
+/// violations already printed, when the audit fails.
 fn serve_scenario(
     cell: &RunCell,
     interval: u64,
     audit: bool,
     out: &mut impl std::io::Write,
-) -> Result<(), ()> {
-    let report = cell.execute_report(TraceMode::Full);
+) -> Result<(), String> {
+    let report = cell
+        .try_execute_report(TraceMode::Full)
+        .map_err(|e| e.to_string())?;
     let id = cell.scenario.id();
     let makespan = report.sim.makespan.as_u64();
     if audit {
@@ -172,7 +175,7 @@ fn serve_scenario(
                 "error: audit failed for scenario {id} with {} violation(s)",
                 violations.len()
             );
-            return Err(());
+            return Err("audit failed".to_string());
         }
     }
     let rows = fold_intervals(&report.sim.trace, makespan, interval);
@@ -225,8 +228,8 @@ fn serve_scenario(
 }
 
 /// Loads and serves every scenario in `text`. Returns how many scenarios
-/// were served, or the error message of the first bad entry / the marker
-/// of an audit failure.
+/// were served, or the error message of the first entry that did not
+/// parse, ended its run early or failed its audit.
 fn serve_document(
     label: &str,
     text: &str,
@@ -243,7 +246,7 @@ fn serve_document(
     let served = cells.len();
     for cell in &cells {
         serve_scenario(cell, args.interval, args.audit, out)
-            .map_err(|()| format!("{label}: audit failed"))?;
+            .map_err(|e| format!("{label}: {e}"))?;
     }
     out.flush().map_err(|e| format!("{label}: {e}"))?;
     Ok(served)

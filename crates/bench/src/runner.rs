@@ -36,9 +36,9 @@ use crate::json::Json;
 use crate::{trace_export, CommonArgs, ManagerKind, Platform};
 use bfgts_baselines::BackoffCm;
 use bfgts_faultsim::FaultPlan;
-use bfgts_htm::{run_workload, ContentionManager, LatencyDigest, TmRunReport};
+use bfgts_htm::{try_run_workload, ContentionManager, LatencyDigest, TmRunReport};
 use bfgts_scenario::{fnv1a, ManagerSpec, ResolvedWorkload, Scenario, WorkloadSpec};
-use bfgts_sim::{Bucket, TimeBuckets, TraceMode};
+use bfgts_sim::{Bucket, RunError, TimeBuckets, TraceMode};
 use bfgts_trace::Violation;
 use bfgts_workloads::{open_sources, ArrivalSpec, BenchmarkSpec};
 use std::collections::HashMap;
@@ -153,7 +153,21 @@ impl RunCell {
     /// Runs the cell with the given trace mode and returns the full run
     /// report. Never consults the cell cache — a cached summary has no
     /// event recording, and the recording is the point.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the engine's [`RunError`] on a deadlock or a run past
+    /// the cell's `max_cycles`.
     pub fn execute_report(&self, trace: TraceMode) -> TmRunReport {
+        self.try_execute_report(trace)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Like [`RunCell::execute_report`], but a deadlock or a run past the
+    /// cell's `max_cycles` comes back as an `Err`: a scenario from
+    /// untrusted input (an arrival gap beyond the cycle budget, say) gets
+    /// an error, not a crash.
+    pub fn try_execute_report(&self, trace: TraceMode) -> Result<TmRunReport, RunError> {
         let scenario = &self.scenario;
         let seed = scenario.platform.seed;
         let resolved = scenario
@@ -217,15 +231,19 @@ fn dispatch_sources(
     seed: u64,
     threads: usize,
     cm: Box<dyn ContentionManager>,
-) -> TmRunReport {
+) -> Result<TmRunReport, RunError> {
     match (resolved, arrivals) {
-        (ResolvedWorkload::Benchmark(spec), None) => run_workload(cfg, spec.sources(threads), cm),
-        (ResolvedWorkload::Benchmark(spec), Some(arrivals)) => {
-            run_workload(cfg, open_sources(spec.sources(threads), arrivals, seed), cm)
+        (ResolvedWorkload::Benchmark(spec), None) => {
+            try_run_workload(cfg, spec.sources(threads), cm)
         }
-        (ResolvedWorkload::Adversarial(spec), None) => run_workload(cfg, spec.sources(threads), cm),
+        (ResolvedWorkload::Benchmark(spec), Some(arrivals)) => {
+            try_run_workload(cfg, open_sources(spec.sources(threads), arrivals, seed), cm)
+        }
+        (ResolvedWorkload::Adversarial(spec), None) => {
+            try_run_workload(cfg, spec.sources(threads), cm)
+        }
         (ResolvedWorkload::Adversarial(spec), Some(arrivals)) => {
-            run_workload(cfg, open_sources(spec.sources(threads), arrivals, seed), cm)
+            try_run_workload(cfg, open_sources(spec.sources(threads), arrivals, seed), cm)
         }
     }
 }
@@ -1158,7 +1176,7 @@ mod tests {
                 .seed(0xB16_B00B5)
                 .queue(queue)
                 .trace(TraceMode::Full);
-            let report = run_workload(
+            let report = bfgts_htm::run_workload(
                 &cfg,
                 open_sources(spec.sources(8), &arrivals, 0xB16_B00B5),
                 Box::new(BackoffCm::default()),

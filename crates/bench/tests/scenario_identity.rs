@@ -10,7 +10,7 @@ use bfgts_bench::{ManagerKind, ManagerSpec, Platform};
 use bfgts_core::BfgtsConfig;
 use bfgts_faultsim::{Fault, FaultPlan};
 use bfgts_scenario::Scenario;
-use bfgts_workloads::presets;
+use bfgts_workloads::{presets, ArrivalSpec};
 use std::collections::BTreeSet;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -303,6 +303,19 @@ fn hostile_alias_slots_get_an_error_reply_from_serve() {
             &format!("manager field 'alias_slots' must be in 1..=1024, got {slots}"),
         );
     }
+}
+
+#[test]
+fn hostile_arrival_gap_gets_an_error_reply_from_serve() {
+    // A Poisson gap of 10^12 cycles puts the first arrival past the
+    // run's 5 * 10^10-cycle budget. The engine's max_cycles guard used to
+    // panic the server here; it must answer the line and go on.
+    let mut hostile = small_kmeans(ManagerKind::Backoff);
+    hostile.arrivals = Some(ArrivalSpec::poisson(1_000_000_000_000));
+    assert_serve_rejects_and_goes_on(
+        &hostile,
+        "simulation exceeded max_cycles=50000000000 (live-lock?)",
+    );
 }
 
 #[test]

@@ -142,22 +142,29 @@ pub const ARITH_CRATES: &[&str] = &["sim", "htm"];
 /// Hot-path fns (`crate`, `Type::fn`): P-findings inside these are
 /// errors (a panic here kills a multi-million-event run mid-flight),
 /// elsewhere they are warnings. The list names the per-event code paths:
-/// the engine step loop, the calendar queue, cycle accounting, the HTM
-/// thread state machine, the HTM access path and its line table, and the
-/// signature algebra.
+/// the engine step loop and its sleeper promotion, the calendar queue and
+/// its node pool, cycle accounting, the HTM thread state machine, the HTM
+/// access path and its line table, and the signature algebra.
 pub const HOT_FNS: &[(&str, &str)] = &[
     ("sim", "CalendarQueue::push"),
     ("sim", "CalendarQueue::pop"),
-    ("sim", "CalendarQueue::ring_insert"),
+    ("sim", "CalendarQueue::push_pop"),
+    ("sim", "CalendarQueue::min_time"),
+    ("sim", "CalendarQueue::set_bit"),
     ("sim", "CalendarQueue::clear_bit"),
     ("sim", "CalendarQueue::migrate"),
     ("sim", "CalendarQueue::find_next"),
     ("sim", "CalendarQueue::next_word"),
-    ("sim", "Slot::push"),
+    ("sim", "Pool::push_back"),
+    ("sim", "Pool::pop_front"),
     ("sim", "EventQueue::push"),
     ("sim", "EventQueue::pop"),
+    ("sim", "EventQueue::push_pop"),
     ("sim", "Engine::run_into"),
+    ("sim", "Engine::try_run_into"),
     ("sim", "Engine::arm"),
+    ("sim", "Engine::arm_inner"),
+    ("sim", "Engine::promote_sleepers"),
     ("sim", "Engine::service_cpu"),
     ("sim", "Engine::wake_internal"),
     ("sim", "TimeBuckets::charge"),

@@ -6,7 +6,7 @@ use crate::state::{Detection, TmWorld};
 use crate::stats::TmStats;
 use crate::thread::{TxThreadConfig, TxThreadLogic};
 use crate::txn::TxSource;
-use bfgts_sim::{CostModel, Engine, EngineConfig, EventQueueKind, RunReport, TraceMode};
+use bfgts_sim::{CostModel, Engine, EngineConfig, EventQueueKind, RunError, RunReport, TraceMode};
 
 /// Default master seed of a run when none is given — the single source
 /// of truth shared by [`TmRunConfig::new`] and every layer above that
@@ -278,14 +278,35 @@ impl TmRunReport {
 ///
 /// # Panics
 ///
-/// Panics if `sources.len() != cfg.num_threads`, or propagates the
-/// engine's deadlock/live-lock panics (which indicate a buggy contention
-/// manager).
+/// Panics if `sources.len() != cfg.num_threads`, or with the engine's
+/// [`RunError`] on a deadlock or a run past `max_cycles` (which indicate
+/// a buggy contention manager).
 pub fn run_workload<S>(
     cfg: &TmRunConfig,
     sources: Vec<S>,
     cm: Box<dyn ContentionManager>,
 ) -> TmRunReport
+where
+    S: TxSource + 'static,
+{
+    match try_run_workload(cfg, sources, cm) {
+        Ok(report) => report,
+        // detlint: allow(P002) -- documented panic contract of run_workload, the engine's own run_into contract
+        Err(e) => panic!("{e}"),
+    }
+}
+
+/// Like [`run_workload`], but a deadlock or a run past `max_cycles`
+/// comes back as an `Err` instead of a panic.
+///
+/// # Panics
+///
+/// Panics if `sources.len() != cfg.num_threads`.
+pub fn try_run_workload<S>(
+    cfg: &TmRunConfig,
+    sources: Vec<S>,
+    cm: Box<dyn ContentionManager>,
+) -> Result<TmRunReport, RunError>
 where
     S: TxSource + 'static,
 {
@@ -320,14 +341,14 @@ where
     for source in sources {
         engine.spawn(Box::new(TxThreadLogic::with_config(source, cfg.thread_cfg)));
     }
-    let (sim, mut world) = engine.run_into();
-    TmRunReport {
+    let (sim, mut world) = engine.try_run_into()?;
+    Ok(TmRunReport {
         sim,
         stats: world.tm.stats().clone(),
         cm_name,
         history: world.tm.take_history(),
         window_seed,
-    }
+    })
 }
 
 #[cfg(test)]

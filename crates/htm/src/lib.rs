@@ -57,8 +57,8 @@ pub use cm::{
     ContentionManager, NullCm,
 };
 pub use harness::{
-    run_workload, LatencyDigest, TmRunConfig, TmRunReport, DEFAULT_RUN_SEED, PAPER_CPUS,
-    PAPER_THREADS, SMALL_CPUS, SMALL_THREADS,
+    run_workload, try_run_workload, LatencyDigest, TmRunConfig, TmRunReport, DEFAULT_RUN_SEED,
+    PAPER_CPUS, PAPER_THREADS, SMALL_CPUS, SMALL_THREADS,
 };
 pub use history::{AttemptId, History, HistoryEvent, SerializabilityResult};
 pub use ids::{DTxId, LineAddr, STxId};

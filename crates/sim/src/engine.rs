@@ -8,7 +8,9 @@ use crate::ids::{CpuId, ThreadId};
 use crate::rng::SimRng;
 use crate::time::Cycle;
 use bfgts_trace::{TraceEvent, TraceMode, TraceRecording, TraceSink};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
+use std::fmt;
 
 /// What a thread does next when the engine schedules it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,8 +128,9 @@ pub struct EngineConfig {
     pub costs: CostModel,
     /// Master seed; per-thread RNG streams derive from it.
     pub seed: u64,
-    /// Hard cap on simulated time; exceeding it panics (guards against
-    /// live-lock in a buggy scheduler under test).
+    /// Hard cap on simulated time; exceeding it ends the run with
+    /// [`RunError::MaxCycles`] (guards against live-lock in a buggy
+    /// scheduler under test, and against runs that would never end).
     pub max_cycles: u64,
     /// Event recording mode (off by default; tracing-disabled runs pay
     /// one branch per would-be event).
@@ -181,8 +184,8 @@ enum ThreadState {
     Ready,
     Running,
     Blocked,
-    /// Parked on a timed wait ([`Action::SleepUntil`]); the engine's
-    /// sleeper set holds the deadline.
+    /// Parked on a timed wait ([`Action::SleepUntil`]); its CPU's
+    /// sleeper heap holds the deadline.
     Sleeping,
     Finished,
 }
@@ -225,7 +228,44 @@ struct Cpu {
     /// pulled earlier — servicing mid-charge would overlap charges and
     /// break audit invariant I2.
     armed_preemptible: bool,
+    /// Threads pinned here and parked on [`Action::SleepUntil`], as a
+    /// min-heap on `(deadline, thread)` so promotion back to Ready is
+    /// deterministic.
+    sleepers: BinaryHeap<Reverse<(Cycle, ThreadId)>>,
 }
+
+/// Why a run stopped before every thread finished.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RunError {
+    /// Simulated time passed [`EngineConfig::max_cycles`].
+    MaxCycles {
+        /// The configured cap.
+        limit: u64,
+    },
+    /// Events ran out while threads were still blocked or sleeping with
+    /// nothing left to wake them.
+    Deadlock {
+        /// Simulated time of the last serviced event.
+        at: Cycle,
+        /// Every unfinished thread as `"thread:State"`.
+        stuck: Vec<String>,
+    },
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunError::MaxCycles { limit } => {
+                write!(f, "simulation exceeded max_cycles={limit} (live-lock?)")
+            }
+            RunError::Deadlock { at, stuck } => {
+                write!(f, "simulated deadlock at {at}: stuck threads {stuck:?}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
 
 /// Outcome of a completed simulation run.
 #[derive(Debug, Clone)]
@@ -284,9 +324,14 @@ pub struct Engine<W> {
     now: Cycle,
     finished: usize,
     trace: TraceSink,
-    /// Threads parked on [`Action::SleepUntil`], ordered by
-    /// `(deadline, thread)` so promotion back to Ready is deterministic.
-    sleepers: std::collections::BTreeSet<(Cycle, ThreadId)>,
+    /// The CPU being serviced, if any. Its own re-arm is held back in
+    /// `held` instead of being pushed (see [`Engine::try_run_into`]).
+    serving: Option<CpuId>,
+    /// The serviced CPU's re-arm as `(time, seq)`, not yet queued.
+    held: Option<(Cycle, u64)>,
+    /// The wake list lent to each step's [`ThreadCtx`], kept for its
+    /// capacity.
+    wakes: Vec<ThreadId>,
 }
 
 impl<W> Engine<W> {
@@ -310,7 +355,9 @@ impl<W> Engine<W> {
             now: Cycle::ZERO,
             finished: 0,
             trace,
-            sleepers: std::collections::BTreeSet::new(),
+            serving: None,
+            held: None,
+            wakes: Vec::new(),
         }
     }
 
@@ -376,7 +423,8 @@ impl<W> Engine<W> {
     ///
     /// Panics if the simulated program deadlocks (all remaining threads
     /// blocked with nothing to wake them) or exceeds
-    /// [`EngineConfig::max_cycles`].
+    /// [`EngineConfig::max_cycles`], with the [`RunError`] as the
+    /// message.
     pub fn run(self) -> RunReport {
         self.run_into().0
     }
@@ -387,42 +435,70 @@ impl<W> Engine<W> {
     /// # Panics
     ///
     /// Same conditions as [`Engine::run`].
-    pub fn run_into(mut self) -> (RunReport, W) {
+    pub fn run_into(self) -> (RunReport, W) {
+        match self.try_run_into() {
+            Ok(done) => done,
+            // detlint: allow(P002) -- documented panic contract of run(): a deadlocked or runaway program under test is unrecoverable
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Like [`Engine::run_into`], but a deadlock or a run past
+    /// [`EngineConfig::max_cycles`] comes back as an `Err`.
+    ///
+    /// The loop services one CPU per event. The serviced CPU's own
+    /// re-arm is held back and handed to [`EventQueue::push_pop`]: when
+    /// its time is strictly below every queued event, that CPU is
+    /// serviced again directly (it *runs ahead*) instead of being pushed
+    /// and popped. This is exact, because the pop after a push would
+    /// return that very event: nothing queued precedes it, and nothing
+    /// ties it (on a tie the queued event, armed earlier with a lower
+    /// seq, goes first and run-ahead does not happen). A wake armed
+    /// during the service is queued before the comparison, so it lowers
+    /// the minimum and ends the run-ahead. A superseded timer still
+    /// queued for this CPU carries an older seq than any re-arm, so it
+    /// can never match a running-ahead CPU.
+    pub fn try_run_into(mut self) -> Result<(RunReport, W), RunError> {
         for cpu in 0..self.cpus.len() {
             self.arm(CpuId(cpu), Cycle::ZERO);
         }
-        while let Some((time, seq, cpu_idx)) = self.queue.pop() {
+        let mut next = self.queue.pop();
+        while let Some((time, seq, cpu_idx)) = next {
             debug_assert!(time >= self.now, "event time went backwards");
-            let live = {
-                let slot = self.cpu_mut(CpuId(cpu_idx));
-                slot.armed && slot.armed_seq == seq
-            };
-            if !live {
+            let cpu = CpuId(cpu_idx);
+            let slot = self.cpu_mut(cpu);
+            if !(slot.armed && slot.armed_seq == seq) {
                 // Superseded by an earlier re-arm; already serviced.
+                next = self.queue.pop();
                 continue;
             }
+            slot.armed = false;
             self.now = time;
-            assert!(
-                self.now.as_u64() <= self.config.max_cycles,
-                "simulation exceeded max_cycles={} (live-lock?)",
-                self.config.max_cycles
-            );
-            self.cpu_mut(CpuId(cpu_idx)).armed = false;
-            self.service_cpu(CpuId(cpu_idx));
+            if self.now.as_u64() > self.config.max_cycles {
+                return Err(RunError::MaxCycles {
+                    limit: self.config.max_cycles,
+                });
+            }
+            self.serving = Some(cpu);
+            self.service_cpu(cpu);
+            self.serving = None;
+            next = match self.held.take() {
+                Some((at, seq)) => Some(self.queue.push_pop(at, seq, cpu_idx)),
+                None => self.queue.pop(),
+            };
         }
         if self.finished != self.threads.len() {
-            let stuck: Vec<String> = self
+            let stuck = self
                 .threads
                 .iter()
                 .enumerate()
                 .filter(|(_, t)| t.state != ThreadState::Finished)
                 .map(|(i, t)| format!("{}:{:?}", ThreadId(i), t.state))
                 .collect();
-            // detlint: allow(P002) -- documented panic contract of run(): a deadlocked program under test is unrecoverable
-            panic!(
-                "simulated deadlock at {}: stuck threads {stuck:?}",
-                self.now
-            );
+            return Err(RunError::Deadlock {
+                at: self.now,
+                stuck,
+            });
         }
         let report = RunReport {
             makespan: self
@@ -435,7 +511,7 @@ impl<W> Engine<W> {
             num_cpus: self.config.num_cpus,
             trace: self.trace.take(),
         };
-        (report, self.world)
+        Ok((report, self.world))
     }
 
     /// Schedules a service event for `cpu` at `time` unless one is armed.
@@ -469,7 +545,32 @@ impl<W> Engine<W> {
             slot.armed_at = time;
             slot.armed_seq = seq;
             slot.armed_preemptible = preemptible;
-            self.queue.push(time, seq, cpu.index());
+            if self.serving == Some(cpu) {
+                self.held = Some((time, seq));
+            } else {
+                self.queue.push(time, seq, cpu.index());
+            }
+        }
+    }
+
+    /// Moves `cpu`'s due timed sleepers back into its run queue, in
+    /// `(deadline, thread)` order.
+    fn promote_sleepers(&mut self, cpu: CpuId) {
+        let now = self.now;
+        let slot = self
+            .cpus
+            .get_mut(cpu.index())
+            .expect("engine-issued CpuId is in range");
+        while let Some(&Reverse((deadline, tid))) = slot.sleepers.peek() {
+            if deadline > now {
+                break;
+            }
+            slot.sleepers.pop();
+            slot.run_queue.push_back(tid);
+            self.threads
+                .get_mut(tid.index())
+                .expect("engine-issued ThreadId is in range")
+                .state = ThreadState::Ready;
         }
     }
 
@@ -486,33 +587,19 @@ impl<W> Engine<W> {
             ..
         } = self.config.costs;
         // Promote due timed sleepers pinned to this CPU back into its run
-        // queue, in (deadline, thread) order, before any pickup decision.
-        if !self.sleepers.is_empty() {
-            let due: Vec<(Cycle, ThreadId)> = self
-                .sleepers
-                .iter()
-                .take_while(|&&(deadline, _)| deadline <= self.now)
-                .filter(|&&(_, tid)| self.threads.get(tid.index()).is_some_and(|t| t.cpu == cpu))
-                .copied()
-                .collect();
-            for entry in due {
-                self.sleepers.remove(&entry);
-                let tid = entry.1;
-                self.thread_mut(tid).state = ThreadState::Ready;
-                self.cpu_mut(cpu).run_queue.push_back(tid);
-            }
-        }
+        // queue before any pickup decision.
+        self.promote_sleepers(cpu);
         // Pick up a thread if the CPU is free.
         if self.cpu_mut(cpu).current.is_none() {
             let Some(next) = self.cpu_mut(cpu).run_queue.pop_front() else {
-                // Idle. If a timed sleeper is pinned here, re-arm for its
-                // deadline so the wake is never lost; otherwise a future
-                // wake will re-arm us.
+                // Idle. If a timed sleeper is pinned here, re-arm for the
+                // earliest deadline so the wake is never lost; otherwise a
+                // future wake will re-arm us.
                 let wake_at = self
+                    .cpu_mut(cpu)
                     .sleepers
-                    .iter()
-                    .find(|&&(_, tid)| self.threads.get(tid.index()).is_some_and(|t| t.cpu == cpu))
-                    .map(|&(deadline, _)| deadline);
+                    .peek()
+                    .map(|&Reverse((deadline, _))| deadline);
                 if let Some(deadline) = wake_at {
                     self.arm_timer(cpu, deadline.max(self.now));
                 }
@@ -577,19 +664,21 @@ impl<W> Engine<W> {
             buckets: &mut thread.buckets,
             trace: &mut self.trace,
             costs: &self.config.costs,
-            wakes: Vec::new(),
+            wakes: std::mem::take(&mut self.wakes),
         };
         let action = thread.logic.step(&mut self.world, &mut ctx);
-        let wakes = std::mem::take(&mut ctx.wakes);
+        let mut wakes = std::mem::take(&mut ctx.wakes);
 
         // Charge wake costs to the waker and apply the wakes.
         let mut extra = 0u64;
-        for target in wakes {
+        for &target in &wakes {
             extra = extra
                 .checked_add(futex_wake)
                 .expect("wake-cost accounting overflowed u64");
             self.wake_internal(target);
         }
+        wakes.clear();
+        self.wakes = wakes;
         // Charges within this step are serialised on the trace timeline:
         // wake costs occupy [now, now+extra), the action's cycles follow
         // at now+extra. That is what lets the audit check that charge
@@ -694,7 +783,7 @@ impl<W> Engine<W> {
                     self.cpu_mut(cpu).run_queue.push_back(tid);
                 } else {
                     self.thread_mut(tid).state = ThreadState::Sleeping;
-                    self.sleepers.insert((deadline, tid));
+                    self.cpu_mut(cpu).sleepers.push(Reverse((deadline, tid)));
                 }
                 self.cpu_mut(cpu).current = None;
                 // Parked time is idle time: nothing is charged. Advance
@@ -1041,6 +1130,32 @@ mod tests {
             bucket: Bucket::NonTx,
         }));
         let _ = e.run();
+    }
+
+    #[test]
+    fn try_run_into_returns_what_run_panics_with() {
+        let mut cfg = EngineConfig::with_cpus(1).costs(quiet_costs());
+        cfg.max_cycles = 100;
+        let mut e = Engine::new(cfg, ());
+        e.spawn(Box::new(Looper {
+            slices: 100,
+            cycles: 50,
+            bucket: Bucket::NonTx,
+        }));
+        let over = e.try_run_into().expect_err("the run is over budget");
+        assert_eq!(over, RunError::MaxCycles { limit: 100 });
+        assert_eq!(
+            over.to_string(),
+            "simulation exceeded max_cycles=100 (live-lock?)"
+        );
+
+        let mut e = Engine::new(EngineConfig::with_cpus(1).costs(quiet_costs()), ());
+        e.spawn(Box::new(Sleeper { slept: false }));
+        let stuck = e.try_run_into().expect_err("nobody wakes the sleeper");
+        assert_eq!(
+            stuck.to_string(),
+            "simulated deadlock at 1cy: stuck threads [\"t0:Blocked\"]"
+        );
     }
 
     #[test]

@@ -11,13 +11,20 @@
 //! * [`EventQueueKind::Calendar`] — an indexed calendar queue: a ring of
 //!   `WINDOW` (8192) cycle-granularity buckets with a two-level occupancy
 //!   bitmap, plus a sorted overflow tier for events beyond the window.
-//!   Push and pop are `O(1)` amortized, independent of the number of
-//!   armed CPUs, which is what lets the engine scale from the paper's
-//!   16 CPUs to 1024 (DESIGN.md §11).
+//!   Every bucket and overflow entry is a FIFO list threaded through one
+//!   node pool by `u32` links, and popped nodes are recycled, so once the
+//!   pool has grown to the peak number of pending events neither push nor
+//!   pop allocates. The queue keeps its exact minimum time. Push and pop
+//!   are `O(1)` amortized, independent of the number of armed CPUs, which
+//!   is what lets the engine scale from the paper's 16 CPUs to 1024
+//!   (DESIGN.md §11).
 //!
 //! Both produce the exact same pop sequence (proven by the differential
 //! tests below and `tests/tie_break.rs`), so simulation results are
-//! byte-identical regardless of the structure chosen.
+//! byte-identical regardless of the structure chosen. Both also offer
+//! [`EventQueue::push_pop`], through which the engine re-arms the CPU it
+//! just serviced: an event strictly earlier than everything stored is
+//! handed straight back without touching the storage.
 
 use crate::time::Cycle;
 use std::cmp::Reverse;
@@ -53,28 +60,102 @@ const WORDS: usize = (WINDOW / 64) as usize;
 /// summary is set iff first-level word `w` is non-zero.
 const SUMMARY_WORDS: usize = WORDS.div_ceil(64);
 
-/// One ring bucket: every entry shares the same event time, so only the
-/// `(seq, cpu)` payload is stored. Entries are appended in arming order,
-/// which is seq order (the engine's sequence counter is monotonic), and
-/// drained through `head` so same-cycle arm-during-drain keeps FIFO
-/// order without shifting the vector.
-#[derive(Debug, Default, Clone)]
-struct Slot {
-    items: Vec<(u64, usize)>,
-    head: usize,
+/// The null link: the end of a list, or an empty list's head and tail.
+const NIL: u32 = u32::MAX;
+
+/// One pending event in the pool: its `(seq, cpu)` payload and the link
+/// to the next node of its list (or, for a free node, the next free one).
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    seq: u64,
+    cpu: u32,
+    next: u32,
 }
 
-impl Slot {
-    fn is_drained(&self) -> bool {
-        self.head == self.items.len()
+/// A FIFO list of pool nodes that all share one event time. Nodes are
+/// appended in arming order, which is seq order (the engine's sequence
+/// counter is monotonic), and popped from the head, so same-cycle
+/// arm-during-drain keeps FIFO order.
+#[derive(Debug, Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+impl List {
+    const EMPTY: List = List {
+        head: NIL,
+        tail: NIL,
+    };
+
+    fn is_empty(self) -> bool {
+        self.head == NIL
+    }
+}
+
+/// Storage for every list's nodes. A popped node goes on the free list
+/// and is reused by the next push, so the pool never holds more nodes
+/// than the peak number of events pending at once.
+#[derive(Debug)]
+struct Pool {
+    nodes: Vec<Node>,
+    /// Head of the free list, threaded through `Node::next`.
+    free: u32,
+}
+
+impl Pool {
+    /// Appends `(seq, cpu)` to `list` in a recycled node, or a new one
+    /// when none is free.
+    fn push_back(&mut self, list: &mut List, seq: u64, cpu: u32) {
+        let node = Node {
+            seq,
+            cpu,
+            next: NIL,
+        };
+        let idx = if self.free == NIL {
+            let idx = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("fewer than u32::MAX events are pending");
+            self.nodes.push(node);
+            idx
+        } else {
+            let idx = self.free;
+            let slot = self
+                .nodes
+                .get_mut(idx as usize)
+                .expect("the free list links pool nodes");
+            self.free = slot.next;
+            *slot = node;
+            idx
+        };
+        if list.is_empty() {
+            list.head = idx;
+        } else {
+            self.nodes
+                .get_mut(list.tail as usize)
+                .expect("a non-empty list's tail is a pool node")
+                .next = idx;
+        }
+        list.tail = idx;
     }
 
-    fn push(&mut self, seq: u64, cpu: usize) {
-        if self.is_drained() && self.head != 0 {
-            self.items.clear();
-            self.head = 0;
+    /// Unlinks the head of the non-empty `list`, puts its node on the
+    /// free list and returns its `(seq, cpu)`.
+    fn pop_front(&mut self, list: &mut List) -> (u64, u32) {
+        let idx = list.head;
+        let node = self
+            .nodes
+            .get_mut(idx as usize)
+            .expect("a non-empty list's head is a pool node");
+        let out = (node.seq, node.cpu);
+        list.head = node.next;
+        if list.head == NIL {
+            list.tail = NIL;
         }
-        self.items.push((seq, cpu));
+        node.next = self.free;
+        self.free = idx;
+        out
     }
 }
 
@@ -89,20 +170,23 @@ impl Slot {
 /// so the ring always holds the global minimum, bucket index `time &
 /// MASK` identifies a unique time within the window, and a bucket's
 /// append order is seq order even across the overflow migration (all
-/// same-time pushes before the time enters the window queue up in the
-/// overflow vector, in seq order; all later ones append to the ring
-/// bucket after the migration).
+/// same-time pushes before the time enters the window queue up in its
+/// overflow list, in seq order, and the whole list becomes the ring
+/// bucket, which is empty at that moment; all later ones append to it).
 #[derive(Debug)]
 pub struct CalendarQueue {
-    /// Lower bound on every stored event time (the last popped time).
+    /// Lower bound on every stored event time: the last popped time, or
+    /// the later time a [`CalendarQueue::push_pop`] ran ahead to.
     cursor: u64,
+    /// Exact smallest stored event time, `u64::MAX` when empty.
+    min: u64,
     /// Total stored events, ring + overflow.
     len: usize,
-    buckets: Vec<Slot>,
+    pool: Pool,
+    buckets: Vec<List>,
     words: [u64; WORDS],
     summary: [u64; SUMMARY_WORDS],
-    overflow: BTreeMap<u64, Vec<(u64, usize)>>,
-    overflow_len: usize,
+    overflow: BTreeMap<u64, List>,
     /// Smallest overflow key, `u64::MAX` when the overflow is empty.
     overflow_min: u64,
 }
@@ -118,12 +202,16 @@ impl CalendarQueue {
     pub fn new() -> Self {
         Self {
             cursor: 0,
+            min: u64::MAX,
             len: 0,
-            buckets: vec![Slot::default(); WINDOW as usize],
+            pool: Pool {
+                nodes: Vec::new(),
+                free: NIL,
+            },
+            buckets: vec![List::EMPTY; WINDOW as usize],
             words: [0; WORDS],
             summary: [0; SUMMARY_WORDS],
             overflow: BTreeMap::new(),
-            overflow_len: 0,
             overflow_min: u64::MAX,
         }
     }
@@ -138,23 +226,36 @@ impl CalendarQueue {
         self.len == 0
     }
 
-    /// Inserts an event. `time` must not precede the last popped time
-    /// (the engine only arms at or after `now`), and successive pushes
-    /// must carry increasing `seq` values (the engine's arming counter
-    /// is monotonic) — same-time entries are kept in arrival order,
-    /// which equals seq order exactly under that contract.
+    /// The smallest stored event time, exact; `None` when empty.
+    pub fn min_time(&self) -> Option<Cycle> {
+        (self.len > 0).then(|| Cycle::new(self.min))
+    }
+
+    /// Inserts an event. `time` must not precede the cursor (the engine
+    /// only arms at or after `now`), and successive pushes must carry
+    /// increasing `seq` values (the engine's arming counter is
+    /// monotonic) — same-time entries are kept in arrival order, which
+    /// equals seq order exactly under that contract.
     pub fn push(&mut self, time: Cycle, seq: u64, cpu: usize) {
         let t = time.as_u64();
         let ahead = t
             .checked_sub(self.cursor)
             .expect("event time precedes the cursor");
+        let cpu = u32::try_from(cpu).expect("cpu index fits in u32");
         self.len += 1;
+        self.min = self.min.min(t);
         if ahead >= WINDOW {
-            self.overflow_len += 1;
             self.overflow_min = self.overflow_min.min(t);
-            self.overflow.entry(t).or_default().push((seq, cpu));
+            let list = self.overflow.entry(t).or_insert(List::EMPTY);
+            self.pool.push_back(list, seq, cpu);
         } else {
-            self.ring_insert(t, seq, cpu);
+            let idx = (t & MASK) as usize;
+            let list = self
+                .buckets
+                .get_mut(idx)
+                .expect("masked time is a ring index");
+            self.pool.push_back(list, seq, cpu);
+            self.set_bit(idx);
         }
     }
 
@@ -163,44 +264,55 @@ impl CalendarQueue {
         if self.len == 0 {
             return None;
         }
-        if self.len == self.overflow_len {
-            // Ring exhausted: jump the window to the overflow front.
-            self.cursor = self.overflow_min;
-            self.migrate();
-        }
-        let start = (self.cursor & MASK) as usize;
-        let idx = self.find_next(start);
-        let dist = (idx as u64).wrapping_sub(self.cursor) & MASK;
-        let t = self
-            .cursor
-            .checked_add(dist)
-            .expect("ring distance keeps event times in u64 range");
-        let slot = self
-            .buckets
-            .get_mut(idx)
-            .expect("find_next is a ring index");
-        let &(seq, cpu) = slot
-            .items
-            .get(slot.head)
-            .expect("occupied bucket has an undrained entry");
-        slot.head += 1;
-        if slot.is_drained() {
-            self.clear_bit(idx);
-        }
-        self.len -= 1;
+        let t = self.min;
         if t != self.cursor {
+            // Also brings `t` itself in when the ring was exhausted and
+            // the minimum waited in the overflow tier.
             self.cursor = t;
             self.migrate();
         }
-        Some((Cycle::new(t), seq, cpu))
+        let idx = (t & MASK) as usize;
+        let list = self
+            .buckets
+            .get_mut(idx)
+            .expect("masked time is a ring index");
+        let (seq, cpu) = self.pool.pop_front(list);
+        if list.is_empty() {
+            self.clear_bit(idx);
+        }
+        self.len -= 1;
+        self.min = match self.find_next(idx) {
+            Some(next) => {
+                let dist = (next as u64).wrapping_sub(t) & MASK;
+                t.checked_add(dist)
+                    .expect("ring distance keeps event times in u64 range")
+            }
+            None => self.overflow_min,
+        };
+        Some((Cycle::new(t), seq, cpu as usize))
     }
 
-    fn ring_insert(&mut self, t: u64, seq: u64, cpu: usize) {
-        let idx = (t & MASK) as usize;
-        self.buckets
-            .get_mut(idx)
-            .expect("masked time is a ring index")
-            .push(seq, cpu);
+    /// Pushes an event and pops the earliest one. When `time` is strictly
+    /// below every stored time, the event itself is the earliest: it is
+    /// returned without touching the storage, and the cursor moves up to
+    /// `time` so later pushes near it stay on the ring.
+    pub fn push_pop(&mut self, time: Cycle, seq: u64, cpu: usize) -> Event {
+        if self.min_time().is_some_and(|min| min <= time) {
+            self.push(time, seq, cpu);
+            return self.pop().expect("the pushed event is stored");
+        }
+        let t = time.as_u64();
+        let ahead = t
+            .checked_sub(self.cursor)
+            .expect("event time precedes the cursor");
+        if ahead > 0 {
+            self.cursor = t;
+            self.migrate();
+        }
+        (time, seq, cpu)
+    }
+
+    fn set_bit(&mut self, idx: usize) {
         *self
             .words
             .get_mut(idx >> 6)
@@ -225,7 +337,7 @@ impl CalendarQueue {
         }
     }
 
-    /// Moves every overflow entry that the advanced cursor brought into
+    /// Moves every overflow list that the advanced cursor brought into
     /// the window onto the ring. Called on every cursor advance, which
     /// is what keeps the two invariants above true.
     fn migrate(&mut self) {
@@ -235,43 +347,46 @@ impl CalendarQueue {
             .expect("overflow keys never precede the cursor")
             < WINDOW
         {
-            let (t, items) = self
+            let (t, list) = self
                 .overflow
                 .pop_first()
                 .expect("overflow_min tracks a live key");
             debug_assert_eq!(t, self.overflow_min);
-            self.overflow_len -= items.len();
-            for (seq, cpu) in items {
-                self.ring_insert(t, seq, cpu);
-            }
-            self.overflow_min = match self.overflow.keys().next() {
-                Some(&k) => k,
-                None => u64::MAX,
-            };
+            let idx = (t & MASK) as usize;
+            let bucket = self
+                .buckets
+                .get_mut(idx)
+                .expect("masked time is a ring index");
+            // The bucket's only time in the new window is `t`, and every
+            // push at `t` so far went to the overflow list.
+            debug_assert!(bucket.is_empty(), "bucket of a time entering the window");
+            *bucket = list;
+            self.set_bit(idx);
+            self.overflow_min = self
+                .overflow
+                .first_key_value()
+                .map_or(u64::MAX, |(&k, _)| k);
         }
     }
 
     /// Index of the first occupied bucket at circular distance `>= 0`
-    /// from `start`. Two bitmap levels make this a handful of word
-    /// operations regardless of where the next event sits.
-    fn find_next(&self, start: usize) -> usize {
-        debug_assert!(self.len > self.overflow_len, "ring is empty");
+    /// from `start`, `None` when the ring is empty. Two bitmap levels
+    /// make this a handful of word operations regardless of where the
+    /// next event sits.
+    fn find_next(&self, start: usize) -> Option<usize> {
         let w0 = start >> 6;
         let masked =
             self.words.get(w0).copied().expect("start is a ring index") & (!0u64 << (start & 63));
         if masked != 0 {
-            return (w0 << 6) | masked.trailing_zeros() as usize;
+            return Some((w0 << 6) | masked.trailing_zeros() as usize);
         }
-        let w = self
-            .next_word(w0 + 1)
-            .or_else(|| self.next_word(0))
-            .expect("occupancy bitmap has a set bit");
+        let w = self.next_word(w0 + 1).or_else(|| self.next_word(0))?;
         let word = self
             .words
             .get(w)
             .copied()
             .expect("next_word returns a bitmap index");
-        (w << 6) | word.trailing_zeros() as usize
+        Some((w << 6) | word.trailing_zeros() as usize)
     }
 
     /// First non-zero first-level word at index `>= from`, via the
@@ -332,6 +447,26 @@ impl EventQueue {
             EventQueue::Calendar(c) => c.pop(),
         }
     }
+
+    /// Inserts an event and removes the earliest one, which is the
+    /// inserted event itself, returned without storing it, when `time`
+    /// is strictly below every stored time. `seq` must exceed every
+    /// stored seq, as for [`EventQueue::push`], so a stored event at
+    /// `time` goes first.
+    pub fn push_pop(&mut self, time: Cycle, seq: u64, cpu: usize) -> Event {
+        match self {
+            EventQueue::Heap(h) => match h.peek() {
+                Some(Reverse((first, ..))) if *first <= time => {
+                    h.push(Reverse((time, seq, cpu)));
+                    h.pop()
+                        .map(|Reverse(e)| e)
+                        .expect("the pushed event is stored")
+                }
+                _ => (time, seq, cpu),
+            },
+            EventQueue::Calendar(c) => c.push_pop(time, seq, cpu),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -343,10 +478,21 @@ mod tests {
         std::iter::from_fn(|| q.pop()).collect()
     }
 
+    /// The smallest stored time: the heap's top, or the calendar's own
+    /// exact minimum.
+    fn min_time(q: &EventQueue) -> Option<Cycle> {
+        match q {
+            EventQueue::Heap(h) => h.peek().map(|Reverse((t, ..))| *t),
+            EventQueue::Calendar(c) => c.min_time(),
+        }
+    }
+
     #[test]
     fn empty_queues_pop_none() {
         for kind in [EventQueueKind::Heap, EventQueueKind::Calendar] {
-            assert_eq!(EventQueue::new(kind).pop(), None);
+            let mut q = EventQueue::new(kind);
+            assert_eq!(min_time(&q), None);
+            assert_eq!(q.pop(), None);
         }
     }
 
@@ -383,6 +529,7 @@ mod tests {
         assert_eq!(q.len(), 3);
         assert_eq!(q.pop(), Some((Cycle::new(0), 1, 0)));
         assert_eq!(q.pop(), Some((Cycle::new(3), 3, 2)));
+        assert_eq!(q.min_time(), Some(Cycle::new(WINDOW * 5 + 7)));
         assert_eq!(q.pop(), Some((Cycle::new(WINDOW * 5 + 7), 2, 1)));
         assert!(q.is_empty());
     }
@@ -420,46 +567,146 @@ mod tests {
     }
 
     #[test]
+    fn push_pop_hands_back_only_a_strictly_earliest_event() {
+        for kind in [EventQueueKind::Heap, EventQueueKind::Calendar] {
+            let mut q = EventQueue::new(kind);
+            // Empty: the event comes straight back.
+            assert_eq!(q.push_pop(Cycle::new(3), 1, 0), (Cycle::new(3), 1, 0));
+            assert_eq!(min_time(&q), None);
+            q.push(Cycle::new(50), 2, 1);
+            // Strictly earlier: handed back, nothing stored.
+            assert_eq!(q.push_pop(Cycle::new(49), 3, 0), (Cycle::new(49), 3, 0));
+            // A tie goes to the stored, lower-seq event.
+            assert_eq!(q.push_pop(Cycle::new(50), 4, 0), (Cycle::new(50), 2, 1));
+            assert_eq!(min_time(&q), Some(Cycle::new(50)), "{kind:?}");
+            assert_eq!(drain(&mut q), vec![(Cycle::new(50), 4, 0)], "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn running_ahead_past_the_window_keeps_overflow_order() {
+        // The cursor follows a run-ahead: after jumping two windows, an
+        // overflow entry the jump brought into range must still pop in
+        // (time, seq) order against ring pushes made afterwards.
+        let far = WINDOW * 3;
+        let mut q = CalendarQueue::new();
+        q.push(Cycle::new(far + 10), 1, 0);
+        let t = WINDOW * 2 + 20;
+        assert_eq!(q.push_pop(Cycle::new(t), 2, 1), (Cycle::new(t), 2, 1));
+        q.push(Cycle::new(far + 10), 3, 1);
+        q.push(Cycle::new(far + 5), 4, 2);
+        assert_eq!(q.min_time(), Some(Cycle::new(far + 5)));
+        assert_eq!(q.pop(), Some((Cycle::new(far + 5), 4, 2)));
+        assert_eq!(q.pop(), Some((Cycle::new(far + 10), 1, 0)));
+        assert_eq!(q.pop(), Some((Cycle::new(far + 10), 3, 1)));
+        assert!(q.is_empty());
+    }
+
+    #[test]
     fn calendar_matches_heap_on_random_interleaved_traffic() {
-        // Differential test: random pushes (with engine-like monotonic
-        // times and seqs, including far-future overflow jumps) mixed
-        // with pops must produce identical sequences from both kinds.
+        // Differential test: random pushes, pops and push-pops with
+        // engine-like monotonic times and seqs, including far-future
+        // overflow jumps and re-arms that supersede a pending event (a
+        // wake pulling an idle timer earlier: the stale event stays
+        // stored, as in the engine). Both kinds must produce identical
+        // sequences and agree on the minimum after every operation.
         let mut rng = SimRng::seed_from(0xCAFE);
         let mut heap = EventQueue::new(EventQueueKind::Heap);
         let mut cal = EventQueue::new(EventQueueKind::Calendar);
         let mut now = 0u64;
         let mut seq = 0u64;
         let mut live = 0usize;
+        let mut superseded = 0u32;
+        let gap = |rng: &mut SimRng| match rng.next_u64() % 10 {
+            0 => 0,
+            g @ 1..=7 => g * 37,
+            8 => WINDOW / 2,
+            _ => WINDOW * 3 + rng.next_u64() % 1000,
+        };
         for _ in 0..50_000 {
-            let push = live == 0 || !rng.next_u64().is_multiple_of(3);
-            if push {
-                let gap = match rng.next_u64() % 10 {
-                    0 => 0,
-                    g @ 1..=7 => g * 37,
-                    8 => WINDOW / 2,
-                    _ => WINDOW * 3 + rng.next_u64() % 1000,
-                };
-                seq += 1;
-                let cpu = (rng.next_u64() % 1024) as usize;
-                let t = Cycle::new(now + gap);
-                heap.push(t, seq, cpu);
-                cal.push(t, seq, cpu);
-                live += 1;
-            } else {
-                let a = heap.pop();
-                let b = cal.pop();
-                assert_eq!(a, b);
-                now = a.expect("live > 0").0.as_u64();
-                live -= 1;
+            let op = if live == 0 { 0 } else { rng.next_u64() % 6 };
+            seq += 1;
+            let cpu = (rng.next_u64() % 1024) as usize;
+            match op {
+                0..=2 => {
+                    let t = Cycle::new(now + gap(&mut rng));
+                    heap.push(t, seq, cpu);
+                    cal.push(t, seq, cpu);
+                    live += 1;
+                }
+                3 => {
+                    // Supersede: a timer far out, then an earlier re-arm
+                    // of the same CPU before anything pops.
+                    let late = Cycle::new(now + WINDOW + rng.next_u64() % 500);
+                    let early = Cycle::new(now + rng.next_u64() % 100);
+                    heap.push(late, seq, cpu);
+                    cal.push(late, seq, cpu);
+                    seq += 1;
+                    heap.push(early, seq, cpu);
+                    cal.push(early, seq, cpu);
+                    live += 2;
+                    superseded += 1;
+                }
+                4 => {
+                    let t = Cycle::new(now + gap(&mut rng) % 200);
+                    let a = heap.push_pop(t, seq, cpu);
+                    let b = cal.push_pop(t, seq, cpu);
+                    assert_eq!(a, b);
+                    now = a.0.as_u64();
+                }
+                _ => {
+                    let a = heap.pop();
+                    let b = cal.pop();
+                    assert_eq!(a, b);
+                    now = a.expect("live > 0").0.as_u64();
+                    live -= 1;
+                }
             }
+            assert_eq!(min_time(&heap), min_time(&cal));
         }
+        assert!(superseded > 1000);
         loop {
             let a = heap.pop();
             let b = cal.pop();
             assert_eq!(a, b);
+            assert_eq!(min_time(&heap), min_time(&cal));
             if a.is_none() {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn pool_never_outgrows_the_peak_pending_count() {
+        // Random bursts of pushes and drains: the pool must reuse freed
+        // nodes, so its size tracks the most events ever pending at
+        // once, not the number ever pushed.
+        let mut rng = SimRng::seed_from(0x9001);
+        let mut q = CalendarQueue::new();
+        let mut now = 0u64;
+        let mut seq = 0u64;
+        let mut peak = 0usize;
+        let mut pushed = 0usize;
+        for _ in 0..2_000 {
+            for _ in 0..rng.next_u64() % 40 {
+                seq += 1;
+                let gap = match rng.next_u64() % 8 {
+                    0 => WINDOW * 2 + rng.next_u64() % 300,
+                    g => g * 53,
+                };
+                q.push(Cycle::new(now + gap), seq, 0);
+                pushed += 1;
+            }
+            peak = peak.max(q.len());
+            assert!(q.pool.nodes.len() <= peak, "pool outgrew the peak");
+            for _ in 0..rng.next_u64() % 40 {
+                match q.pop() {
+                    Some((t, ..)) => now = t.as_u64(),
+                    None => break,
+                }
+            }
+        }
+        assert_eq!(q.pool.nodes.len(), peak);
+        assert!(pushed > 10 * peak, "the test must recycle nodes");
     }
 }

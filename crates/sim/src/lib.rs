@@ -58,7 +58,7 @@ pub mod time;
 
 pub use accounting::{Bucket, TimeBuckets};
 pub use cost::CostModel;
-pub use engine::{Action, Engine, EngineConfig, RunReport, ThreadCtx, ThreadLogic};
+pub use engine::{Action, Engine, EngineConfig, RunError, RunReport, ThreadCtx, ThreadLogic};
 pub use equeue::EventQueueKind;
 pub use ids::{CpuId, ThreadId};
 pub use rng::SimRng;

@@ -128,12 +128,14 @@ impl TraceSink {
     }
 
     /// Detaches everything recorded so far, leaving the sink enabled but
-    /// empty (sequence numbers keep counting).
+    /// empty (sequence numbers keep counting). The buffer is handed over,
+    /// not copied: a full recording never wraps, so the conversion to a
+    /// `Vec` moves no event.
     pub fn take(&mut self) -> TraceRecording {
         match self.0.as_deref_mut() {
             None => TraceRecording::default(),
             Some(inner) => {
-                let events = std::mem::take(&mut inner.events).into_iter().collect();
+                let events = Vec::from(std::mem::take(&mut inner.events));
                 let dropped = std::mem::replace(&mut inner.dropped, 0);
                 TraceRecording { events, dropped }
             }

@@ -8,6 +8,11 @@
 //! per-thread transaction logic or a contention manager allocate per
 //! access or per attempt again fails here without timing anything.
 //!
+//! A per-commit difference cannot see what a run pays once, so one
+//! short open-system run also has its whole allocation count bounded:
+//! the engine's event loop, calendar queue and trace sink must not
+//! allocate per bucket or per event either.
+//!
 //! Allocations are counted per thread (the idiom of
 //! `crates/bloomsig/tests/alloc_counts.rs`), so sibling tests running in
 //! parallel cannot leak into a measured window.
@@ -15,7 +20,7 @@
 use bfgts_bench::runner::RunCell;
 use bfgts_scenario::{ManagerKind, Platform};
 use bfgts_sim::TraceMode;
-use bfgts_workloads::{presets, BenchmarkSpec};
+use bfgts_workloads::{presets, ArrivalSpec, BenchmarkSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -133,5 +138,35 @@ fn kmeans_on_256_sharded_cpus() {
         (2000, 4000),
         sharded_256(),
         SHARDED_BOUND,
+    );
+}
+
+/// Most allocations the whole open-system run below may cost, fully
+/// traced: set-up, the run and the report.
+const OPEN_RUN_BOUND: u64 = 800;
+
+#[test]
+fn whole_open_run_on_the_small_platform() {
+    // The Poisson Kmeans request shape `bfgts_serve` answers most often,
+    // shortened. Its arrivals keep threads parked on deadlines, so the
+    // run exercises sleepers, idle timers and waking CPUs, and its
+    // makespan spans many calendar windows (8192 cycles each): a queue
+    // that allocated per bucket on first use would pay it here.
+    let mut spec = presets::kmeans();
+    spec.total_txs = 240;
+    let cell = RunCell::one(&spec, ManagerKind::BfgtsHw, Platform::small())
+        .open(ArrivalSpec::poisson(1200));
+    let before = allocations();
+    let report = cell.execute_report(TraceMode::Full);
+    let allocs = allocations() - before;
+    assert_eq!(report.stats.commits(), 240, "every transaction commits");
+    assert!(
+        report.sim.makespan.as_u64() > 4 * 8192,
+        "makespan {} spans too few calendar windows",
+        report.sim.makespan
+    );
+    assert!(
+        allocs <= OPEN_RUN_BOUND,
+        "{allocs} allocations for one open run, bound {OPEN_RUN_BOUND}"
     );
 }
