@@ -1,13 +1,14 @@
 //! Shared experiment infrastructure for regenerating the paper's tables
 //! and figures.
 //!
-//! Every binary in `src/bin/` drives the same pipeline: describe each
-//! run as a [`runner::RunCell`] — a benchmark preset under a
-//! [`ManagerKind`] on the paper platform (16 CPUs, 64 threads), or the
-//! 1-thread serial baseline — execute the grid with
-//! [`runner::run_grid`], and divide serial by parallel makespans with
-//! [`runner::CellSummary::speedup_over`]. See `DESIGN.md` §4 for the
-//! experiment-to-binary index.
+//! `bfgts_run` is the one experiment driver. `--report KEY` runs one of
+//! the built-in [`report::Report`]s, and `FILE...` runs scenario files.
+//! Both describe each run as a [`runner::RunCell`]: a benchmark preset
+//! under a [`ManagerKind`] on the paper platform (16 CPUs, 64 threads),
+//! or the 1-thread serial baseline. Both execute the grid with
+//! [`runner::run_grid_with_args`]. Speedups divide serial by parallel
+//! makespans with [`runner::CellSummary::speedup_over`]. See
+//! `DESIGN.md` §4 for the experiment-to-report index.
 //!
 //! The run descriptions themselves — [`Platform`], [`ManagerKind`], the
 //! [`Scenario`] type unifying them — live in `bfgts-scenario`
@@ -19,6 +20,7 @@
 #![warn(missing_docs)]
 
 pub mod fuzz;
+pub mod report;
 pub mod runner;
 pub mod trace_export;
 
@@ -26,10 +28,9 @@ pub use bfgts_scenario::json;
 pub use bfgts_scenario::{ManagerKind, ManagerSpec, Platform, Scenario, WorkloadSpec};
 
 /// Runs `f` and returns its result plus the elapsed wall-clock in
-/// milliseconds. The one sanctioned wall-clock read in this crate,
-/// shared by every benchmark binary (`bfgts_run --bench-json`,
-/// `bench_scale`, `bench_jobs`): wall time goes only into benchmark
-/// artifacts, never into printed result tables or simulation state.
+/// milliseconds. The one sanctioned wall-clock read in this crate, used
+/// by `bench_scale`: wall time goes only into benchmark artifacts, never
+/// into printed result tables or simulation state.
 pub fn timed_ms<T>(f: impl FnOnce() -> T) -> (T, u64) {
     // detlint: allow(D002) -- benchmark wall-clock measurement, not simulation state
     let started = std::time::Instant::now();
@@ -56,7 +57,8 @@ pub fn percent_improvement(x: f64, baseline: f64) -> f64 {
     }
 }
 
-/// The command-line options shared by every experiment binary.
+/// The command-line options of `bfgts_run`, which apply to both of its
+/// inputs.
 #[derive(Debug, Clone)]
 pub struct CommonArgs {
     /// Workload scale factor (`--quick` = 0.25, `--scale F`).
@@ -79,9 +81,9 @@ pub struct CommonArgs {
     /// Seed of a randomized fault plan injected into every non-serial
     /// cell (`--faults SEED`; see `bfgts_faultsim::FaultPlan`).
     pub faults: Option<u64>,
-    /// Dump the exact scenarios the binary would run as a JSON array to
+    /// Dump the exact scenarios the grid would run as a JSON array to
     /// PATH and exit without running them (`--emit PATH`). The file
-    /// replays through `bfgts_run`.
+    /// replays through `bfgts_run FILE`.
     pub emit: Option<std::path::PathBuf>,
 }
 
@@ -101,13 +103,35 @@ impl Default for CommonArgs {
     }
 }
 
+/// What `bfgts_run` runs.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Input {
+    /// A built-in report's grid (`--report KEY`).
+    Report(report::Report),
+    /// The scenarios in these files, in order (`FILE...`).
+    Files(Vec<std::path::PathBuf>),
+}
+
 /// The usage text printed on `--help` or an argument error.
 pub const USAGE: &str = "\
-options:
+usage: bfgts_run --report KEY [options]
+       bfgts_run FILE... [options]
+  --report KEY   run a built-in report: fig4_speedup, fig5_breakdown,
+                 fig6_bloom_sweep, table1_conflict_graphs,
+                 table4_contention, calibrate, sweep_interval,
+                 ablation_similarity, ablation_aliasing, stm_adaptation
+                 or extended_roster
+  FILE           scenario file: one JSON scenario object or an array of
+                 them (the format --emit writes)
+report options (a FILE fixes its own grid):
   --quick        run at 0.25x workload scale
   --small        use the small platform (4 CPUs, 8 threads)
   --scale F      workload scale factor (default 1.0)
   --seed N       master RNG seed (default 0xB16B00B5)
+  --faults SEED  inject the randomized fault plan derived from SEED
+                 (cost jitter, Bloom corruption, confidence poisoning;
+                 see bfgts_fuzz) into every non-serial cell
+options:
   --jobs N       worker threads for the experiment grid
                  (default: available parallelism)
   --no-cache     ignore and bypass results/cache
@@ -118,19 +142,21 @@ options:
   --audit        re-run every distinct cell with full tracing and
                  verify the accounting invariants (exits 1 on the
                  first violation)
-  --faults SEED  inject the randomized fault plan derived from SEED
-                 (cost jitter, Bloom corruption, confidence poisoning;
-                 see bfgts_fuzz) into every non-serial cell
-  --emit PATH    write the exact scenarios this binary would run as a
+  --emit PATH    write the exact scenarios the grid would run as a
                  JSON array to PATH and exit without running them
-                 (replay the file with bfgts_run)
+                 (replay the file with bfgts_run FILE)
   -h, --help     show this help";
 
-/// Parses the shared flags from `args` (binary name already stripped).
-/// Returns `Err` with a message on unknown flags or malformed values;
-/// `Ok(None)` when help was requested.
-pub fn parse_args_from(args: &[String]) -> Result<Option<CommonArgs>, String> {
+/// Parses `bfgts_run`'s arguments from `args` (binary name already
+/// stripped). Returns `Err` with a message on unknown flags, malformed
+/// values, a missing or doubled input, or a report option given with
+/// `FILE`; `Ok(None)` when help was requested.
+pub fn parse_args_from(args: &[String]) -> Result<Option<(Input, CommonArgs)>, String> {
     let mut out = CommonArgs::default();
+    let mut report = None;
+    let mut files = Vec::new();
+    // The first flag that reshapes a report's grid, which a FILE fixes.
+    let mut grid_flag = None;
     let mut i = 0;
     let value = |i: &mut usize, flag: &str| -> Result<String, String> {
         *i += 1;
@@ -139,8 +165,18 @@ pub fn parse_args_from(args: &[String]) -> Result<Option<CommonArgs>, String> {
             .ok_or_else(|| format!("{flag} needs a value"))
     };
     while i < args.len() {
-        match args[i].as_str() {
+        let arg = args[i].as_str();
+        if matches!(
+            arg,
+            "--quick" | "--small" | "--scale" | "--seed" | "--faults"
+        ) {
+            grid_flag.get_or_insert(arg);
+        }
+        match arg {
             "-h" | "--help" => return Ok(None),
+            "--report" => {
+                report = Some(report::Report::from_key(&value(&mut i, "--report")?)?);
+            }
             "--quick" => out.scale = 0.25,
             "--small" => {
                 let seed = out.platform.seed;
@@ -187,35 +223,36 @@ pub fn parse_args_from(args: &[String]) -> Result<Option<CommonArgs>, String> {
             "--emit" => {
                 out.emit = Some(std::path::PathBuf::from(value(&mut i, "--emit")?));
             }
-            other => return Err(format!("unknown argument '{other}'")),
+            flag if flag.starts_with('-') => return Err(format!("unknown argument '{flag}'")),
+            file => files.push(std::path::PathBuf::from(file)),
         }
         i += 1;
     }
-    Ok(Some(out))
+    let input = match (report, files.is_empty()) {
+        (Some(report), true) => Input::Report(report),
+        (Some(_), false) => return Err("give either --report KEY or FILE, not both".to_string()),
+        (None, false) => match grid_flag {
+            Some(flag) => return Err(format!("{flag} applies to --report only")),
+            None => Input::Files(files),
+        },
+        (None, true) => return Err("give --report KEY or a scenario FILE".to_string()),
+    };
+    Ok(Some((input, out)))
 }
 
-/// Parses the shared flags from the process arguments. Prints usage and
-/// exits with status 2 on any unknown flag or malformed value (and with
-/// status 0 on `--help`).
-pub fn parse_common_args() -> CommonArgs {
-    let argv: Vec<String> = std::env::args().collect();
-    let bin = argv
-        .first()
-        .map(|p| {
-            std::path::Path::new(p)
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_else(|| p.clone())
-        })
-        .unwrap_or_else(|| "bench".to_string());
-    match parse_args_from(&argv[1..]) {
-        Ok(Some(args)) => args,
+/// Parses `bfgts_run`'s arguments from the process arguments. Prints
+/// usage and exits with status 2 on any argument error (and with status
+/// 0 on `--help`).
+pub fn parse_common_args() -> (Input, CommonArgs) {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match parse_args_from(&argv) {
+        Ok(Some(parsed)) => parsed,
         Ok(None) => {
-            println!("usage: {bin} [options]\n{USAGE}");
+            println!("{USAGE}");
             std::process::exit(0);
         }
         Err(msg) => {
-            eprintln!("error: {msg}\nusage: {bin} [options]\n{USAGE}");
+            eprintln!("error: {msg}\n{USAGE}");
             std::process::exit(2);
         }
     }
@@ -257,14 +294,16 @@ mod tests {
         assert_eq!(arithmetic_mean(&[]), 0.0);
     }
 
-    fn parse(args: &[&str]) -> Result<Option<CommonArgs>, String> {
+    fn parse(args: &[&str]) -> Result<Option<(Input, CommonArgs)>, String> {
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
         parse_args_from(&owned)
     }
 
     #[test]
     fn common_args_parse_the_full_flag_set() {
-        let args = parse(&[
+        let (input, args) = parse(&[
+            "--report",
+            "calibrate",
             "--quick",
             "--small",
             "--seed",
@@ -284,6 +323,7 @@ mod tests {
         ])
         .unwrap()
         .unwrap();
+        assert_eq!(input, Input::Report(report::Report::Calibrate));
         assert_eq!(args.scale, 0.25);
         assert_eq!(args.platform.cpus, 4);
         assert_eq!(args.platform.seed, 7);
@@ -300,21 +340,68 @@ mod tests {
             args.emit.as_deref(),
             Some(std::path::Path::new("cells.scenarios.json"))
         );
+
+        // Scenario files take every option that leaves the grid alone.
+        let (input, args) = parse(&[
+            "a.json",
+            "--jobs",
+            "2",
+            "--no-cache",
+            "--json",
+            "out.json",
+            "--audit",
+            "b.json",
+        ])
+        .unwrap()
+        .unwrap();
+        assert_eq!(input, Input::Files(vec!["a.json".into(), "b.json".into()]));
+        assert_eq!(args.scale, 1.0);
+        assert_eq!(args.jobs, 2);
+        assert!(!args.use_cache && args.audit && args.json.is_some());
     }
 
     #[test]
     fn unknown_arguments_are_hard_errors() {
-        assert!(parse(&["--frobnicate"]).is_err());
-        assert!(parse(&["--scale"]).is_err());
-        assert!(parse(&["--scale", "fast"]).is_err());
-        assert!(parse(&["--jobs", "0"]).is_err());
-        assert!(parse(&["--faults", "xyzzy"]).is_err());
-        assert!(parse(&["extra"]).is_err());
+        let report = |rest: &[&str]| {
+            let mut args = vec!["--report", "fig4_speedup"];
+            args.extend(rest);
+            parse(&args)
+        };
+        assert!(report(&[]).is_ok());
+        assert!(report(&["--frobnicate"]).is_err());
+        assert!(report(&["--scale"]).is_err());
+        assert!(report(&["--scale", "fast"]).is_err());
+        assert!(report(&["--jobs", "0"]).is_err());
+        assert!(report(&["--faults", "xyzzy"]).is_err());
+        assert!(report(&["extra"]).is_err(), "--report and FILE together");
+
+        let err = parse(&["--report", "fig7_speedup"]).unwrap_err();
+        for known in report::Report::ALL {
+            assert!(err.contains(known.key()), "{err}");
+        }
+        let grid_flags: [&[&str]; 5] = [
+            &["--quick"],
+            &["--small"],
+            &["--scale", "2"],
+            &["--seed", "3"],
+            &["--faults", "5"],
+        ];
+        for flag in grid_flags {
+            let mut args = vec!["a.json"];
+            args.extend(flag);
+            let err = parse(&args).unwrap_err();
+            assert!(err.contains(flag[0]), "{err}");
+        }
+        assert!(parse(&[]).is_err());
+        assert!(parse(&["--jobs", "2"]).is_err());
     }
 
     #[test]
     fn help_short_circuits() {
         assert!(parse(&["--help"]).unwrap().is_none());
         assert!(parse(&["-h", "--frobnicate"]).unwrap().is_none());
+        for known in report::Report::ALL {
+            assert!(USAGE.contains(known.key()), "{} missing", known.key());
+        }
     }
 }

@@ -7,8 +7,8 @@
 //! embarrassingly parallel with bitwise-identical results regardless of
 //! execution order. This module exploits that:
 //!
-//! * [`RunCell`] describes one cell declaratively; binaries build their
-//!   whole grid up front and call [`run_grid`].
+//! * [`RunCell`] describes one cell declaratively; reports and scenario
+//!   files build their whole grid up front and call [`run_grid`].
 //! * [`run_grid`] executes cells across a [`std::thread::scope`] worker
 //!   pool (an atomic work index hands out jobs; `--jobs N` sets the pool
 //!   size) and reassembles [`CellSummary`] results in grid order, so the
@@ -18,7 +18,7 @@
 //!   serial baselines every benchmark needs are therefore memoised
 //!   automatically instead of being re-simulated per manager.
 //! * Completed cells are persisted to `results/cache/<hash>.json`
-//!   (hand-rolled JSON, see [`crate::json`]); re-running a binary after a
+//!   (hand-rolled JSON, see [`crate::json`]); re-running a report after a
 //!   code-irrelevant change skips finished cells. `--no-cache` bypasses
 //!   the cache, and bumping [`CACHE_VERSION`] invalidates it wholesale.
 //!
@@ -249,7 +249,7 @@ fn dispatch_sources(
 }
 
 /// The persistable summary of one completed cell: everything the
-/// experiment binaries print, in exactly-round-trippable form.
+/// reports print, in exactly-round-trippable form.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellSummary {
     /// Name of the contention manager that ran.
@@ -880,38 +880,6 @@ fn store_cached(dir: &Path, key: &str, summary: &CellSummary) {
     }
 }
 
-/// Convenience wrapper for the speedup-table binaries: runs one serial
-/// baseline cell plus one cell per manager for each spec, all through the
-/// same grid, and returns `(serial_makespans, summaries[manager][spec])`.
-pub fn speedup_grid(
-    specs: &[BenchmarkSpec],
-    managers: &[ManagerKind],
-    args: &CommonArgs,
-) -> (Vec<u64>, Vec<Vec<CellSummary>>) {
-    let mut cells = Vec::with_capacity(specs.len() * (managers.len() + 1));
-    for spec in specs {
-        cells.push(RunCell::serial(spec, args.platform));
-        for &kind in managers {
-            cells.push(RunCell::one(spec, kind, args.platform));
-        }
-    }
-    let results = run_grid_with_args(&cells, args);
-    let stride = managers.len() + 1;
-    let serials: Vec<u64> = specs
-        .iter()
-        .enumerate()
-        .map(|(b, _)| results[b * stride].makespan)
-        .collect();
-    let per_manager: Vec<Vec<CellSummary>> = (0..managers.len())
-        .map(|m| {
-            (0..specs.len())
-                .map(|b| results[b * stride + 1 + m].clone())
-                .collect()
-        })
-        .collect();
-    (serials, per_manager)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -952,7 +920,7 @@ mod tests {
 
     #[test]
     fn roster_constructors_round_trip_through_scenarios() {
-        // Every constructor a roster binary uses must produce cells that
+        // Every constructor a roster report uses must produce cells that
         // emit and replay from data alone.
         let spec = tiny_spec();
         let p = Platform::small();

@@ -2,9 +2,10 @@
 //! emitted as a scenario file and re-executed through
 //! [`RunCell::from_scenario`] — the `bfgts_run` path — must produce the
 //! same cache keys, byte-identical summaries and the identical set of
-//! disk-cache entries as the originating binary's grid.
+//! disk-cache entries as the originating report's grid.
 
 use bfgts_bench::json::Json;
+use bfgts_bench::report::Report;
 use bfgts_bench::runner::{emit_scenarios, run_grid, RunCell, RunnerOptions};
 use bfgts_bench::{ManagerKind, ManagerSpec, Platform};
 use bfgts_core::BfgtsConfig;
@@ -33,7 +34,7 @@ fn cache_entries(dir: &Path) -> BTreeSet<String> {
     }
 }
 
-/// A small grid shaped like the experiment binaries build: serial
+/// A small grid shaped like the reports build: serial
 /// baseline, roster managers, a tuned BFGTS cell, a faulted cell.
 fn sample_grid() -> Vec<RunCell> {
     let spec = presets::kmeans().scaled(0.02);
@@ -141,6 +142,47 @@ fn both_paths_share_one_disk_cache() {
     let _ = std::fs::remove_dir_all(&grid_cache);
     let _ = std::fs::remove_dir_all(&replay_cache);
     let _ = std::fs::remove_dir_all(temp_dir("emit2"));
+}
+
+#[test]
+fn every_report_emits_its_grid_and_prints_nothing() {
+    // `--emit` writes a report's grid and exits before the first table
+    // line. Calibrate runs Table 1's grid through the shared flags, so
+    // `--faults` arms every one of its cells.
+    let dir = temp_dir("reports");
+    std::fs::create_dir_all(&dir).unwrap();
+    let emit = |report: Report, faults: &[&str]| {
+        let path = dir.join(format!("{}.scenarios.json", report.key()));
+        let out = Command::new(env!("CARGO_BIN_EXE_bfgts_run"))
+            .args(["--report", report.key(), "--quick", "--small", "--emit"])
+            .arg(&path)
+            .args(faults)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{}: {stderr}", report.key());
+        assert!(out.stdout.is_empty(), "{} printed a table", report.key());
+        std::fs::read_to_string(&path).unwrap()
+    };
+    let expected = dir.join("expected.scenarios.json");
+    for report in Report::ALL {
+        emit_scenarios(&expected, &report.grid(0.25, Platform::small()).concat()).unwrap();
+        assert_eq!(
+            emit(report, &[]),
+            std::fs::read_to_string(&expected).unwrap(),
+            "{}",
+            report.key()
+        );
+    }
+    assert_eq!(
+        emit(Report::Calibrate, &[]),
+        emit(Report::Table1ConflictGraphs, &[])
+    );
+    let faulted =
+        bfgts_scenario::scenarios_from_str(&emit(Report::Calibrate, &["--faults", "2"])).unwrap();
+    assert_eq!(faulted.len(), presets::all().len());
+    assert!(faulted.iter().all(|s| s.faults.is_some()));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -386,9 +386,10 @@ impl ManagerKind {
     }
 
     /// The best-performing Bloom filter size per benchmark, measured by
-    /// this reproduction's Figure 6 sweep (`fig6_bloom_sweep`). As in the
-    /// paper (§5.2), the headline results use each benchmark's optimal
-    /// size. The paper's qualitative findings hold: overhead-sensitive
+    /// this reproduction's Figure 6 sweep (`bfgts_run --report
+    /// fig6_bloom_sweep`). As in the paper (§5.2), the headline results
+    /// use each benchmark's optimal size. The paper's qualitative
+    /// findings hold: overhead-sensitive
     /// benchmarks peak at 512 bits, Delaunay/Genome tolerate larger
     /// filters, and the pressure-gated hybrid is much less sensitive and
     /// prefers larger filters than plain BFGTS-HW (notably on Vacation).
