@@ -292,6 +292,30 @@ fn hostile_stx_gets_an_error_reply_from_serve() {
 }
 
 #[test]
+fn hostile_class_size_gets_an_error_reply_from_serve() {
+    // A class of 10^12 accesses per instance used to abort the server
+    // while it allocated the first instance's access list (16 TB). Each
+    // of the three pools must be rejected at resolve, and the server
+    // must go on serving.
+    for field in ["private_hot", "shared_picks", "random_picks"] {
+        let mut spec = presets::kmeans().scaled(0.02);
+        let mut classes = spec.classes.to_vec();
+        let class = &mut classes[0];
+        *match field {
+            "private_hot" => &mut class.private_hot,
+            "shared_picks" => &mut class.shared_picks,
+            _ => &mut class.random_picks,
+        } = 1_000_000_000_000;
+        spec.classes = classes.into();
+        let hostile = RunCell::one(&spec, ManagerKind::BfgtsHw, Platform::small()).scenario;
+        assert_serve_rejects_and_goes_on(
+            &hostile,
+            &format!("scenario 0: inline class sTx0: '{field}' is 1000000000000 accesses"),
+        );
+    }
+}
+
+#[test]
 fn hostile_platform_gets_an_error_reply_from_serve() {
     // A platform of 10^12 CPUs would ask for terabytes of per-CPU state
     // before the first event: the server must reject the line at parse

@@ -148,7 +148,6 @@ pub const ARITH_CRATES: &[&str] = &["sim", "htm"];
 pub const HOT_FNS: &[(&str, &str)] = &[
     ("sim", "CalendarQueue::push"),
     ("sim", "CalendarQueue::pop"),
-    ("sim", "CalendarQueue::push_pop"),
     ("sim", "CalendarQueue::min_time"),
     ("sim", "CalendarQueue::set_bit"),
     ("sim", "CalendarQueue::clear_bit"),
@@ -159,13 +158,16 @@ pub const HOT_FNS: &[(&str, &str)] = &[
     ("sim", "Pool::pop_front"),
     ("sim", "EventQueue::push"),
     ("sim", "EventQueue::pop"),
-    ("sim", "EventQueue::push_pop"),
+    ("sim", "EventQueue::min_time"),
     ("sim", "Engine::run_into"),
     ("sim", "Engine::try_run_into"),
     ("sim", "Engine::arm"),
     ("sim", "Engine::arm_inner"),
     ("sim", "Engine::promote_sleepers"),
     ("sim", "Engine::service_cpu"),
+    ("sim", "Engine::step_thread"),
+    ("sim", "Engine::runs_ahead"),
+    ("sim", "Cpu::preempts"),
     ("sim", "Engine::wake_internal"),
     ("sim", "TimeBuckets::charge"),
     ("sim", "TimeBuckets::transfer"),

@@ -37,7 +37,7 @@ use bfgts_htm::{ContentionManager, TmRunConfig};
 use bfgts_sim::TraceMode;
 use bfgts_workloads::{
     presets, AdversarialSpec, ArrivalProcess, ArrivalSpec, BenchmarkSpec, ExpectedProfile,
-    RandomRegion, Region, TxClass, MAX_STX,
+    RandomRegion, Region, TxClass, MAX_CLASS_ACCESSES, MAX_STX,
 };
 use json::Json;
 use std::sync::Arc;
@@ -770,6 +770,21 @@ fn check_class(class: &TxClass) -> Result<(), String> {
     if class.stx > MAX_STX {
         return Err(stx_bound_error(class.stx.into()));
     }
+    // Each instance allocates its access list, so the class size is an
+    // allocation request. Bounding every field first keeps the sum from
+    // wrapping.
+    for (field, picks) in [
+        ("private_hot", class.private_hot),
+        ("shared_picks", class.shared_picks),
+        ("random_picks", class.random_picks),
+    ] {
+        if picks > MAX_CLASS_ACCESSES {
+            return Err(class_size_error(class.stx, field, picks));
+        }
+    }
+    if class.size() > MAX_CLASS_ACCESSES {
+        return Err(class_size_error(class.stx, "size", class.size()));
+    }
     if class.size() == 0 {
         return Err(format!(
             "inline class sTx{} performs no accesses",
@@ -1019,6 +1034,13 @@ fn class_to_json(class: &TxClass) -> Json {
         pairs.push(("shared_pool", region_to_json(pool)));
     }
     Json::obj(pairs)
+}
+
+fn class_size_error(stx: u32, field: &str, accesses: usize) -> String {
+    format!(
+        "inline class sTx{stx}: '{field}' is {accesses} accesses, above the class bound \
+         {MAX_CLASS_ACCESSES}"
+    )
 }
 
 fn stx_bound_error(stx: u64) -> String {
@@ -1614,6 +1636,69 @@ mod tests {
             // A programmatic spec is held to the same bound at resolve.
             assert!(built.workload.resolve().is_err());
         }
+    }
+
+    #[test]
+    fn class_sizes_above_the_bound_are_rejected() {
+        // Each instance allocates its access list, so an inline class of
+        // 10^12 accesses must fail at resolve, field by field and in sum,
+        // and a sum past usize::MAX must not wrap into a valid size.
+        let resolve = |private_hot, shared_picks, random_picks| {
+            let class = TxClass {
+                stx: 3,
+                weight: 1.0,
+                private_hot,
+                shared_picks,
+                shared_pool: Some(Region::new(0x100, 64)),
+                shared_writes: true,
+                random_picks,
+                random_region: RandomRegion::PerThread { lines: 1024 },
+                write_frac: 0.5,
+                pre_work: (0, 10),
+            };
+            WorkloadSpec::Inline {
+                name: "sized".into(),
+                total_txs: 10,
+                classes: vec![class],
+            }
+            .resolve()
+        };
+        let max = MAX_CLASS_ACCESSES;
+        for ok in [(max, 0, 0), (0, max, 0), (0, 0, max), (max - 2, 1, 1)] {
+            assert!(resolve(ok.0, ok.1, ok.2).is_ok(), "{ok:?}");
+        }
+        for (sizes, field) in [
+            ((max + 1, 0, 0), "'private_hot' is 4097"),
+            ((0, max + 1, 0), "'shared_picks' is 4097"),
+            ((0, 0, max + 1), "'random_picks' is 4097"),
+            ((1_000_000_000_000, 0, 0), "'private_hot' is 1000000000000"),
+            ((0, 1_000_000_000_000, 0), "'shared_picks' is 1000000000000"),
+            ((0, 0, 1_000_000_000_000), "'random_picks' is 1000000000000"),
+            ((max - 1, 1, 1), "'size' is 4097"),
+            (
+                (usize::MAX, usize::MAX, 2),
+                "'private_hot' is 18446744073709551615",
+            ),
+        ] {
+            let err = resolve(sizes.0, sizes.1, sizes.2).unwrap_err();
+            assert!(err.contains(field), "{err}");
+            assert!(err.contains("above the class bound 4096"), "{err}");
+        }
+    }
+
+    #[test]
+    fn every_preset_and_adversarial_class_is_within_the_class_bound() {
+        let preset_classes = presets::all().into_iter().flat_map(|b| b.classes.to_vec());
+        let adversarial_classes = AdversarialSpec::all()
+            .into_iter()
+            .flat_map(|a| a.phases)
+            .flat_map(|phase| phase.to_vec());
+        let largest = preset_classes
+            .chain(adversarial_classes)
+            .map(|class| class.size())
+            .max();
+        assert_eq!(largest, Some(229));
+        assert!(largest <= Some(MAX_CLASS_ACCESSES));
     }
 
     #[test]

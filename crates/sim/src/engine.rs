@@ -83,7 +83,7 @@ pub struct ThreadCtx<'a> {
     /// other context pieces.
     pub trace: &'a mut TraceSink,
     costs: &'a CostModel,
-    wakes: Vec<ThreadId>,
+    wakes: &'a mut Vec<ThreadId>,
 }
 
 impl<'a> ThreadCtx<'a> {
@@ -234,6 +234,14 @@ struct Cpu {
     sleepers: BinaryHeap<Reverse<(Cycle, ThreadId)>>,
 }
 
+impl Cpu {
+    /// Whether the running thread's quantum is used up while another
+    /// thread waits, so the next service preempts it.
+    fn preempts(&self, quantum: u64) -> bool {
+        self.ran_since_switch >= quantum && !self.run_queue.is_empty()
+    }
+}
+
 /// Why a run stopped before every thread finished.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
@@ -324,11 +332,6 @@ pub struct Engine<W> {
     now: Cycle,
     finished: usize,
     trace: TraceSink,
-    /// The CPU being serviced, if any. Its own re-arm is held back in
-    /// `held` instead of being pushed (see [`Engine::try_run_into`]).
-    serving: Option<CpuId>,
-    /// The serviced CPU's re-arm as `(time, seq)`, not yet queued.
-    held: Option<(Cycle, u64)>,
     /// The wake list lent to each step's [`ThreadCtx`], kept for its
     /// capacity.
     wakes: Vec<ThreadId>,
@@ -355,8 +358,6 @@ impl<W> Engine<W> {
             now: Cycle::ZERO,
             finished: 0,
             trace,
-            serving: None,
-            held: None,
             wakes: Vec::new(),
         }
     }
@@ -446,30 +447,25 @@ impl<W> Engine<W> {
     /// Like [`Engine::run_into`], but a deadlock or a run past
     /// [`EngineConfig::max_cycles`] comes back as an `Err`.
     ///
-    /// The loop services one CPU per event. The serviced CPU's own
-    /// re-arm is held back and handed to [`EventQueue::push_pop`]: when
-    /// its time is strictly below every queued event, that CPU is
-    /// serviced again directly (it *runs ahead*) instead of being pushed
-    /// and popped. This is exact, because the pop after a push would
-    /// return that very event: nothing queued precedes it, and nothing
-    /// ties it (on a tie the queued event, armed earlier with a lower
-    /// seq, goes first and run-ahead does not happen). A wake armed
-    /// during the service is queued before the comparison, so it lowers
-    /// the minimum and ends the run-ahead. A superseded timer still
-    /// queued for this CPU carries an older seq than any re-arm, so it
-    /// can never match a running-ahead CPU.
+    /// The loop pops one event at a time and services its CPU. After a
+    /// Work step the CPU may *run ahead*: it steps the same thread again
+    /// at once, without queueing a re-arm, whenever that re-arm would be
+    /// the next event popped and its service would step the same thread.
+    /// That takes a next step time strictly below every queued event
+    /// (on a tie the queued event, with its older seq, goes first),
+    /// within `max_cycles`, before this CPU's next sleeper deadline, and
+    /// no quantum preemption due. Results and traces are the same as
+    /// when every re-arm is queued.
     pub fn try_run_into(mut self) -> Result<(RunReport, W), RunError> {
         for cpu in 0..self.cpus.len() {
             self.arm(CpuId(cpu), Cycle::ZERO);
         }
-        let mut next = self.queue.pop();
-        while let Some((time, seq, cpu_idx)) = next {
+        while let Some((time, seq, cpu_idx)) = self.queue.pop() {
             debug_assert!(time >= self.now, "event time went backwards");
             let cpu = CpuId(cpu_idx);
             let slot = self.cpu_mut(cpu);
             if !(slot.armed && slot.armed_seq == seq) {
                 // Superseded by an earlier re-arm; already serviced.
-                next = self.queue.pop();
                 continue;
             }
             slot.armed = false;
@@ -479,13 +475,7 @@ impl<W> Engine<W> {
                     limit: self.config.max_cycles,
                 });
             }
-            self.serving = Some(cpu);
             self.service_cpu(cpu);
-            self.serving = None;
-            next = match self.held.take() {
-                Some((at, seq)) => Some(self.queue.push_pop(at, seq, cpu_idx)),
-                None => self.queue.pop(),
-            };
         }
         if self.finished != self.threads.len() {
             let stuck = self
@@ -545,11 +535,7 @@ impl<W> Engine<W> {
             slot.armed_at = time;
             slot.armed_seq = seq;
             slot.armed_preemptible = preemptible;
-            if self.serving == Some(cpu) {
-                self.held = Some((time, seq));
-            } else {
-                self.queue.push(time, seq, cpu.index());
-            }
+            self.queue.push(time, seq, cpu.index());
         }
     }
 
@@ -581,7 +567,6 @@ impl<W> Engine<W> {
         let CostModel {
             context_switch,
             quantum,
-            futex_wake,
             yield_syscall,
             futex_block,
             ..
@@ -639,19 +624,149 @@ impl<W> Engine<W> {
         let tid = self.cpu_mut(cpu).current.expect("current checked above");
 
         // Quantum preemption: only if someone else is waiting.
-        {
+        if self.cpu_mut(cpu).preempts(quantum) {
             let slot = self.cpu_mut(cpu);
-            if slot.ran_since_switch >= quantum && !slot.run_queue.is_empty() {
-                slot.current = None;
-                slot.run_queue.push_back(tid);
-                self.thread_mut(tid).state = ThreadState::Ready;
-                self.arm(cpu, self.now);
-                return;
-            }
+            slot.current = None;
+            slot.run_queue.push_back(tid);
+            self.thread_mut(tid).state = ThreadState::Ready;
+            self.arm(cpu, self.now);
+            return;
         }
 
-        // Step the thread. Direct field access (not `thread_mut`) so the
-        // context can borrow `rng`/`buckets` alongside `trace` and `world`.
+        // Step the thread. A Work step whose successor may follow at once
+        // loops back and steps it again at the successor's time.
+        loop {
+            let (action, extra) = self.step_thread(cpu, tid);
+            // Charges within this step are serialised on the trace
+            // timeline: wake costs occupy [now, now+extra), the action's
+            // cycles follow at now+extra. That is what lets the audit
+            // check that charge intervals on one CPU never overlap
+            // (invariant I2).
+            let at_after = self
+                .now
+                .as_u64()
+                .checked_add(extra)
+                .expect("trace timestamp overflowed u64");
+            let (cpu_u, thread_u) = (cpu.index() as u32, tid.index() as u32);
+            let kernel = Bucket::Kernel.trace_kind();
+            match action {
+                Action::Work { cycles, bucket } => {
+                    self.thread_mut(tid).buckets.charge(bucket, cycles);
+                    if cycles > 0 {
+                        self.trace.emit(at_after, || TraceEvent::Charge {
+                            cpu: cpu_u,
+                            thread: thread_u,
+                            bucket: bucket.trace_kind(),
+                            cycles,
+                        });
+                    }
+                    let ran = cycles
+                        .checked_add(extra)
+                        .expect("step-cycle accounting overflowed u64");
+                    let slot = self.cpu_mut(cpu);
+                    slot.ran_since_switch = slot
+                        .ran_since_switch
+                        .checked_add(ran)
+                        .expect("quantum accounting overflowed u64");
+                    // Clamp to >=1 so a degenerate zero-cost action stream
+                    // (possible under all-zero cost models) cannot pin the
+                    // event heap to one timestamp and starve other CPUs.
+                    let next = self.now + Cycle::new(ran.max(1));
+                    if self.runs_ahead(cpu, next) {
+                        self.now = next;
+                        continue;
+                    }
+                    self.arm(cpu, next);
+                }
+                Action::Yield => {
+                    self.thread_mut(tid)
+                        .buckets
+                        .charge(Bucket::Kernel, yield_syscall);
+                    if yield_syscall > 0 {
+                        self.trace.emit(at_after, || TraceEvent::Charge {
+                            cpu: cpu_u,
+                            thread: thread_u,
+                            bucket: kernel,
+                            cycles: yield_syscall,
+                        });
+                    }
+                    self.thread_mut(tid).state = ThreadState::Ready;
+                    let slot = self.cpu_mut(cpu);
+                    slot.current = None;
+                    slot.run_queue.push_back(tid);
+                    let pause = yield_syscall
+                        .checked_add(extra)
+                        .expect("yield-charge accounting overflowed u64");
+                    // A yield must advance time even with a zero-cost OS
+                    // model, or a lone yielding thread would re-arm at the
+                    // same timestamp forever and starve other CPUs' events.
+                    self.arm(cpu, self.now + Cycle::new(pause.max(1)));
+                }
+                Action::Block => {
+                    self.thread_mut(tid)
+                        .buckets
+                        .charge(Bucket::Kernel, futex_block);
+                    if futex_block > 0 {
+                        self.trace.emit(at_after, || TraceEvent::Charge {
+                            cpu: cpu_u,
+                            thread: thread_u,
+                            bucket: kernel,
+                            cycles: futex_block,
+                        });
+                    }
+                    let slot = self.thread_mut(tid);
+                    if slot.pending_wake {
+                        // A wake raced ahead of the block: consume it and
+                        // stay runnable (futex semantics).
+                        slot.pending_wake = false;
+                        slot.state = ThreadState::Ready;
+                        self.cpu_mut(cpu).run_queue.push_back(tid);
+                    } else {
+                        slot.state = ThreadState::Blocked;
+                    }
+                    self.cpu_mut(cpu).current = None;
+                    let pause = futex_block
+                        .checked_add(extra)
+                        .expect("block-charge accounting overflowed u64");
+                    self.arm(cpu, self.now + Cycle::new(pause.max(1)));
+                }
+                Action::SleepUntil { deadline } => {
+                    let deadline = Cycle::new(deadline);
+                    if deadline <= self.now {
+                        // Already due: stay runnable at the back of the queue.
+                        self.thread_mut(tid).state = ThreadState::Ready;
+                        self.cpu_mut(cpu).run_queue.push_back(tid);
+                    } else {
+                        self.thread_mut(tid).state = ThreadState::Sleeping;
+                        self.cpu_mut(cpu).sleepers.push(Reverse((deadline, tid)));
+                    }
+                    self.cpu_mut(cpu).current = None;
+                    // Parked time is idle time: nothing is charged. Advance
+                    // at least one cycle so a lone zero-cost sleeper cannot
+                    // pin the event heap to one timestamp.
+                    self.arm(cpu, self.now + Cycle::new(extra.max(1)));
+                }
+                Action::Finish => {
+                    let now = self.now;
+                    let slot = self.thread_mut(tid);
+                    slot.state = ThreadState::Finished;
+                    slot.finish_time = Some(now);
+                    self.finished += 1;
+                    self.cpu_mut(cpu).current = None;
+                    self.arm(cpu, self.now + Cycle::new(extra));
+                }
+            }
+            return;
+        }
+    }
+
+    /// Steps `tid`, running on `cpu`, once at `now`, applies the wakes it
+    /// asked for and charges their futex cost to it. Returns the step's
+    /// action and that wake cost.
+    fn step_thread(&mut self, cpu: CpuId, tid: ThreadId) -> (Action, u64) {
+        let futex_wake = self.config.costs.futex_wake;
+        // Direct field access (not `thread_mut`) so the context can
+        // borrow `rng`/`buckets` alongside `trace` and `world`.
         let thread = self
             .threads
             .get_mut(tid.index())
@@ -664,12 +779,15 @@ impl<W> Engine<W> {
             buckets: &mut thread.buckets,
             trace: &mut self.trace,
             costs: &self.config.costs,
-            wakes: std::mem::take(&mut self.wakes),
+            wakes: &mut self.wakes,
         };
         let action = thread.logic.step(&mut self.world, &mut ctx);
-        let mut wakes = std::mem::take(&mut ctx.wakes);
+        if self.wakes.is_empty() {
+            return (action, 0);
+        }
 
         // Charge wake costs to the waker and apply the wakes.
+        let mut wakes = std::mem::take(&mut self.wakes);
         let mut extra = 0u64;
         for &target in &wakes {
             extra = extra
@@ -679,128 +797,39 @@ impl<W> Engine<W> {
         }
         wakes.clear();
         self.wakes = wakes;
-        // Charges within this step are serialised on the trace timeline:
-        // wake costs occupy [now, now+extra), the action's cycles follow
-        // at now+extra. That is what lets the audit check that charge
-        // intervals on one CPU never overlap (invariant I2).
-        let at = self.now.as_u64();
-        let at_after = at
-            .checked_add(extra)
-            .expect("trace timestamp overflowed u64");
-        let (cpu_u, thread_u) = (cpu.index() as u32, tid.index() as u32);
-        let kernel = Bucket::Kernel.trace_kind();
         if extra > 0 {
             self.thread_mut(tid).buckets.charge(Bucket::Kernel, extra);
-            self.trace.emit(at, || TraceEvent::Charge {
+            let (cpu_u, thread_u) = (cpu.index() as u32, tid.index() as u32);
+            self.trace.emit(self.now.as_u64(), || TraceEvent::Charge {
                 cpu: cpu_u,
                 thread: thread_u,
-                bucket: kernel,
+                bucket: Bucket::Kernel.trace_kind(),
                 cycles: extra,
             });
         }
+        (action, extra)
+    }
 
-        match action {
-            Action::Work { cycles, bucket } => {
-                self.thread_mut(tid).buckets.charge(bucket, cycles);
-                if cycles > 0 {
-                    self.trace.emit(at_after, || TraceEvent::Charge {
-                        cpu: cpu_u,
-                        thread: thread_u,
-                        bucket: bucket.trace_kind(),
-                        cycles,
-                    });
-                }
-                let ran = cycles
-                    .checked_add(extra)
-                    .expect("step-cycle accounting overflowed u64");
-                let slot = self.cpu_mut(cpu);
-                slot.ran_since_switch = slot
-                    .ran_since_switch
-                    .checked_add(ran)
-                    .expect("quantum accounting overflowed u64");
-                // Clamp to >=1 so a degenerate zero-cost action stream
-                // (possible under all-zero cost models) cannot pin the
-                // event heap to one timestamp and starve other CPUs.
-                self.arm(cpu, self.now + Cycle::new(ran.max(1)));
-            }
-            Action::Yield => {
-                self.thread_mut(tid)
-                    .buckets
-                    .charge(Bucket::Kernel, yield_syscall);
-                if yield_syscall > 0 {
-                    self.trace.emit(at_after, || TraceEvent::Charge {
-                        cpu: cpu_u,
-                        thread: thread_u,
-                        bucket: kernel,
-                        cycles: yield_syscall,
-                    });
-                }
-                self.thread_mut(tid).state = ThreadState::Ready;
-                let slot = self.cpu_mut(cpu);
-                slot.current = None;
-                slot.run_queue.push_back(tid);
-                let pause = yield_syscall
-                    .checked_add(extra)
-                    .expect("yield-charge accounting overflowed u64");
-                // A yield must advance time even with a zero-cost OS
-                // model, or a lone yielding thread would re-arm at the
-                // same timestamp forever and starve other CPUs' events.
-                self.arm(cpu, self.now + Cycle::new(pause.max(1)));
-            }
-            Action::Block => {
-                self.thread_mut(tid)
-                    .buckets
-                    .charge(Bucket::Kernel, futex_block);
-                if futex_block > 0 {
-                    self.trace.emit(at_after, || TraceEvent::Charge {
-                        cpu: cpu_u,
-                        thread: thread_u,
-                        bucket: kernel,
-                        cycles: futex_block,
-                    });
-                }
-                let slot = self.thread_mut(tid);
-                if slot.pending_wake {
-                    // A wake raced ahead of the block: consume it and
-                    // stay runnable (futex semantics).
-                    slot.pending_wake = false;
-                    slot.state = ThreadState::Ready;
-                    self.cpu_mut(cpu).run_queue.push_back(tid);
-                } else {
-                    slot.state = ThreadState::Blocked;
-                }
-                self.cpu_mut(cpu).current = None;
-                let pause = futex_block
-                    .checked_add(extra)
-                    .expect("block-charge accounting overflowed u64");
-                self.arm(cpu, self.now + Cycle::new(pause.max(1)));
-            }
-            Action::SleepUntil { deadline } => {
-                let deadline = Cycle::new(deadline);
-                if deadline <= self.now {
-                    // Already due: stay runnable at the back of the queue.
-                    self.thread_mut(tid).state = ThreadState::Ready;
-                    self.cpu_mut(cpu).run_queue.push_back(tid);
-                } else {
-                    self.thread_mut(tid).state = ThreadState::Sleeping;
-                    self.cpu_mut(cpu).sleepers.push(Reverse((deadline, tid)));
-                }
-                self.cpu_mut(cpu).current = None;
-                // Parked time is idle time: nothing is charged. Advance
-                // at least one cycle so a lone zero-cost sleeper cannot
-                // pin the event heap to one timestamp.
-                self.arm(cpu, self.now + Cycle::new(extra.max(1)));
-            }
-            Action::Finish => {
-                let now = self.now;
-                let slot = self.thread_mut(tid);
-                slot.state = ThreadState::Finished;
-                slot.finish_time = Some(now);
-                self.finished += 1;
-                self.cpu_mut(cpu).current = None;
-                self.arm(cpu, self.now + Cycle::new(extra));
-            }
-        }
+    /// Whether the thread on `cpu`, whose Work step ends at `next`, steps
+    /// again at once. Exactly then would a re-arm at `next` be the next
+    /// event popped (it would carry the newest seq, so a tie goes to the
+    /// queued event; a wake this step armed is queued already; a stale
+    /// timer only makes the test stricter), pass the `max_cycles` check,
+    /// promote no sleeper and preempt nothing, so that its service steps
+    /// the same thread. The skipped arm skips a seq number too, which
+    /// changes nothing: the queued events keep their order.
+    fn runs_ahead(&self, cpu: CpuId, next: Cycle) -> bool {
+        let slot = self
+            .cpus
+            .get(cpu.index())
+            .expect("engine-issued CpuId is in range");
+        self.queue.min_time().is_none_or(|min| next < min)
+            && next.as_u64() <= self.config.max_cycles
+            && slot
+                .sleepers
+                .peek()
+                .is_none_or(|&Reverse((deadline, _))| next < deadline)
+            && !slot.preempts(self.config.costs.quantum)
     }
 
     fn wake_internal(&mut self, target: ThreadId) {

@@ -21,10 +21,11 @@
 //!
 //! Both produce the exact same pop sequence (proven by the differential
 //! tests below and `tests/tie_break.rs`), so simulation results are
-//! byte-identical regardless of the structure chosen. Both also offer
-//! [`EventQueue::push_pop`], through which the engine re-arms the CPU it
-//! just serviced: an event strictly earlier than everything stored is
-//! handed straight back without touching the storage.
+//! byte-identical regardless of the structure chosen. Both also report
+//! their exact minimum through [`EventQueue::min_time`], which the engine
+//! compares against the next step of the CPU it is servicing: a step
+//! strictly earlier than everything stored runs at once, without a push
+//! and a pop.
 
 use crate::time::Cycle;
 use std::cmp::Reverse;
@@ -175,8 +176,7 @@ impl Pool {
 /// bucket, which is empty at that moment; all later ones append to it).
 #[derive(Debug)]
 pub struct CalendarQueue {
-    /// Lower bound on every stored event time: the last popped time, or
-    /// the later time a [`CalendarQueue::push_pop`] ran ahead to.
+    /// Lower bound on every stored event time: the last popped time.
     cursor: u64,
     /// Exact smallest stored event time, `u64::MAX` when empty.
     min: u64,
@@ -290,26 +290,6 @@ impl CalendarQueue {
             None => self.overflow_min,
         };
         Some((Cycle::new(t), seq, cpu as usize))
-    }
-
-    /// Pushes an event and pops the earliest one. When `time` is strictly
-    /// below every stored time, the event itself is the earliest: it is
-    /// returned without touching the storage, and the cursor moves up to
-    /// `time` so later pushes near it stay on the ring.
-    pub fn push_pop(&mut self, time: Cycle, seq: u64, cpu: usize) -> Event {
-        if self.min_time().is_some_and(|min| min <= time) {
-            self.push(time, seq, cpu);
-            return self.pop().expect("the pushed event is stored");
-        }
-        let t = time.as_u64();
-        let ahead = t
-            .checked_sub(self.cursor)
-            .expect("event time precedes the cursor");
-        if ahead > 0 {
-            self.cursor = t;
-            self.migrate();
-        }
-        (time, seq, cpu)
     }
 
     fn set_bit(&mut self, idx: usize) {
@@ -448,23 +428,11 @@ impl EventQueue {
         }
     }
 
-    /// Inserts an event and removes the earliest one, which is the
-    /// inserted event itself, returned without storing it, when `time`
-    /// is strictly below every stored time. `seq` must exceed every
-    /// stored seq, as for [`EventQueue::push`], so a stored event at
-    /// `time` goes first.
-    pub fn push_pop(&mut self, time: Cycle, seq: u64, cpu: usize) -> Event {
+    /// The smallest stored time, exact; `None` when empty.
+    pub fn min_time(&self) -> Option<Cycle> {
         match self {
-            EventQueue::Heap(h) => match h.peek() {
-                Some(Reverse((first, ..))) if *first <= time => {
-                    h.push(Reverse((time, seq, cpu)));
-                    h.pop()
-                        .map(|Reverse(e)| e)
-                        .expect("the pushed event is stored")
-                }
-                _ => (time, seq, cpu),
-            },
-            EventQueue::Calendar(c) => c.push_pop(time, seq, cpu),
+            EventQueue::Heap(h) => h.peek().map(|&Reverse((time, ..))| time),
+            EventQueue::Calendar(c) => c.min_time(),
         }
     }
 }
@@ -478,20 +446,11 @@ mod tests {
         std::iter::from_fn(|| q.pop()).collect()
     }
 
-    /// The smallest stored time: the heap's top, or the calendar's own
-    /// exact minimum.
-    fn min_time(q: &EventQueue) -> Option<Cycle> {
-        match q {
-            EventQueue::Heap(h) => h.peek().map(|Reverse((t, ..))| *t),
-            EventQueue::Calendar(c) => c.min_time(),
-        }
-    }
-
     #[test]
     fn empty_queues_pop_none() {
         for kind in [EventQueueKind::Heap, EventQueueKind::Calendar] {
             let mut q = EventQueue::new(kind);
-            assert_eq!(min_time(&q), None);
+            assert_eq!(q.min_time(), None);
             assert_eq!(q.pop(), None);
         }
     }
@@ -567,49 +526,13 @@ mod tests {
     }
 
     #[test]
-    fn push_pop_hands_back_only_a_strictly_earliest_event() {
-        for kind in [EventQueueKind::Heap, EventQueueKind::Calendar] {
-            let mut q = EventQueue::new(kind);
-            // Empty: the event comes straight back.
-            assert_eq!(q.push_pop(Cycle::new(3), 1, 0), (Cycle::new(3), 1, 0));
-            assert_eq!(min_time(&q), None);
-            q.push(Cycle::new(50), 2, 1);
-            // Strictly earlier: handed back, nothing stored.
-            assert_eq!(q.push_pop(Cycle::new(49), 3, 0), (Cycle::new(49), 3, 0));
-            // A tie goes to the stored, lower-seq event.
-            assert_eq!(q.push_pop(Cycle::new(50), 4, 0), (Cycle::new(50), 2, 1));
-            assert_eq!(min_time(&q), Some(Cycle::new(50)), "{kind:?}");
-            assert_eq!(drain(&mut q), vec![(Cycle::new(50), 4, 0)], "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn running_ahead_past_the_window_keeps_overflow_order() {
-        // The cursor follows a run-ahead: after jumping two windows, an
-        // overflow entry the jump brought into range must still pop in
-        // (time, seq) order against ring pushes made afterwards.
-        let far = WINDOW * 3;
-        let mut q = CalendarQueue::new();
-        q.push(Cycle::new(far + 10), 1, 0);
-        let t = WINDOW * 2 + 20;
-        assert_eq!(q.push_pop(Cycle::new(t), 2, 1), (Cycle::new(t), 2, 1));
-        q.push(Cycle::new(far + 10), 3, 1);
-        q.push(Cycle::new(far + 5), 4, 2);
-        assert_eq!(q.min_time(), Some(Cycle::new(far + 5)));
-        assert_eq!(q.pop(), Some((Cycle::new(far + 5), 4, 2)));
-        assert_eq!(q.pop(), Some((Cycle::new(far + 10), 1, 0)));
-        assert_eq!(q.pop(), Some((Cycle::new(far + 10), 3, 1)));
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn calendar_matches_heap_on_random_interleaved_traffic() {
-        // Differential test: random pushes, pops and push-pops with
-        // engine-like monotonic times and seqs, including far-future
-        // overflow jumps and re-arms that supersede a pending event (a
-        // wake pulling an idle timer earlier: the stale event stays
-        // stored, as in the engine). Both kinds must produce identical
-        // sequences and agree on the minimum after every operation.
+        // Differential test: random pushes and pops with engine-like
+        // monotonic times and seqs, including far-future overflow jumps
+        // and re-arms that supersede a pending event (a wake pulling an
+        // idle timer earlier: the stale event stays stored, as in the
+        // engine). Both kinds must produce identical sequences and agree
+        // on the minimum after every operation.
         let mut rng = SimRng::seed_from(0xCAFE);
         let mut heap = EventQueue::new(EventQueueKind::Heap);
         let mut cal = EventQueue::new(EventQueueKind::Calendar);
@@ -624,7 +547,7 @@ mod tests {
             _ => WINDOW * 3 + rng.next_u64() % 1000,
         };
         for _ in 0..50_000 {
-            let op = if live == 0 { 0 } else { rng.next_u64() % 6 };
+            let op = if live == 0 { 0 } else { rng.next_u64() % 5 };
             seq += 1;
             let cpu = (rng.next_u64() % 1024) as usize;
             match op {
@@ -647,13 +570,6 @@ mod tests {
                     live += 2;
                     superseded += 1;
                 }
-                4 => {
-                    let t = Cycle::new(now + gap(&mut rng) % 200);
-                    let a = heap.push_pop(t, seq, cpu);
-                    let b = cal.push_pop(t, seq, cpu);
-                    assert_eq!(a, b);
-                    now = a.0.as_u64();
-                }
                 _ => {
                     let a = heap.pop();
                     let b = cal.pop();
@@ -662,14 +578,14 @@ mod tests {
                     live -= 1;
                 }
             }
-            assert_eq!(min_time(&heap), min_time(&cal));
+            assert_eq!(heap.min_time(), cal.min_time());
         }
         assert!(superseded > 1000);
         loop {
             let a = heap.pop();
             let b = cal.pop();
             assert_eq!(a, b);
-            assert_eq!(min_time(&heap), min_time(&cal));
+            assert_eq!(heap.min_time(), cal.min_time());
             if a.is_none() {
                 break;
             }

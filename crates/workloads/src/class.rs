@@ -36,6 +36,17 @@ impl Region {
 /// generator and committed fixture uses single-digit ids.
 pub const MAX_STX: u32 = 1024;
 
+/// The most accesses one class may perform per instance: the bound on
+/// each of `private_hot`, `shared_picks` and `random_picks`, and on their
+/// sum ([`TxClass::size`]).
+///
+/// Every instance materialises its access list, so a class's size is an
+/// allocation request. Resolving an inline scenario workload rejects a
+/// larger class, so an untrusted document cannot ask for terabytes with
+/// one field. The largest preset or adversarial class performs 229
+/// accesses.
+pub const MAX_CLASS_ACCESSES: usize = 4096;
+
 /// Where a class draws its random (transient) accesses from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RandomRegion {

@@ -46,7 +46,7 @@ mod spec;
 
 pub use adversarial::{AdversarialSource, AdversarialSpec};
 pub use arrivals::{open_sources, ArrivalProcess, ArrivalSpec, OpenSource};
-pub use class::{RandomRegion, Region, TxClass, MAX_STX};
+pub use class::{RandomRegion, Region, TxClass, MAX_CLASS_ACCESSES, MAX_STX};
 pub use conflict::{drain_canonical, ConflictGraph, LowerBound, TxNode};
 pub use source::WorkloadSource;
 pub use spec::{BenchmarkSpec, ExpectedProfile};
