@@ -31,19 +31,21 @@ usage: bfgts_serve [FILE...] [options]
   FILE           scenario file(s) to serve immediately, in order (the
                  format any experiment binary's --emit writes)
 options:
-  --watch DIR    poll DIR for *.json scenario files and serve each one
-                 as it appears (names sorted per scan, served once)
+  --watch DIR    poll DIR every 200 ms for *.json scenario files and
+                 serve each one as it appears (names sorted per scan,
+                 served once)
   --stdin        read scenario documents from stdin, one complete JSON
                  document (object or array) per line
   --once         with --watch: serve what is present, then exit instead
                  of polling forever (the CI mode)
   --interval N   stats interval in simulated cycles (default 100000)
-  --poll-ms N    watch-directory poll period in milliseconds
-                 (default 200)
   --audit        replay every recording through the trace audit —
                  including the I9 arrival-causality invariant — and
                  exit 1 on a violation
   -h, --help     show this help";
+
+/// How long `--watch` sleeps after a scan that found nothing new.
+const POLL_PERIOD: std::time::Duration = std::time::Duration::from_millis(200);
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("error: {msg}\n{USAGE}");
@@ -56,7 +58,6 @@ struct Args {
     stdin: bool,
     once: bool,
     interval: u64,
-    poll_ms: u64,
     audit: bool,
 }
 
@@ -67,7 +68,6 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
         stdin: false,
         once: false,
         interval: 100_000,
-        poll_ms: 200,
         audit: false,
     };
     let mut i = 0;
@@ -88,13 +88,6 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
                 match v.parse::<u64>() {
                     Ok(n) if n > 0 => out.interval = n,
                     _ => return Err(format!("--interval needs a positive integer, got '{v}'")),
-                }
-            }
-            "--poll-ms" => {
-                let v = value(&mut i, "--poll-ms")?;
-                match v.parse::<u64>() {
-                    Ok(n) if n > 0 => out.poll_ms = n,
-                    _ => return Err(format!("--poll-ms needs a positive integer, got '{v}'")),
                 }
             }
             "--audit" => out.audit = true,
@@ -334,7 +327,7 @@ fn main() -> ExitCode {
                 break;
             }
             if fresh == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(args.poll_ms));
+                std::thread::sleep(POLL_PERIOD);
             }
         }
     }

@@ -41,13 +41,70 @@ options:
   --chrome PATH  also convert the trace to Chrome trace_event JSON
   -h, --help     show this help";
 
+/// One negative control: the flag that selects it, the checker it
+/// proves, what the trace must contain, and how one field of the first
+/// such event is corrupted (`corrupt` returns false for any other kind).
+struct Tamper {
+    flag: &'static str,
+    checker: &'static str,
+    target: &'static str,
+    corrupt: fn(&mut TraceEvent) -> bool,
+}
+
+/// The controls, in precedence order when several flags are given.
+const TAMPERS: [Tamper; 3] = [
+    // Invariant I1: one extra cycle in the first charge.
+    Tamper {
+        flag: "--tamper",
+        checker: "the checker",
+        target: "charge events",
+        corrupt: |ev| match ev {
+            TraceEvent::Charge { cycles, .. } => {
+                *cycles += 1;
+                true
+            }
+            _ => false,
+        },
+    },
+    // I10: the first capacity abort's recorded set size no longer
+    // exceeds the bound. A checker that still accepts the trace would
+    // also accept a simulator whose capacity aborts fire below it.
+    Tamper {
+        flag: "--tamper-capacity",
+        checker: "the I10 checker",
+        target: "capacity aborts",
+        corrupt: |ev| match ev {
+            TraceEvent::CapacityAbort {
+                tracked, capacity, ..
+            } => {
+                *tracked = *capacity;
+                true
+            }
+            _ => false,
+        },
+    },
+    // I11: one bit of the first announced window priority. The checker
+    // recomputes every draw from the declared seed, so any divergence
+    // (a manager rolling its own RNG, a doctored trace) must surface.
+    Tamper {
+        flag: "--tamper-window",
+        checker: "the I11 checker",
+        target: "window advances",
+        corrupt: |ev| match ev {
+            TraceEvent::WindowAdvance { priority, .. } => {
+                *priority ^= 1;
+                true
+            }
+            _ => false,
+        },
+    },
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut file = None;
     let mut do_audit = false;
-    let mut tamper = false;
-    let mut tamper_capacity = false;
-    let mut tamper_window = false;
+    let mut tamper = None;
     let mut chrome_out = None;
     let mut i = 0;
     while i < args.len() {
@@ -57,9 +114,6 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--audit" => do_audit = true,
-            "--tamper" => tamper = true,
-            "--tamper-capacity" => tamper_capacity = true,
-            "--tamper-window" => tamper_window = true,
             "--chrome" => {
                 i += 1;
                 match args.get(i) {
@@ -67,8 +121,12 @@ fn main() -> ExitCode {
                     None => return fail("--chrome needs a value"),
                 }
             }
-            other if file.is_none() && !other.starts_with('-') => file = Some(other.to_string()),
-            other => return fail(&format!("unknown argument '{other}'")),
+            other => match TAMPERS.iter().position(|t| t.flag == other) {
+                // The earliest row wins, whatever the flag order.
+                Some(row) => tamper = Some(tamper.map_or(row, |chosen: usize| chosen.min(row))),
+                None if file.is_none() && !other.starts_with('-') => file = Some(other.to_string()),
+                None => return fail(&format!("unknown argument '{other}'")),
+            },
         }
         i += 1;
     }
@@ -116,96 +174,31 @@ fn main() -> ExitCode {
         println!("wrote {path}");
     }
 
-    if tamper {
-        // Corrupt the cheapest thing that must break invariant I1: one
-        // extra cycle in the first charge.
-        let Some(rec) = recording.events.iter_mut().find_map(|rec| match rec.ev {
-            TraceEvent::Charge { .. } => Some(rec),
-            _ => None,
-        }) else {
-            return fail("--tamper: trace has no charge events to corrupt");
-        };
-        if let TraceEvent::Charge { ref mut cycles, .. } = rec.ev {
-            *cycles += 1;
-        }
-        return match audit(&recording, &inputs) {
-            Err(violations) => {
-                println!(
-                    "tamper control: audit correctly rejected the corrupted trace ({} violations)",
-                    violations.len()
-                );
-                ExitCode::SUCCESS
-            }
-            Ok(_) => {
-                eprintln!("error: audit ACCEPTED a corrupted trace — the checker is broken");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    if tamper_capacity {
-        // The I10 control: rewrite the first capacity abort so its
-        // recorded set size no longer exceeds the configured bound. A
-        // checker that still accepts the trace would also accept a
-        // simulator whose capacity aborts fire below the bound.
-        let Some(rec) = recording.events.iter_mut().find_map(|rec| match rec.ev {
-            TraceEvent::CapacityAbort { .. } => Some(rec),
-            _ => None,
-        }) else {
-            return fail("--tamper-capacity: trace has no capacity aborts to corrupt");
-        };
-        if let TraceEvent::CapacityAbort {
-            ref mut tracked,
-            capacity,
-            ..
-        } = rec.ev
+    if let Some(tamper) = tamper.map(|row| &TAMPERS[row]) {
+        let label = tamper.flag.trim_start_matches('-');
+        if !recording
+            .events
+            .iter_mut()
+            .any(|rec| (tamper.corrupt)(&mut rec.ev))
         {
-            *tracked = capacity;
+            return fail(&format!(
+                "{}: trace has no {} to corrupt",
+                tamper.flag, tamper.target
+            ));
         }
         return match audit(&recording, &inputs) {
             Err(violations) => {
                 println!(
-                    "tamper-capacity control: audit correctly rejected the corrupted trace \
-                     ({} violations)",
+                    "{label} control: audit correctly rejected the corrupted trace ({} violations)",
                     violations.len()
                 );
                 ExitCode::SUCCESS
             }
             Ok(_) => {
-                eprintln!("error: audit ACCEPTED a corrupted trace — the I10 checker is broken");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    if tamper_window {
-        // The I11 control: flip one bit in the first announced window
-        // priority. The checker recomputes every draw from the declared
-        // seed, so any divergence — a manager rolling its own RNG, a
-        // doctored trace — must surface as a violation.
-        let Some(rec) = recording.events.iter_mut().find_map(|rec| match rec.ev {
-            TraceEvent::WindowAdvance { .. } => Some(rec),
-            _ => None,
-        }) else {
-            return fail("--tamper-window: trace has no window advances to corrupt");
-        };
-        if let TraceEvent::WindowAdvance {
-            ref mut priority, ..
-        } = rec.ev
-        {
-            *priority ^= 1;
-        }
-        return match audit(&recording, &inputs) {
-            Err(violations) => {
-                println!(
-                    "tamper-window control: audit correctly rejected the corrupted trace \
-                     ({} violations)",
-                    violations.len()
+                eprintln!(
+                    "error: audit ACCEPTED a corrupted trace — {} is broken",
+                    tamper.checker
                 );
-                ExitCode::SUCCESS
-            }
-            Ok(_) => {
-                eprintln!("error: audit ACCEPTED a corrupted trace — the I11 checker is broken");
                 ExitCode::FAILURE
             }
         };

@@ -13,9 +13,10 @@ use bfgts_faultsim::{Fault, FaultPlan};
 use bfgts_scenario::Scenario;
 use bfgts_workloads::{presets, ArrivalSpec};
 use std::collections::BTreeSet;
-use std::io::Write as _;
+use std::io::{Read, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
+use std::time::Duration;
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -254,7 +255,8 @@ fn small_kmeans(kind: ManagerKind) -> Scenario {
 
 /// Pipes `hostile` and then a valid line into `bfgts_serve --stdin` and
 /// requires an error reply naming `error` for line 1, exit status 1, and
-/// the valid line 2 served.
+/// the valid line 2 served, all within a minute: a line that hangs the
+/// server fails the test instead of stalling the suite.
 fn assert_serve_rejects_and_goes_on(hostile: &Scenario, error: &str) {
     let valid = small_kmeans(ManagerKind::Backoff).to_json();
     let mut serve = Command::new(env!("CARGO_BIN_EXE_bfgts_serve"))
@@ -270,12 +272,37 @@ fn assert_serve_rejects_and_goes_on(hostile: &Scenario, error: &str) {
         .unwrap()
         .write_all(format!("{}\n{valid}\n", hostile.to_json()).as_bytes())
         .unwrap();
-    let served = serve.wait_with_output().unwrap();
-    let stderr = String::from_utf8_lossy(&served.stderr);
-    assert_eq!(served.status.code(), Some(1), "{stderr}");
+    // Drain both pipes on their own threads so a full pipe cannot stall
+    // the server while the deadline runs.
+    let drain = |mut pipe: Box<dyn Read + Send>| {
+        std::thread::spawn(move || {
+            let mut bytes = Vec::new();
+            pipe.read_to_end(&mut bytes).unwrap();
+            bytes
+        })
+    };
+    let stdout = drain(Box::new(serve.stdout.take().unwrap()));
+    let stderr = drain(Box::new(serve.stderr.take().unwrap()));
+    // Poll for up to a minute: 3000 polls 20 ms apart.
+    let status = (0..3000).find_map(|_| {
+        let status = serve.try_wait().unwrap();
+        if status.is_none() {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        status
+    });
+    let Some(status) = status else {
+        serve.kill().unwrap();
+        panic!("bfgts_serve gave no reply within 60 s for stdin:1 ({error})");
+    };
+    let stderr = String::from_utf8(stderr.join().unwrap()).unwrap();
+    assert_eq!(status.code(), Some(1), "{stderr}");
     assert!(stderr.contains(&format!("stdin:1: {error}")), "{stderr}");
     assert!(stderr.contains("serve: stdin:2: 1 scenario(s)"), "{stderr}");
-    assert!(!served.stdout.is_empty(), "the valid line was not served");
+    assert!(
+        !stdout.join().unwrap().is_empty(),
+        "the valid line was not served"
+    );
 }
 
 #[test]
@@ -395,5 +422,51 @@ fn hostile_cost_perturbation_gets_an_error_reply_from_serve() {
     assert_serve_rejects_and_goes_on(
         &hostile,
         "fault field 'max_percent' must be at most 100, got 1000000",
+    );
+}
+
+#[test]
+fn hostile_corruption_rate_gets_an_error_reply_from_serve() {
+    // A corruption rate of 101% used to panic the manager's fault
+    // builder before the first event.
+    let mut hostile = small_kmeans(ManagerKind::BfgtsHw);
+    hostile.faults = Some(FaultPlan::new(1).fault(Fault::BloomCorrupt {
+        rate_pct: 101,
+        bits: 16,
+    }));
+    assert_serve_rejects_and_goes_on(
+        &hostile,
+        "fault field 'rate_pct' must be at most 100, got 101",
+    );
+}
+
+#[test]
+fn hostile_corruption_bits_get_an_error_reply_from_serve() {
+    // Forcing 2^32 - 1 positions into every corrupted commit signature
+    // used to spin the server without a reply.
+    let mut hostile = small_kmeans(ManagerKind::BfgtsHw);
+    hostile.faults = Some(FaultPlan::new(1).fault(Fault::BloomCorrupt {
+        rate_pct: 60,
+        bits: u32::MAX,
+    }));
+    assert_serve_rejects_and_goes_on(
+        &hostile,
+        "fault field 'bits' must be at most 8192, got 4294967295",
+    );
+}
+
+#[test]
+fn hostile_pre_work_span_gets_an_error_reply_from_serve() {
+    // A pre_work range of all 2^64 values made `hi - lo + 1` wrap to 0,
+    // and the first instance panicked drawing from an empty range.
+    let mut spec = presets::kmeans().scaled(0.02);
+    let mut classes = spec.classes.to_vec();
+    classes[0].pre_work = (0, u64::MAX);
+    spec.classes = classes.into();
+    let hostile = RunCell::one(&spec, ManagerKind::BfgtsHw, Platform::small()).scenario;
+    assert_serve_rejects_and_goes_on(
+        &hostile,
+        "scenario 0: inline class sTx0: pre_work range [0, 18446744073709551615] has more \
+         values than u64 can count",
     );
 }

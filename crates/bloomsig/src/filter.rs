@@ -2,7 +2,6 @@
 
 use crate::estimate::{self, EstimateParams};
 use crate::hash::probe_positions;
-use crate::signature::Signature;
 use std::fmt;
 
 /// Words of inline storage for the small-filter variant (≤ 512 bits).
@@ -297,40 +296,6 @@ impl fmt::Debug for BloomFilter {
             .field("hashes", &self.params.hashes)
             .field("ones", &self.count_ones())
             .finish()
-    }
-}
-
-impl Signature for BloomFilter {
-    fn insert(&mut self, key: u64) {
-        BloomFilter::insert(self, key)
-    }
-
-    fn may_contain(&self, key: u64) -> bool {
-        BloomFilter::may_contain(self, key)
-    }
-
-    fn estimate_len(&self) -> f64 {
-        BloomFilter::estimate_len(self)
-    }
-
-    fn intersects(&self, other: &Self) -> bool {
-        BloomFilter::intersects(self, other)
-    }
-
-    fn intersection_estimate(&self, other: &Self) -> f64 {
-        BloomFilter::intersection_estimate(self, other)
-    }
-
-    fn union_in_place(&mut self, other: &Self) {
-        BloomFilter::union_in_place(self, other)
-    }
-
-    fn clear(&mut self) {
-        BloomFilter::clear(self)
-    }
-
-    fn is_empty(&self) -> bool {
-        BloomFilter::is_empty(self)
     }
 }
 

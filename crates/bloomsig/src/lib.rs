@@ -16,13 +16,13 @@
 //! * [`PerfectSignature`] — an exact-set signature used by the paper's
 //!   `BFGTS-NoOverhead` configuration and by LogTM-style perfect conflict
 //!   detection.
-//! * [`Signature`] — a common trait so schedulers can run on either
-//!   representation.
+//! * [`SignatureKind`] — which of the two a scheduler configuration
+//!   selects.
 //!
 //! # Example
 //!
 //! ```
-//! use bfgts_bloomsig::{BloomFilter, Signature};
+//! use bfgts_bloomsig::BloomFilter;
 //!
 //! let mut a = BloomFilter::new(1024, 4);
 //! let mut b = BloomFilter::new(1024, 4);
@@ -48,4 +48,4 @@ pub use estimate::{
 };
 pub use filter::BloomFilter;
 pub use perfect::PerfectSignature;
-pub use signature::{Signature, SignatureKind};
+pub use signature::SignatureKind;

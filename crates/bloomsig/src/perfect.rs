@@ -1,6 +1,5 @@
 //! Exact-set ("perfect") signatures.
 
-use crate::signature::Signature;
 use std::collections::BTreeSet;
 
 /// An exact-set signature: stores the precise set of keys.
@@ -14,7 +13,7 @@ use std::collections::BTreeSet;
 /// # Example
 ///
 /// ```
-/// use bfgts_bloomsig::{PerfectSignature, Signature};
+/// use bfgts_bloomsig::PerfectSignature;
 ///
 /// let mut a = PerfectSignature::new();
 /// let mut b = PerfectSignature::new();
@@ -36,9 +35,25 @@ impl PerfectSignature {
         Self::default()
     }
 
+    /// Records a key.
+    pub fn insert(&mut self, key: u64) {
+        self.keys.insert(key);
+    }
+
+    /// Exact membership test.
+    pub fn may_contain(&self, key: u64) -> bool {
+        self.keys.contains(&key)
+    }
+
     /// Exact number of keys stored.
     pub fn len(&self) -> usize {
         self.keys.len()
+    }
+
+    /// [`PerfectSignature::len`] as an `f64`, the form Bloom estimates
+    /// take.
+    pub fn estimate_len(&self) -> f64 {
+        self.keys.len() as f64
     }
 
     /// True if no keys are stored.
@@ -46,58 +61,47 @@ impl PerfectSignature {
         self.keys.is_empty()
     }
 
+    /// True if the two signatures share a key.
+    pub fn intersects(&self, other: &Self) -> bool {
+        let (small, large) = self.by_size(other);
+        small.iter().any(|k| large.contains(k))
+    }
+
     /// Exact size of the intersection with `other`.
     pub fn intersection_len(&self, other: &Self) -> usize {
-        let (small, large) = if self.keys.len() <= other.keys.len() {
-            (&self.keys, &other.keys)
-        } else {
-            (&other.keys, &self.keys)
-        };
+        let (small, large) = self.by_size(other);
         small.iter().filter(|k| large.contains(k)).count()
+    }
+
+    /// [`PerfectSignature::intersection_len`] as an `f64`, the form
+    /// Bloom estimates take.
+    pub fn intersection_estimate(&self, other: &Self) -> f64 {
+        self.intersection_len(other) as f64
+    }
+
+    /// Merges `other` into `self`.
+    pub fn union_in_place(&mut self, other: &Self) {
+        self.keys.extend(other.keys.iter().copied());
+    }
+
+    /// Removes all keys.
+    pub fn clear(&mut self) {
+        self.keys.clear();
     }
 
     /// Iterates over the stored keys in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
         self.keys.iter().copied()
     }
-}
 
-impl Signature for PerfectSignature {
-    fn insert(&mut self, key: u64) {
-        self.keys.insert(key);
-    }
-
-    fn may_contain(&self, key: u64) -> bool {
-        self.keys.contains(&key)
-    }
-
-    fn estimate_len(&self) -> f64 {
-        self.keys.len() as f64
-    }
-
-    fn intersects(&self, other: &Self) -> bool {
-        let (small, large) = if self.keys.len() <= other.keys.len() {
+    /// The smaller and the larger key set of the pair, so an overlap
+    /// scan probes the larger set once per key of the smaller.
+    fn by_size<'a>(&'a self, other: &'a Self) -> (&'a BTreeSet<u64>, &'a BTreeSet<u64>) {
+        if self.keys.len() <= other.keys.len() {
             (&self.keys, &other.keys)
         } else {
             (&other.keys, &self.keys)
-        };
-        small.iter().any(|k| large.contains(k))
-    }
-
-    fn intersection_estimate(&self, other: &Self) -> f64 {
-        self.intersection_len(other) as f64
-    }
-
-    fn union_in_place(&mut self, other: &Self) {
-        self.keys.extend(other.keys.iter().copied());
-    }
-
-    fn clear(&mut self) {
-        self.keys.clear();
-    }
-
-    fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        }
     }
 }
 
@@ -171,6 +175,6 @@ mod tests {
     fn clear_empties() {
         let mut a: PerfectSignature = (0..10).collect();
         a.clear();
-        assert!(Signature::is_empty(&a));
+        assert!(a.is_empty());
     }
 }

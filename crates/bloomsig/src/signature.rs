@@ -1,50 +1,4 @@
-//! The [`Signature`] abstraction shared by Bloom and perfect signatures.
-
-/// A summary of a set of 64-bit keys (cache-line addresses) supporting the
-/// operations BFGTS needs: insertion, overlap tests and set-size estimates.
-///
-/// Two implementations exist: [`crate::BloomFilter`] (the paper's hardware
-/// signatures, approximate) and [`crate::PerfectSignature`] (exact sets,
-/// used by the `BFGTS-NoOverhead` configuration and by LogTM conflict
-/// detection). Schedulers are generic over this trait so the estimation
-/// error of Bloom signatures can be ablated against ground truth.
-pub trait Signature: Clone {
-    /// Records a key in the signature.
-    fn insert(&mut self, key: u64);
-
-    /// Membership test; may report false positives but never false
-    /// negatives.
-    fn may_contain(&self, key: u64) -> bool;
-
-    /// Estimated number of distinct keys recorded.
-    fn estimate_len(&self) -> f64;
-
-    /// True if the two signatures (may) share a key.
-    fn intersects(&self, other: &Self) -> bool;
-
-    /// Estimated size of the intersection. May be slightly negative for
-    /// approximate implementations; see
-    /// [`intersection_estimate_clamped`](Signature::intersection_estimate_clamped)
-    /// for the form consumers of set sizes must use.
-    fn intersection_estimate(&self, other: &Self) -> f64;
-
-    /// [`intersection_estimate`](Signature::intersection_estimate)
-    /// clamped at zero. Running averages and confidence weights must use
-    /// this form: a negative "size" fed into an average silently drags it
-    /// below zero and poisons every later update.
-    fn intersection_estimate_clamped(&self, other: &Self) -> f64 {
-        self.intersection_estimate(other).max(0.0)
-    }
-
-    /// Merges `other` into `self`.
-    fn union_in_place(&mut self, other: &Self);
-
-    /// Removes all keys.
-    fn clear(&mut self);
-
-    /// True if no key has been recorded.
-    fn is_empty(&self) -> bool;
-}
+//! Which signature representation a scheduler configuration selects.
 
 /// Which signature representation a scheduler configuration uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,32 +10,4 @@ pub enum SignatureKind {
     },
     /// Exact sets (the `BFGTS-NoOverhead` configuration).
     Perfect,
-}
-
-impl SignatureKind {
-    /// Human-readable label used in experiment reports.
-    pub fn label(&self) -> String {
-        match self {
-            SignatureKind::Bloom { bits } => format!("bloom{bits}"),
-            SignatureKind::Perfect => "perfect".to_string(),
-        }
-    }
-}
-
-impl std::fmt::Display for SignatureKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.label())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kind_labels() {
-        assert_eq!(SignatureKind::Bloom { bits: 512 }.label(), "bloom512");
-        assert_eq!(SignatureKind::Perfect.label(), "perfect");
-        assert_eq!(format!("{}", SignatureKind::Perfect), "perfect");
-    }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the Bloom signature algebra, driven by the
 //! deterministic case generator in `bfgts-testkit`.
 
-use bfgts_bloomsig::{estimate, BloomFilter, EstimateParams, PerfectSignature, Signature};
+use bfgts_bloomsig::{estimate, BloomFilter, EstimateParams, PerfectSignature};
 use bfgts_testkit::{run_cases, Gen};
 use std::collections::BTreeSet;
 

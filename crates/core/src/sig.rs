@@ -1,6 +1,6 @@
 //! Runtime-selected signature representation (Bloom vs perfect).
 
-use bfgts_bloomsig::{BloomFilter, PerfectSignature, Signature, SignatureKind};
+use bfgts_bloomsig::{BloomFilter, PerfectSignature, SignatureKind};
 use bfgts_htm::LineAddr;
 
 /// A read/write-set signature in whichever representation the

@@ -32,4 +32,4 @@ mod minimize;
 mod plan;
 
 pub use minimize::minimize;
-pub use plan::{Fault, FaultPlan, MAX_PERTURB_PERCENT, SATURATE_VALUE};
+pub use plan::{Fault, FaultPlan, MAX_CORRUPT_BITS, MAX_PERTURB_PERCENT, SATURATE_VALUE};

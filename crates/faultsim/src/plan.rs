@@ -13,10 +13,19 @@ pub const SATURATE_VALUE: f64 = 1000.0;
 ///
 /// [`Fault::CostPerturb`] draws each latency from
 /// `[cost − cost·p/100, cost + cost·p/100]`; above 100% the envelope's
-/// lower edge is negative and `CostModel::perturbed` panics. Scenario
-/// parsing rejects a wider envelope, so an untrusted document cannot
-/// kill a run. Randomized plans draw 5–50%.
+/// lower edge is negative and `CostModel::perturbed` panics.
+/// [`Fault::validate`] rejects a wider envelope, so an untrusted
+/// scenario document cannot kill a run. Randomized plans draw 5–50%.
 pub const MAX_PERTURB_PERCENT: u32 = 100;
+
+/// The most bit positions one Bloom corruption may force.
+///
+/// Each corrupted signature draws this many positions, one RNG draw
+/// apiece, so the count is a loop bound per commit (and, on bounded
+/// detection, an allocation per transaction begin). The paper's largest
+/// signature has 8192 bits (Figure 6): forcing more positions than that
+/// adds nothing a full signature lacks. Randomized plans draw 8–128.
+pub const MAX_CORRUPT_BITS: u32 = 8192;
 
 /// One injected fault. All parameters are integers so a plan serialises
 /// to JSON and back without any float-precision escape hatch.
@@ -33,7 +42,8 @@ pub enum Fault {
     BloomCorrupt {
         /// Percent probability per commit (0–100).
         rate_pct: u32,
-        /// Bit positions forced per corruption event.
+        /// Bit positions forced per corruption event, at most
+        /// [`MAX_CORRUPT_BITS`].
         bits: u32,
     },
     /// Every `period` commits, reset the confidence table to zero or
@@ -47,6 +57,30 @@ pub enum Fault {
 }
 
 impl Fault {
+    /// Checks the fault's magnitudes: a cost envelope of at most
+    /// [`MAX_PERTURB_PERCENT`], a corruption rate of at most 100% and at
+    /// most [`MAX_CORRUPT_BITS`] forced positions.
+    pub fn validate(&self) -> Result<(), String> {
+        let at_most = |field: &str, value: u32, max: u32| {
+            if value > max {
+                return Err(format!(
+                    "fault field '{field}' must be at most {max}, got {value}"
+                ));
+            }
+            Ok(())
+        };
+        match *self {
+            Fault::CostPerturb { max_percent } => {
+                at_most("max_percent", max_percent, MAX_PERTURB_PERCENT)
+            }
+            Fault::BloomCorrupt { rate_pct, bits } => {
+                at_most("rate_pct", rate_pct, 100)?;
+                at_most("bits", bits, MAX_CORRUPT_BITS)
+            }
+            Fault::ConfPoison { .. } => Ok(()),
+        }
+    }
+
     /// A strictly weaker version of this fault, if one exists: the
     /// magnitude-halving step of [`crate::minimize`].
     pub fn shrunk(&self) -> Option<Fault> {
@@ -198,6 +232,12 @@ mod tests {
 
     #[test]
     fn randomized_plans_are_deterministic_and_in_envelope() {
+        // The fuzz campaign's cells 0..256, then random seeds.
+        for seed in 0..256 {
+            for fault in &FaultPlan::randomized(seed).faults {
+                assert_eq!(fault.validate(), Ok(()), "cell {seed}: {fault:?}");
+            }
+        }
         run_cases("fault-plan-envelope", 64, |g| {
             let seed = g.u64();
             let plan = FaultPlan::randomized(seed);
@@ -205,6 +245,7 @@ mod tests {
             assert!(!plan.is_empty(), "every cell injects something");
             assert!(plan.faults.len() <= 3);
             for f in &plan.faults {
+                assert_eq!(f.validate(), Ok(()), "{f:?}");
                 match *f {
                     Fault::CostPerturb { max_percent } => {
                         assert!((5..=50).contains(&max_percent))

@@ -31,13 +31,13 @@ use bfgts_baselines::{
 /// callers outside this workspace.
 pub use bfgts_core::BfgtsConfig as BfgtsTunables;
 use bfgts_core::{BfgtsCm, BfgtsConfig, BfgtsVariant, CmFaults};
-use bfgts_faultsim::{Fault, FaultPlan, MAX_PERTURB_PERCENT};
+use bfgts_faultsim::{Fault, FaultPlan};
 pub use bfgts_htm::Detection;
 use bfgts_htm::{ContentionManager, TmRunConfig};
 use bfgts_sim::TraceMode;
 use bfgts_workloads::{
     presets, AdversarialSpec, ArrivalProcess, ArrivalSpec, BenchmarkSpec, ExpectedProfile,
-    RandomRegion, Region, TxClass, MAX_CLASS_ACCESSES, MAX_STX,
+    RandomRegion, Region, TxClass, MAX_STX,
 };
 use json::Json;
 use std::sync::Arc;
@@ -766,70 +766,6 @@ fn intern_name(name: &str) -> &'static str {
     leaked
 }
 
-fn check_class(class: &TxClass) -> Result<(), String> {
-    if class.stx > MAX_STX {
-        return Err(stx_bound_error(class.stx.into()));
-    }
-    // Each instance allocates its access list, so the class size is an
-    // allocation request. Bounding every field first keeps the sum from
-    // wrapping.
-    for (field, picks) in [
-        ("private_hot", class.private_hot),
-        ("shared_picks", class.shared_picks),
-        ("random_picks", class.random_picks),
-    ] {
-        if picks > MAX_CLASS_ACCESSES {
-            return Err(class_size_error(class.stx, field, picks));
-        }
-    }
-    if class.size() > MAX_CLASS_ACCESSES {
-        return Err(class_size_error(class.stx, "size", class.size()));
-    }
-    if class.size() == 0 {
-        return Err(format!(
-            "inline class sTx{} performs no accesses",
-            class.stx
-        ));
-    }
-    if class.shared_picks > 0 && class.shared_pool.is_none() {
-        return Err(format!(
-            "inline class sTx{} draws from a missing shared pool",
-            class.stx
-        ));
-    }
-    if class.shared_picks > 0 && class.shared_pool.is_some_and(|pool| pool.lines == 0) {
-        return Err(format!(
-            "inline class sTx{} draws from an empty shared pool",
-            class.stx
-        ));
-    }
-    if class.random_picks > 0 {
-        let lines = match class.random_region {
-            RandomRegion::Shared(region) => region.lines,
-            RandomRegion::PerThread { lines } => lines,
-        };
-        if lines == 0 {
-            return Err(format!(
-                "inline class sTx{} draws random picks from an empty region",
-                class.stx
-            ));
-        }
-    }
-    if !(0.0..=1.0).contains(&class.write_frac) {
-        return Err(format!(
-            "inline class sTx{}: write_frac out of range",
-            class.stx
-        ));
-    }
-    if class.pre_work.0 > class.pre_work.1 {
-        return Err(format!(
-            "inline class sTx{}: pre_work range inverted",
-            class.stx
-        ));
-    }
-    Ok(())
-}
-
 impl WorkloadSpec {
     /// Describes `spec`: a preset reference when the name and class mix
     /// match a known preset exactly, otherwise the full inline form.
@@ -902,7 +838,7 @@ impl WorkloadSpec {
                     return Err(format!("inline workload '{name}' has no classes"));
                 }
                 for class in classes {
-                    check_class(class)?;
+                    class.validate().map_err(|e| format!("inline {e}"))?;
                 }
                 Ok(ResolvedWorkload::Benchmark(BenchmarkSpec {
                     name: intern_name(name),
@@ -1036,17 +972,6 @@ fn class_to_json(class: &TxClass) -> Json {
     Json::obj(pairs)
 }
 
-fn class_size_error(stx: u32, field: &str, accesses: usize) -> String {
-    format!(
-        "inline class sTx{stx}: '{field}' is {accesses} accesses, above the class bound \
-         {MAX_CLASS_ACCESSES}"
-    )
-}
-
-fn stx_bound_error(stx: u64) -> String {
-    format!("class field 'stx' is {stx}, above the static transaction id bound {MAX_STX}")
-}
-
 fn class_from_json(value: &Json) -> Result<TxClass, String> {
     let uint = |key: &str| {
         value
@@ -1058,7 +983,9 @@ fn class_from_json(value: &Json) -> Result<TxClass, String> {
     // allocation request (see `MAX_STX`).
     let stx = uint("stx")?;
     if stx > u64::from(MAX_STX) {
-        return Err(stx_bound_error(stx));
+        return Err(format!(
+            "class field 'stx' is {stx}, above the static transaction id bound {MAX_STX}"
+        ));
     }
     let pre_work = value
         .get("pre_work")
@@ -1133,28 +1060,23 @@ pub fn fault_from_json(value: &Json) -> Result<Fault, String> {
     let narrow = |key: &str| {
         u32::try_from(uint(key)?).map_err(|_| format!("fault field '{key}' exceeds u32"))
     };
-    match value.get("kind").and_then(Json::as_str) {
-        Some("cost_perturb") => {
-            let max_percent = narrow("max_percent")?;
-            if max_percent > MAX_PERTURB_PERCENT {
-                return Err(format!(
-                    "fault field 'max_percent' must be at most {MAX_PERTURB_PERCENT}, \
-                     got {max_percent}"
-                ));
-            }
-            Ok(Fault::CostPerturb { max_percent })
-        }
-        Some("bloom_corrupt") => Ok(Fault::BloomCorrupt {
+    let fault = match value.get("kind").and_then(Json::as_str) {
+        Some("cost_perturb") => Fault::CostPerturb {
+            max_percent: narrow("max_percent")?,
+        },
+        Some("bloom_corrupt") => Fault::BloomCorrupt {
             rate_pct: narrow("rate_pct")?,
             bits: narrow("bits")?,
-        }),
-        Some("conf_poison") => Ok(Fault::ConfPoison {
+        },
+        Some("conf_poison") => Fault::ConfPoison {
             period: uint("period")?,
             saturate: matches!(value.get("saturate"), Some(Json::Bool(true))),
-        }),
-        Some(other) => Err(format!("unknown fault kind '{other}'")),
-        None => Err("fault is missing a 'kind' string".into()),
-    }
+        },
+        Some(other) => return Err(format!("unknown fault kind '{other}'")),
+        None => return Err("fault is missing a 'kind' string".into()),
+    };
+    fault.validate()?;
+    Ok(fault)
 }
 
 /// Serialises a fault plan to the repro/scenario JSON form.
@@ -1215,17 +1137,16 @@ pub fn process_to_json(process: &ArrivalProcess) -> Json {
     }
 }
 
-/// Parses one arrival process, mirroring [`ArrivalProcess::validate`] as
-/// recoverable errors (scenario files are user input; a bad document
-/// must not abort the process).
-pub fn process_from_json(value: &Json) -> Result<ArrivalProcess, String> {
+/// Decodes one arrival process; [`arrivals_from_json`] validates it
+/// with the rest of the spec.
+fn process_from_json(value: &Json) -> Result<ArrivalProcess, String> {
     let uint = |key: &str| {
         value
             .get(key)
             .and_then(Json::as_u64)
             .ok_or(format!("arrival process is missing a '{key}' integer"))
     };
-    let process = match value.get("kind").and_then(Json::as_str) {
+    Ok(match value.get("kind").and_then(Json::as_str) {
         Some("poisson") => ArrivalProcess::Poisson {
             mean_gap: uint("mean_gap")?,
         },
@@ -1241,31 +1162,7 @@ pub fn process_from_json(value: &Json) -> Result<ArrivalProcess, String> {
         },
         Some(other) => return Err(format!("unknown arrival process kind '{other}'")),
         None => return Err("arrival process is missing a 'kind' string".into()),
-    };
-    // Mirror ArrivalProcess::validate (which panics on programmer error)
-    // as Err for data parsed from disk.
-    match process {
-        ArrivalProcess::Poisson { mean_gap: 0 } => {
-            return Err("poisson 'mean_gap' must be >= 1".into())
-        }
-        ArrivalProcess::Bursty { burst, gap_out, .. } if burst == 0 || gap_out == 0 => {
-            return Err("bursty 'burst' and 'gap_out' must be >= 1".into())
-        }
-        ArrivalProcess::Diurnal {
-            period, peak_gap, ..
-        } if period == 0 || peak_gap == 0 => {
-            return Err("diurnal 'period' and 'peak_gap' must be >= 1".into())
-        }
-        ArrivalProcess::Diurnal {
-            peak_gap,
-            trough_gap,
-            ..
-        } if trough_gap < peak_gap => {
-            return Err("diurnal 'trough_gap' must be >= 'peak_gap'".into())
-        }
-        _ => {}
-    }
-    Ok(process)
+    })
 }
 
 /// Serialises an arrival spec (the open-system half of a scenario).
@@ -1286,8 +1183,8 @@ pub fn arrivals_to_json(spec: &ArrivalSpec) -> Json {
     ])
 }
 
-/// Parses an arrival spec, enforcing the canonical strictly-increasing
-/// override order [`ArrivalSpec::validate`] asserts.
+/// Parses an arrival spec and checks it with [`ArrivalSpec::validate`],
+/// which also holds the canonical strictly-increasing override order.
 pub fn arrivals_from_json(value: &Json) -> Result<ArrivalSpec, String> {
     let process = process_from_json(
         value
@@ -1311,12 +1208,9 @@ pub fn arrivals_from_json(value: &Json) -> Result<ArrivalSpec, String> {
             Ok((stx, process_from_json(&pair[1])?))
         })
         .collect::<Result<Vec<_>, String>>()?;
-    for window in per_stx.windows(2) {
-        if window[0].0 >= window[1].0 {
-            return Err("arrival overrides must be strictly increasing by stx".into());
-        }
-    }
-    Ok(ArrivalSpec { process, per_stx })
+    let spec = ArrivalSpec { process, per_stx };
+    spec.validate()?;
+    Ok(spec)
 }
 
 fn trace_to_json(mode: TraceMode) -> Json {
@@ -1534,6 +1428,8 @@ pub fn scenarios_from_str(text: &str) -> Result<Vec<Scenario>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bfgts_faultsim::{MAX_CORRUPT_BITS, MAX_PERTURB_PERCENT};
+    use bfgts_workloads::MAX_CLASS_ACCESSES;
 
     fn sample() -> Scenario {
         Scenario::new(
@@ -1693,10 +1589,13 @@ mod tests {
             .into_iter()
             .flat_map(|a| a.phases)
             .flat_map(|phase| phase.to_vec());
-        let largest = preset_classes
-            .chain(adversarial_classes)
-            .map(|class| class.size())
-            .max();
+        let classes: Vec<TxClass> = preset_classes.chain(adversarial_classes).collect();
+        // Every rule, the pre_work span included, accepts every class in
+        // use.
+        for class in &classes {
+            assert_eq!(class.validate(), Ok(()), "{class:?}");
+        }
+        let largest = classes.iter().map(TxClass::size).max();
         assert_eq!(largest, Some(229));
         assert!(largest <= Some(MAX_CLASS_ACCESSES));
     }
@@ -1748,16 +1647,22 @@ mod tests {
             let tuned = ManagerSpec::Bfgts(BfgtsConfig::hw().with_alias_slots(slots));
             assert_eq!(parse(tuned, None).is_ok(), ok, "{slots} slots");
         }
-        for (max_percent, ok) in [
-            (MAX_PERTURB_PERCENT, true),
-            (MAX_PERTURB_PERCENT + 1, false),
+        let perturb = |max_percent| Fault::CostPerturb { max_percent };
+        let corrupt = |rate_pct, bits| Fault::BloomCorrupt { rate_pct, bits };
+        for (fault, ok) in [
+            (perturb(MAX_PERTURB_PERCENT), true),
+            (perturb(MAX_PERTURB_PERCENT + 1), false),
+            (corrupt(100, MAX_CORRUPT_BITS), true),
+            (corrupt(101, 16), false),
+            (corrupt(60, MAX_CORRUPT_BITS + 1), false),
+            (corrupt(60, u32::MAX), false),
         ] {
-            let plan = FaultPlan::new(1).fault(Fault::CostPerturb { max_percent });
+            let plan = FaultPlan::new(1).fault(fault);
             let manager = ManagerSpec::Kind {
                 kind: ManagerKind::Backoff,
                 bloom_bits: None,
             };
-            assert_eq!(parse(manager, Some(plan)).is_ok(), ok, "{max_percent}%");
+            assert_eq!(parse(manager, Some(plan)).is_ok(), ok, "{fault:?}");
         }
     }
 

@@ -1,6 +1,5 @@
 //! Cycle-bucket accounting matching the paper's Figure 5 breakdown.
 
-use crate::time::Cycle;
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
@@ -93,11 +92,6 @@ impl TimeBuckets {
         *slot = slot
             .checked_add(cycles)
             .expect("bucket accounting overflowed u64");
-    }
-
-    /// Adds a [`Cycle`] duration to `bucket`.
-    pub fn add_cycles(&mut self, bucket: Bucket, cycles: Cycle) {
-        self.charge(bucket, cycles.as_u64());
     }
 
     /// Cycles recorded in `bucket`.

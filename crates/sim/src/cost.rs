@@ -124,13 +124,6 @@ impl CostModel {
         2 * words_per_filter
     }
 
-    /// Cost of reading one recently-written shared table entry from the
-    /// coherence fabric: the line usually misses to L2 because another CPU
-    /// wrote it.
-    pub fn shared_read(&self) -> u64 {
-        self.l2_hit
-    }
-
     /// A deterministically jittered copy of this model, the fault-injection
     /// layer's cost-perturbation hook (DESIGN.md §9).
     ///

@@ -413,11 +413,6 @@ impl<W> Engine<W> {
         &self.world
     }
 
-    /// Mutable access to the shared world state (for pre-run setup).
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
     /// Runs the simulation to completion and returns the report.
     ///
     /// # Panics

@@ -114,14 +114,6 @@ impl Harness {
         );
     }
 
-    /// Runs a benchmark over each `(label, input)` pair, mirroring
-    /// criterion's `bench_with_input` loops.
-    pub fn bench_over<T, F: FnMut(&T)>(&mut self, group: &str, inputs: &[(String, T)], mut f: F) {
-        for (label, input) in inputs {
-            self.bench(&format!("{group}/{label}"), || f(input));
-        }
-    }
-
     /// Prints the run summary. Call last.
     pub fn finish(self) {
         if self.test_mode {

@@ -282,7 +282,7 @@ mod tests {
             assert!(!spec.phases.is_empty());
             for phase in &spec.phases {
                 for class in phase.iter() {
-                    class.validate();
+                    assert_eq!(class.validate(), Ok(()), "{}", spec.name);
                 }
             }
             let total: u64 = spec.sources(7).iter().map(|s| s.remaining()).sum();

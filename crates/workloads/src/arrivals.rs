@@ -113,34 +113,26 @@ pub enum ArrivalProcess {
 }
 
 impl ArrivalProcess {
-    /// Validates the parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero mean/period/`gap_out` or an inverted diurnal
-    /// range (`trough_gap < peak_gap`).
-    pub fn validate(&self) {
-        match *self {
-            ArrivalProcess::Poisson { mean_gap } => {
-                assert!(mean_gap >= 1, "poisson mean_gap must be >= 1");
-            }
-            ArrivalProcess::Bursty { burst, gap_out, .. } => {
-                assert!(burst >= 1, "bursty burst size must be >= 1");
-                assert!(gap_out >= 1, "bursty gap_out must be >= 1");
-            }
+    /// Checks the parameters: a mean gap, period, burst size and
+    /// `gap_out` of at least 1, and a diurnal range that is not
+    /// inverted (`trough_gap >= peak_gap`).
+    pub fn validate(&self) -> Result<(), String> {
+        let rule = match *self {
+            ArrivalProcess::Poisson { mean_gap: 0 } => "poisson mean_gap must be >= 1",
+            ArrivalProcess::Bursty { burst: 0, .. } => "bursty burst size must be >= 1",
+            ArrivalProcess::Bursty { gap_out: 0, .. } => "bursty gap_out must be >= 1",
+            ArrivalProcess::Diurnal { period: 0, .. } => "diurnal period must be >= 1",
+            ArrivalProcess::Diurnal { peak_gap: 0, .. } => "diurnal peak_gap must be >= 1",
             ArrivalProcess::Diurnal {
-                period,
                 peak_gap,
                 trough_gap,
-            } => {
-                assert!(period >= 1, "diurnal period must be >= 1");
-                assert!(peak_gap >= 1, "diurnal peak_gap must be >= 1");
-                assert!(
-                    trough_gap >= peak_gap,
-                    "diurnal trough_gap must be >= peak_gap (peak = busiest = smallest gap)"
-                );
+                ..
+            } if trough_gap < peak_gap => {
+                "diurnal trough_gap must be >= peak_gap (peak = busiest = smallest gap)"
             }
-        }
+            _ => return Ok(()),
+        };
+        Err(rule.to_string())
     }
 
     /// The mean gap this process aims at around simulated time `at`
@@ -210,22 +202,25 @@ impl ArrivalSpec {
             .unwrap_or(self.process)
     }
 
-    /// Validates every process and the override ordering.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any process fails [`ArrivalProcess::validate`] or the
-    /// overrides are not strictly increasing by `stx`.
-    pub fn validate(&self) {
-        self.process.validate();
-        for window in self.per_stx.windows(2) {
-            assert!(
-                window[0].0 < window[1].0,
-                "arrival overrides must be strictly increasing by stx"
-            );
+    /// Checks every process ([`ArrivalProcess::validate`]) and the
+    /// canonical override order: strictly increasing by `stx`.
+    pub fn validate(&self) -> Result<(), String> {
+        self.process.validate()?;
+        if self.per_stx.windows(2).any(|w| w[0].0 >= w[1].0) {
+            return Err("arrival overrides must be strictly increasing by stx".into());
         }
-        for (_, process) in &self.per_stx {
-            process.validate();
+        self.per_stx
+            .iter()
+            .try_for_each(|(_, process)| process.validate())
+    }
+
+    /// Panics with [`ArrivalSpec::validate`]'s message if the spec breaks
+    /// a rule. Non-generic, so the panic formatting is compiled once
+    /// here rather than into every crate's copy of [`OpenSource::new`].
+    fn assert_valid(&self) {
+        if let Err(e) = self.validate() {
+            // detlint: allow(P002) -- documented panic contract: an invalid arrival spec is a configuration bug, caught before any arrival is drawn
+            panic!("{e}");
         }
     }
 }
@@ -261,9 +256,10 @@ impl<S: TxSource> OpenSource<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `spec` fails validation.
+    /// Panics with [`ArrivalSpec::validate`]'s message if `spec` breaks
+    /// a rule.
     pub fn new(inner: S, spec: ArrivalSpec, seed: u64, thread_index: usize) -> Self {
-        spec.validate();
+        spec.assert_valid();
         let rng = SimRng::seed_from(seed)
             .derive(ARRIVAL_STREAM)
             .derive(thread_index as u64 + 1);
@@ -510,7 +506,7 @@ mod tests {
             spec.process_for(0),
             ArrivalProcess::Poisson { mean_gap: 100 }
         );
-        spec.validate();
+        assert_eq!(spec.validate(), Ok(()));
     }
 
     #[test]
@@ -600,18 +596,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "mean_gap must be >= 1")]
     fn zero_mean_gap_rejected() {
-        ArrivalSpec::poisson(0).validate();
+        OpenSource::new(Fixed { stx: 0, count: 1 }, ArrivalSpec::poisson(0), 1, 0);
     }
 
     #[test]
-    #[should_panic(expected = "trough_gap must be >= peak_gap")]
     fn inverted_diurnal_range_rejected() {
-        ArrivalProcess::Diurnal {
+        let err = ArrivalProcess::Diurnal {
             period: 100,
             peak_gap: 500,
             trough_gap: 100,
         }
-        .validate();
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("trough_gap must be >= peak_gap"), "{err}");
     }
 
     #[test]

@@ -41,10 +41,9 @@ pub const MAX_STX: u32 = 1024;
 /// sum ([`TxClass::size`]).
 ///
 /// Every instance materialises its access list, so a class's size is an
-/// allocation request. Resolving an inline scenario workload rejects a
-/// larger class, so an untrusted document cannot ask for terabytes with
-/// one field. The largest preset or adversarial class performs 229
-/// accesses.
+/// allocation request. [`TxClass::validate`] rejects a larger class, so
+/// an untrusted scenario document cannot ask for terabytes with one
+/// field. The largest preset or adversarial class performs 229 accesses.
 pub const MAX_CLASS_ACCESSES: usize = 4096;
 
 /// Where a class draws its random (transient) accesses from.
@@ -123,60 +122,81 @@ impl TxClass {
         (self.private_hot as f64 + repeating_shared) / self.size() as f64
     }
 
-    /// Validates internal consistency.
+    /// Checks every rule a class must obey, naming the class and the
+    /// first rule it breaks. This is the one home of the rules: scenario
+    /// resolution returns its error and [`WorkloadSource::new`] panics
+    /// with it.
     ///
-    /// # Panics
+    /// A class must have an id at most [`MAX_STX`]; each access pool and
+    /// their sum at most [`MAX_CLASS_ACCESSES`] (each pool is checked
+    /// first, so the sum cannot wrap) and at least one access; shared
+    /// picks only from a defined, non-empty pool; random picks only from
+    /// a non-empty region (a zero-sized one would feed `gen_range` a
+    /// degenerate bound deep in instance generation); a `write_frac` in
+    /// `0..=1`; and a `pre_work` range `lo <= hi` whose `hi - lo + 1`
+    /// values fit `u64`.
     ///
-    /// Panics if the class's id exceeds [`MAX_STX`], it draws from a
-    /// shared pool it does not define, performs no accesses, or draws
-    /// random picks from a zero-sized region (which would feed
-    /// `gen_range` a degenerate bound deep in instance generation).
-    pub fn validate(&self) {
-        assert!(
-            self.stx <= MAX_STX,
-            "class sTx{} is above MAX_STX ({MAX_STX})",
-            self.stx
-        );
-        assert!(
-            self.size() > 0,
-            "class sTx{} performs no accesses",
-            self.stx
-        );
-        assert!(
-            self.shared_picks == 0 || self.shared_pool.is_some(),
-            "class sTx{} draws from a missing shared pool",
-            self.stx
-        );
-        if self.shared_picks > 0 {
-            // Region::new rejects lines == 0, but literal construction
-            // bypasses it; re-check here so the panic names the class.
-            if let Some(pool) = self.shared_pool {
-                assert!(
-                    pool.lines > 0,
-                    "class sTx{} draws from an empty shared pool",
-                    self.stx
-                );
+    /// [`WorkloadSource::new`]: crate::WorkloadSource::new
+    pub fn validate(&self) -> Result<(), String> {
+        let stx = self.stx;
+        if stx > MAX_STX {
+            return Err(format!(
+                "class sTx{stx}: 'stx' is above the static transaction id bound {MAX_STX}"
+            ));
+        }
+        let too_many = |field: &str, accesses: usize| {
+            format!(
+                "class sTx{stx}: '{field}' is {accesses} accesses, above the class bound \
+                 {MAX_CLASS_ACCESSES}"
+            )
+        };
+        for (field, accesses) in [
+            ("private_hot", self.private_hot),
+            ("shared_picks", self.shared_picks),
+            ("random_picks", self.random_picks),
+        ] {
+            if accesses > MAX_CLASS_ACCESSES {
+                return Err(too_many(field, accesses));
             }
         }
-        if self.random_picks > 0 {
-            let lines = match self.random_region {
-                RandomRegion::Shared(region) => region.lines,
-                RandomRegion::PerThread { lines } => lines,
-            };
-            assert!(
-                lines > 0,
-                "class sTx{} draws random picks from an empty region",
-                self.stx
-            );
+        match self.size() {
+            0 => return Err(format!("class sTx{stx} performs no accesses")),
+            size if size > MAX_CLASS_ACCESSES => return Err(too_many("size", size)),
+            _ => {}
         }
-        assert!(
-            (0.0..=1.0).contains(&self.write_frac),
-            "write_frac out of range"
-        );
-        assert!(
-            self.pre_work.0 <= self.pre_work.1,
-            "pre_work range inverted"
-        );
+        if self.shared_picks > 0 {
+            match self.shared_pool {
+                None => return Err(format!("class sTx{stx} draws from a missing shared pool")),
+                // Region::new rejects lines == 0, but literal construction
+                // bypasses it.
+                Some(pool) if pool.lines == 0 => {
+                    return Err(format!("class sTx{stx} draws from an empty shared pool"))
+                }
+                Some(_) => {}
+            }
+        }
+        let random_lines = match self.random_region {
+            RandomRegion::Shared(region) => region.lines,
+            RandomRegion::PerThread { lines } => lines,
+        };
+        if self.random_picks > 0 && random_lines == 0 {
+            return Err(format!(
+                "class sTx{stx} draws random picks from an empty region"
+            ));
+        }
+        if !(0.0..=1.0).contains(&self.write_frac) {
+            return Err(format!("class sTx{stx}: write_frac out of range"));
+        }
+        let (lo, hi) = self.pre_work;
+        if lo > hi {
+            return Err(format!("class sTx{stx}: pre_work range inverted"));
+        }
+        if hi - lo == u64::MAX {
+            return Err(format!(
+                "class sTx{stx}: pre_work range [{lo}, {hi}] has more values than u64 can count"
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -234,21 +254,24 @@ mod tests {
         Region::new(0, 0);
     }
 
+    /// The error `validate` returns for `c`, which must be invalid.
+    fn rejection(c: &TxClass) -> String {
+        c.validate().expect_err("class should be rejected")
+    }
+
     #[test]
-    #[should_panic(expected = "missing shared pool")]
     fn missing_pool_rejected() {
         let mut c = class();
         c.shared_pool = None;
-        c.validate();
+        assert!(rejection(&c).contains("missing shared pool"));
     }
 
     #[test]
     fn valid_class_passes() {
-        class().validate();
+        assert_eq!(class().validate(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "empty shared pool")]
     fn zero_line_shared_pool_rejected() {
         let mut c = class();
         // Literal construction dodges Region::new's own assert.
@@ -256,34 +279,38 @@ mod tests {
             base: 100,
             lines: 0,
         });
-        c.validate();
+        assert!(rejection(&c).contains("empty shared pool"));
     }
 
     #[test]
-    #[should_panic(expected = "empty region")]
     fn zero_line_shared_random_region_rejected() {
         let mut c = class();
         c.random_region = RandomRegion::Shared(Region {
             base: 1000,
             lines: 0,
         });
-        c.validate();
+        assert!(rejection(&c).contains("empty region"));
     }
 
     #[test]
-    #[should_panic(expected = "empty region")]
     fn zero_line_per_thread_random_region_rejected() {
         let mut c = class();
         c.random_region = RandomRegion::PerThread { lines: 0 };
-        c.validate();
+        assert!(rejection(&c).contains("empty region"));
     }
 
     #[test]
-    #[should_panic(expected = "pre_work range inverted")]
     fn inverted_pre_work_rejected() {
         let mut c = class();
         c.pre_work = (200, 100);
-        c.validate();
+        assert!(rejection(&c).contains("pre_work range inverted"));
+        // A range of all 2^64 values cannot count its own span.
+        c.pre_work = (0, u64::MAX);
+        assert!(rejection(&c).contains("more values than u64 can count"));
+        for widest in [(1, u64::MAX), (0, u64::MAX - 1), (u64::MAX, u64::MAX)] {
+            c.pre_work = widest;
+            assert_eq!(c.validate(), Ok(()), "{widest:?}");
+        }
     }
 
     #[test]
@@ -292,6 +319,6 @@ mod tests {
         let mut c = class();
         c.random_picks = 0;
         c.random_region = RandomRegion::PerThread { lines: 0 };
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
     }
 }

@@ -490,7 +490,7 @@ mod tests {
     fn all_presets_validate() {
         for spec in all() {
             for class in spec.classes.iter() {
-                class.validate();
+                assert_eq!(class.validate(), Ok(()), "{}", spec.name);
             }
             assert!(spec.total_txs > 0);
             assert!(!spec.name.is_empty());

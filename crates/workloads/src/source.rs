@@ -34,11 +34,13 @@ impl WorkloadSource {
     ///
     /// # Panics
     ///
-    /// Panics if `classes` is empty or any class fails validation.
+    /// Panics if `classes` is empty, or with [`TxClass::validate`]'s
+    /// message if a class breaks a rule.
     pub fn new(classes: Arc<[TxClass]>, thread_index: usize, count: u64) -> Self {
         assert!(!classes.is_empty(), "benchmark needs at least one class");
-        for c in classes.iter() {
-            c.validate();
+        if let Err(e) = classes.iter().try_for_each(TxClass::validate) {
+            // detlint: allow(P002) -- documented panic contract: an invalid class is a configuration bug, caught before any instance is generated
+            panic!("{e}");
         }
         let total_weight = classes.iter().map(|c| c.weight).sum();
         Self {

@@ -10,7 +10,7 @@
 //! one (Figure 1b), the exact similarity and the Bloom estimate at each
 //! filter size the paper sweeps.
 
-use bfgts_bloomsig::{BloomFilter, PerfectSignature, Signature};
+use bfgts_bloomsig::{BloomFilter, PerfectSignature};
 use bfgts_sim::SimRng;
 
 /// Generates consecutive read/write sets with a controlled hot fraction.
