@@ -54,7 +54,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    let results = run_grid_with_args(&cells, &args);
+    let (results, _) = run_grid_with_args(&cells, &args);
 
     let unique: std::collections::BTreeSet<String> = cells.iter().map(RunCell::cache_key).collect();
     println!(

@@ -75,8 +75,8 @@ pub struct CommonArgs {
     /// parallel cell (`--trace PATH`; a Chrome trace is written next to
     /// it).
     pub trace: Option<std::path::PathBuf>,
-    /// Whether every distinct cell is re-run with full tracing and its
-    /// accounting audited (`--audit`).
+    /// Whether every distinct cell runs once with full tracing and its
+    /// accounting is audited (`--audit`).
     pub audit: bool,
     /// Seed of a randomized fault plan injected into every non-serial
     /// cell (`--faults SEED`; see `bfgts_faultsim::FaultPlan`).
@@ -119,8 +119,10 @@ usage: bfgts_run --report KEY [options]
   --report KEY   run a built-in report: fig4_speedup, fig5_breakdown,
                  fig6_bloom_sweep, table1_conflict_graphs,
                  table4_contention, calibrate, sweep_interval,
-                 ablation_similarity, ablation_aliasing, stm_adaptation
-                 or extended_roster
+                 ablation_similarity, ablation_aliasing, stm_adaptation,
+                 extended_roster, or a JSON artifact: bench_capacity or
+                 bench_competitive (always audited, run at a quarter of
+                 the scale; with --small they print results/BENCH_*.json)
   FILE           scenario file: one JSON scenario object or an array of
                  them (the format --emit writes)
 report options (a FILE fixes its own grid):
@@ -139,9 +141,9 @@ options:
   --trace PATH   re-run the first parallel cell with full event tracing
                  and write it as JSONL to PATH (plus a Chrome trace
                  next to it); the recording is audited first
-  --audit        re-run every distinct cell with full tracing and
-                 verify the accounting invariants (exits 1 on the
-                 first violation)
+  --audit        run every distinct cell once, fully traced, and verify
+                 the accounting invariants (exits 1 on the first
+                 violation)
   --emit PATH    write the exact scenarios the grid would run as a
                  JSON array to PATH and exit without running them
                  (replay the file with bfgts_run FILE)

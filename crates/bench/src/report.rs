@@ -1,6 +1,7 @@
 //! The built-in reports of `bfgts_run --report KEY`: the paper's
 //! Tables 1 and 4, Figures 4–6 and the §5.3.2 update-interval sweep,
-//! the calibration report and four extension studies.
+//! the calibration report, four extension studies and the two JSON
+//! artifacts (the capacity sweep and the competitive ratios).
 //!
 //! A report declares its grid as rows of [`RunCell`]s
 //! ([`Report::grid`]): one row per benchmark, or per (manager,
@@ -8,14 +9,20 @@
 //! through [`run_grid_with_args`], so every report honours the shared
 //! flags (`--jobs`, `--json`, `--emit`, `--audit`, `--trace`,
 //! `--faults`), and prints its table from the summaries handed back in
-//! the same rows. `results/KEY.txt` holds each report's full-scale
-//! output, and CI diffs it byte for byte.
+//! the same rows. `results/MANIFEST` names each report's committed
+//! full-scale output, and CI diffs it byte for byte.
 
+use crate::json::Json;
 use crate::runner::{run_grid_with_args, CellSummary, RunCell};
-use crate::{arithmetic_mean, percent_improvement, CommonArgs, ManagerKind, ManagerSpec, Platform};
+use crate::{
+    arithmetic_mean, percent_improvement, CommonArgs, ManagerKind, ManagerSpec, Platform, Scenario,
+    WorkloadSpec,
+};
 use bfgts_core::BfgtsConfig;
+use bfgts_scenario::{CostKind, ResolvedWorkload};
 use bfgts_sim::Bucket;
-use bfgts_workloads::{presets, BenchmarkSpec};
+use bfgts_trace::AuditSummary;
+use bfgts_workloads::{drain_canonical, presets, AdversarialSpec, BenchmarkSpec, ConflictGraph};
 use std::iter::once;
 
 /// One built-in report, named on the command line by [`Report::key`].
@@ -50,6 +57,16 @@ pub enum Report {
     /// Related-work and theory-grounded managers against Backoff and
     /// BFGTS-HW.
     ExtendedRoster,
+    /// The capacity sweep (DESIGN.md §13): Kmeans under BFGTS-HW and
+    /// Backoff, a perfect-detection row and then every signature width ×
+    /// tracked-address capacity of bounded detection, at a quarter of the
+    /// report scale. Always audited; prints its JSON artifact.
+    BenchCapacity,
+    /// Measured competitive ratios (DESIGN.md §14): four presets and two
+    /// adversarial generators × six managers against each workload's
+    /// clairvoyant makespan bound, at a quarter of the report scale.
+    /// Always audited; prints its JSON artifact.
+    BenchCompetitive,
 }
 
 /// The managers Figure 5 shows, bottom-to-top per benchmark group.
@@ -72,10 +89,19 @@ const ROSTER_LABELS: [&str; 6] = [
     "BalancedGreedy",
     "BFGTS-HW",
 ];
+/// The capacity sweep's managers: the scheduler whose learning the
+/// noisy oracle feeds, and the baseline that never learns.
+const CAPACITY_KINDS: [ManagerKind; 2] = [ManagerKind::BfgtsHw, ManagerKind::Backoff];
+/// Swept signature widths, in bits per filter.
+const CAPACITY_BITS: [u32; 3] = [64, 256, 1024];
+/// Swept tracked-address bounds.
+const CAPACITIES: [u32; 4] = [8, 16, 32, 64];
+/// Hash functions per signature, fixed across the sweep.
+const CAPACITY_HASHES: u32 = 2;
 
 impl Report {
     /// Every report, in the order `--help` lists them.
-    pub const ALL: [Report; 11] = [
+    pub const ALL: [Report; 13] = [
         Report::Fig4Speedup,
         Report::Fig5Breakdown,
         Report::Fig6BloomSweep,
@@ -87,10 +113,12 @@ impl Report {
         Report::AblationAliasing,
         Report::StmAdaptation,
         Report::ExtendedRoster,
+        Report::BenchCapacity,
+        Report::BenchCompetitive,
     ];
 
-    /// The command-line key, also the name of the report's
-    /// `results/KEY.txt`.
+    /// The command-line key. A table report's committed output is
+    /// `results/KEY.txt`; `results/MANIFEST` names every report's.
     pub fn key(self) -> &'static str {
         match self {
             Report::Fig4Speedup => "fig4_speedup",
@@ -104,6 +132,8 @@ impl Report {
             Report::AblationAliasing => "ablation_aliasing",
             Report::StmAdaptation => "stm_adaptation",
             Report::ExtendedRoster => "extended_roster",
+            Report::BenchCapacity => "bench_capacity",
+            Report::BenchCompetitive => "bench_competitive",
         }
     }
 
@@ -119,9 +149,15 @@ impl Report {
     }
 
     /// The report's grid at workload `scale` on `platform`, as rows in
-    /// grid order: one row per benchmark, or per (manager, benchmark)
-    /// for Figure 6.
+    /// grid order: one row per benchmark, per (manager, benchmark) for
+    /// Figure 6, per manager for the capacity sweep and per workload for
+    /// the competitive ratios.
     pub fn grid(self, scale: f64, platform: Platform) -> Vec<Vec<RunCell>> {
+        match self {
+            Report::BenchCapacity => return capacity_grid(scale, platform),
+            Report::BenchCompetitive => return competitive_grid(scale, platform),
+            _ => {}
+        }
         let specs = scaled_presets(scale);
         if self == Report::Fig6BloomSweep {
             // Both sweeps share one grid; each benchmark's serial
@@ -147,12 +183,14 @@ impl Report {
                 let one = |kind| RunCell::one(spec, kind, platform);
                 let with = |manager| RunCell::with_manager(spec, platform, manager);
                 // A retuned BFGTS-HW arm keeps the benchmark's best Bloom size.
-                let bits = ManagerKind::BfgtsHw.optimal_bloom_bits(spec.name);
+                let bits = ManagerKind::BfgtsHw.optimal_bloom_bits(&spec.name);
                 let tuned = |config: BfgtsConfig| with(ManagerSpec::Bfgts(config.bloom_bits(bits)));
                 match self {
                     Report::Fig4Speedup => once(serial).chain(ManagerKind::ALL.map(one)).collect(),
                     Report::Fig5Breakdown => FIG5_MANAGERS.map(one).to_vec(),
-                    Report::Fig6BloomSweep => unreachable!("built above"),
+                    Report::Fig6BloomSweep | Report::BenchCapacity | Report::BenchCompetitive => {
+                        unreachable!("built above")
+                    }
                     // The measurement is manager-independent: contention
                     // management changes how often conflicts repeat, not
                     // which pairs can conflict, so the paper uses Backoff.
@@ -199,23 +237,26 @@ impl Report {
     }
 
     /// Runs the report's grid with the command-line options and prints
-    /// its table on stdout. `--emit` exits inside the grid run, before
-    /// anything is printed.
+    /// its table (or JSON artifact) on stdout. `--emit` exits inside the
+    /// grid run, before anything is printed.
     pub fn run(self, args: &CommonArgs) {
-        // Every Figure 5 number is a cycle-accounting claim, so it is
+        // Every Figure 5 number is a cycle-accounting claim, and both
+        // artifacts record counts only the audit derives, so these are
         // audited on every run (DESIGN.md §8), not only under --audit.
+        let always_audited = matches!(
+            self,
+            Report::Fig5Breakdown | Report::BenchCapacity | Report::BenchCompetitive
+        );
         let args = &CommonArgs {
-            audit: args.audit || self == Report::Fig5Breakdown,
+            audit: args.audit || always_audited,
             ..args.clone()
         };
         let grid = self.grid(args.scale, args.platform);
         let widths: Vec<usize> = grid.iter().map(Vec::len).collect();
         let cells: Vec<RunCell> = grid.into_iter().flatten().collect();
-        let mut summaries = run_grid_with_args(&cells, args).into_iter();
-        let rows: Vec<Vec<CellSummary>> = widths
-            .into_iter()
-            .map(|width| summaries.by_ref().take(width).collect())
-            .collect();
+        let (summaries, audits) = run_grid_with_args(&cells, args);
+        let rows = into_rows(summaries, &widths);
+        let audits = audits.map_or_else(Vec::new, |audits| into_rows(audits, &widths));
         let specs = scaled_presets(args.scale);
         let p = args.platform;
         match self {
@@ -230,8 +271,19 @@ impl Report {
             Report::AblationAliasing => ablation_aliasing(&specs, &rows),
             Report::StmAdaptation => stm_adaptation(&specs, &rows, p),
             Report::ExtendedRoster => extended_roster(&specs, &rows, p),
+            Report::BenchCapacity => bench_capacity(&rows, &audits, args),
+            Report::BenchCompetitive => bench_competitive(&rows, &audits, args),
         }
     }
+}
+
+/// Splits a flattened grid's results back into rows of `widths`.
+fn into_rows<T>(flat: Vec<T>, widths: &[usize]) -> Vec<Vec<T>> {
+    let mut flat = flat.into_iter();
+    widths
+        .iter()
+        .map(|&width| flat.by_ref().take(width).collect())
+        .collect()
 }
 
 /// The seven STAMP presets at workload `scale`, in table order.
@@ -630,25 +682,271 @@ fn extended_roster(specs: &[BenchmarkSpec], rows: &[Vec<CellSummary>], p: Platfo
     );
 }
 
+/// The capacity sweep's detection points in row order: perfect
+/// detection, then every (bits, capacity) pair of bounded detection.
+fn capacity_points() -> impl Iterator<Item = Option<(u32, u32)>> {
+    once(None).chain(
+        CAPACITY_BITS
+            .into_iter()
+            .flat_map(|bits| CAPACITIES.map(|capacity| Some((bits, capacity)))),
+    )
+}
+
+/// The capacity sweep's grid: one row per manager, a perfect-detection
+/// cell and then one cell per (bits, capacity) point, on Kmeans at a
+/// quarter of `scale`.
+fn capacity_grid(scale: f64, platform: Platform) -> Vec<Vec<RunCell>> {
+    let spec = presets::kmeans().scaled(scale / 4.0);
+    CAPACITY_KINDS
+        .iter()
+        .map(|&kind| {
+            capacity_points()
+                .map(|point| {
+                    let platform = match point {
+                        None => platform,
+                        Some((bits, capacity)) => platform.bounded(bits, CAPACITY_HASHES, capacity),
+                    };
+                    RunCell::one(&spec, kind, platform)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Whether the artifact reports ran below the committed full scale.
+fn quick(args: &CommonArgs) -> bool {
+    args.scale < 1.0
+}
+
+/// `results/BENCH_capacity.json`: every cell's makespan and outcome
+/// counts, plus the false-positive conflicts and capacity aborts its
+/// audit verified (I10).
+fn bench_capacity(rows: &[Vec<CellSummary>], audits: &[Vec<AuditSummary>], args: &CommonArgs) {
+    let mut out = Vec::new();
+    for ((kind, row), audit_row) in CAPACITY_KINDS.into_iter().zip(rows).zip(audits) {
+        for ((point, summary), audit) in capacity_points().zip(row).zip(audit_row) {
+            let (detection, (bits, capacity)) = match point {
+                None => ("perfect", (0, 0)),
+                Some(point) => ("bounded", point),
+            };
+            out.push(Json::obj([
+                ("manager", Json::Str(kind.label().to_string())),
+                ("detection", Json::Str(detection.to_string())),
+                ("bits", Json::UInt(u64::from(bits))),
+                ("capacity", Json::UInt(u64::from(capacity))),
+                ("makespan", Json::UInt(summary.makespan)),
+                ("commits", Json::UInt(summary.commits)),
+                ("aborts", Json::UInt(summary.aborts)),
+                (
+                    "false_positive_conflicts",
+                    Json::UInt(audit.false_positive_conflicts),
+                ),
+                ("capacity_aborts", Json::UInt(audit.capacity_aborts)),
+            ]));
+        }
+    }
+    // Sanity on the sweep's shape: the bounded axis has to actually
+    // bite somewhere, or the artifact is a table of noise.
+    assert!(
+        audits.iter().flatten().any(|a| a.capacity_aborts > 0),
+        "no swept cell ever overflowed — capacities are too generous to measure anything"
+    );
+    let doc = Json::obj([
+        ("bin", Json::Str("bench_capacity".to_string())),
+        ("version", Json::UInt(1)),
+        ("workload", Json::Str("Kmeans".to_string())),
+        ("hashes", Json::UInt(u64::from(CAPACITY_HASHES))),
+        ("seed", Json::UInt(args.platform.seed)),
+        ("quick", Json::Bool(quick(args))),
+        ("rows", Json::Arr(out)),
+    ]);
+    println!("{doc}");
+}
+
+/// The competitive sweep's workloads at a quarter of `scale`: four
+/// STAMP presets, then two adversarial generators.
+fn competitive_workloads(scale: f64) -> Vec<ResolvedWorkload> {
+    let scale = scale / 4.0;
+    let preset = |spec: BenchmarkSpec| ResolvedWorkload::Benchmark(spec.scaled(scale));
+    let adversarial = |spec: AdversarialSpec| ResolvedWorkload::Adversarial(spec.scaled(scale));
+    vec![
+        preset(presets::kmeans()),
+        preset(presets::genome()),
+        preset(presets::vacation()),
+        preset(presets::intruder()),
+        adversarial(AdversarialSpec::hotspot_skew()),
+        adversarial(AdversarialSpec::contention_storm()),
+    ]
+}
+
+/// The competitive sweep's grid: one row per workload, one cell per
+/// manager.
+fn competitive_grid(scale: f64, platform: Platform) -> Vec<Vec<RunCell>> {
+    competitive_workloads(scale)
+        .iter()
+        .map(|work| {
+            let workload = match work {
+                ResolvedWorkload::Benchmark(spec) => WorkloadSpec::from_benchmark(spec),
+                ResolvedWorkload::Adversarial(spec) => WorkloadSpec::from_adversarial(spec),
+            };
+            competitive_managers()
+                .map(|manager| RunCell {
+                    scenario: Scenario::new(workload.clone(), manager, platform).canonical(),
+                })
+                .to_vec()
+        })
+        .collect()
+}
+
+/// The competitive sweep's roster: the reactive baselines, the
+/// theory-grounded greedy pair, and both BFGTS flavours.
+fn competitive_managers() -> [ManagerSpec; 6] {
+    let kind = |kind| ManagerSpec::Kind {
+        kind,
+        bloom_bits: None,
+    };
+    [
+        kind(ManagerKind::Backoff),
+        ManagerSpec::Polka,
+        ManagerSpec::WindowGreedy {
+            window_size: None,
+            base_delay: None,
+        },
+        ManagerSpec::BalancedGreedy { window_size: None },
+        kind(ManagerKind::BfgtsSw),
+        kind(ManagerKind::BfgtsHw),
+    ]
+}
+
+/// `results/BENCH_competitive.json`: each workload's clairvoyant lower
+/// bound, from its canonical streams and realized conflict graph, and
+/// every manager's makespan as a competitive ratio against it, beside
+/// the window advances its audit verified (I11).
+fn bench_competitive(rows: &[Vec<CellSummary>], audits: &[Vec<AuditSummary>], args: &CommonArgs) {
+    let p = args.platform;
+    // Every cell runs under `Scenario::new`'s HTM costs; the bound prices
+    // transactions at exactly those costs.
+    let run = CostKind::Htm.run_config(p.cpus, p.threads, p.seed);
+    let mut bounds = Vec::new();
+    let mut out = Vec::new();
+    let mut ratios = Vec::new();
+    let workloads = competitive_workloads(args.scale);
+    for ((work, row), audit_row) in workloads.iter().zip(rows).zip(audits) {
+        let streams = match work {
+            ResolvedWorkload::Benchmark(spec) => drain_canonical(spec.sources(p.threads), p.seed),
+            ResolvedWorkload::Adversarial(spec) => drain_canonical(spec.sources(p.threads), p.seed),
+        };
+        let lb = ConflictGraph::build(&streams, &run).lower_bound(p.cpus);
+        for ((manager, summary), audit) in competitive_managers().iter().zip(row).zip(audit_row) {
+            let label = manager.label();
+            let makespan = summary.makespan;
+            assert!(
+                makespan >= lb.bound,
+                "{label} on {} finished in {makespan} cycles, below the clairvoyant \
+                 bound {} — the bound is not a lower bound",
+                work.name(),
+                lb.bound
+            );
+            // Milli-units, rounded down: integer so the artifact diffs
+            // byte-exactly.
+            let ratio_milli = makespan * 1000 / lb.bound;
+            ratios.push((label.clone(), ratio_milli, audit.window_advances));
+            out.push(Json::obj([
+                ("workload", Json::Str(work.name().to_string())),
+                ("manager", Json::Str(label)),
+                ("makespan", Json::UInt(makespan)),
+                ("commits", Json::UInt(summary.commits)),
+                ("aborts", Json::UInt(summary.aborts)),
+                ("window_advances", Json::UInt(audit.window_advances)),
+                ("ratio_milli", Json::UInt(ratio_milli)),
+            ]));
+        }
+        bounds.push(Json::obj([
+            ("workload", Json::Str(work.name().to_string())),
+            ("total_work", Json::UInt(lb.total_work)),
+            ("work_bound", Json::UInt(lb.work_bound)),
+            ("chain_bound", Json::UInt(lb.chain_bound)),
+            ("hotline_bound", Json::UInt(lb.hotline_bound)),
+            ("bound", Json::UInt(lb.bound)),
+        ]));
+    }
+    // Shape checks: the acceptance contract of the sweep.
+    assert!(
+        ratios.iter().all(|(_, ratio, _)| *ratio >= 1000),
+        "a measured ratio fell below 1.0"
+    );
+    assert!(
+        ratios
+            .iter()
+            .any(|(label, _, advances)| label.starts_with("WindowGreedy") && *advances > 0),
+        "window managers never advanced a window — I11 has nothing to audit"
+    );
+    let doc = Json::obj([
+        ("bin", Json::Str("bench_competitive".to_string())),
+        ("version", Json::UInt(1)),
+        ("seed", Json::UInt(p.seed)),
+        ("quick", Json::Bool(quick(args))),
+        ("cpus", Json::UInt(p.cpus as u64)),
+        ("threads", Json::UInt(p.threads as u64)),
+        ("bounds", Json::Arr(bounds)),
+        ("rows", Json::Arr(out)),
+    ]);
+    println!("{doc}");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::{Path, PathBuf};
 
     #[test]
     fn every_report_has_a_committed_golden() {
-        // results/KEY.txt is each report's full-scale stdout, which CI
-        // diffs; a new report cannot skip its golden.
-        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-        let mut goldens: Vec<String> = std::fs::read_dir(dir)
-            .expect("results/ exists")
-            .filter_map(|entry| {
-                let name = entry.ok()?.file_name().into_string().ok()?;
-                name.strip_suffix(".txt").map(str::to_string)
+        // results/MANIFEST pairs every committed artifact with the
+        // command whose stdout must equal it, and CI runs every row: a
+        // report or an artifact cannot skip its golden, and no row can
+        // name a file that is not there.
+        let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+        let manifest = std::fs::read_to_string(root.join("results/MANIFEST"))
+            .expect("results/MANIFEST exists");
+        let rows: Vec<(&str, Vec<&str>)> = manifest
+            .lines()
+            .filter(|line| !line.is_empty() && !line.starts_with('#'))
+            .map(|line| {
+                let (path, command) = line.split_once(' ').expect("a row is PATH COMMAND");
+                (path, command.split_whitespace().collect())
             })
             .collect();
-        goldens.sort();
-        let mut keys: Vec<&str> = Report::ALL.iter().map(|r| r.key()).collect();
-        keys.sort();
-        assert_eq!(goldens, keys);
+        for report in Report::ALL {
+            assert!(
+                rows.iter()
+                    .any(|(_, words)| words.windows(2).any(|w| w == ["--report", report.key()])),
+                "no manifest row runs --report {}",
+                report.key()
+            );
+        }
+        for (path, _) in &rows {
+            assert!(root.join(path).is_file(), "manifest row for missing {path}");
+        }
+        // The cache, the wall-clock record and the manifest itself are
+        // the only files under results/ without a row.
+        let mut dirs = vec![PathBuf::from("results")];
+        while let Some(dir) = dirs.pop() {
+            for entry in std::fs::read_dir(root.join(&dir)).expect("results/ is readable") {
+                let entry = entry.expect("results/ entries are readable");
+                let path = dir.join(entry.file_name());
+                let path = path.to_str().expect("UTF-8 artifact paths");
+                if entry.path().is_dir() {
+                    if path != "results/cache" {
+                        dirs.push(PathBuf::from(path));
+                    }
+                } else if !matches!(path, "results/MANIFEST" | "results/BENCH_scale.json") {
+                    let listed = rows.iter().filter(|(row, _)| *row == path).count();
+                    assert_eq!(
+                        listed, 1,
+                        "{path} needs exactly one row in results/MANIFEST"
+                    );
+                }
+            }
+        }
     }
 }

@@ -21,6 +21,9 @@
 //!   (hand-rolled JSON, see [`crate::json`]); re-running a report after a
 //!   code-irrelevant change skips finished cells. `--no-cache` bypasses
 //!   the cache, and bumping [`CACHE_VERSION`] invalidates it wholesale.
+//! * Under `--audit`, [`run_grid_audited`] runs each distinct cell once,
+//!   fully traced, and audits its recording in the same worker, so the
+//!   summary and the audit come from one simulation.
 //!
 //! Since cache version 2 a cell *is* a [`Scenario`] (DESIGN.md §10): the
 //! cache key is the scenario's content hash, `--emit` dumps any grid as
@@ -39,9 +42,9 @@ use bfgts_faultsim::FaultPlan;
 use bfgts_htm::{try_run_workload, ContentionManager, LatencyDigest, TmRunReport};
 use bfgts_scenario::{fnv1a, ManagerSpec, ResolvedWorkload, Scenario, WorkloadSpec};
 use bfgts_sim::{Bucket, RunError, TimeBuckets, TraceMode};
-use bfgts_trace::Violation;
+use bfgts_trace::{AuditSummary, Violation};
 use bfgts_workloads::{open_sources, ArrivalSpec, BenchmarkSpec};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -562,41 +565,87 @@ impl RunnerOptions {
 /// results are reassembled by position, the returned vector (and thus any
 /// output printed from it) is identical for every `jobs` value.
 pub fn run_grid(cells: &[RunCell], opts: &RunnerOptions) -> Vec<CellSummary> {
+    run_distinct(cells, opts, |cell, key, disk| {
+        if let Some(summary) = disk.and_then(|dir| load_cached(dir, key)) {
+            return summary;
+        }
+        let summary = cell.execute();
+        if let Some(dir) = disk {
+            store_cached(dir, key, &summary);
+        }
+        summary
+    })
+}
+
+/// [`run_grid`] with the accounting audit: each distinct cell runs once,
+/// fully traced, in its worker, and its recording is replayed through
+/// `bfgts_trace::audit` there before it is dropped, so a worker holds at
+/// most one recording. Returns every cell's summary beside its audit
+/// summary, in grid order, or the violations of the first failing cell
+/// in grid order, each prefixed with that cell's cache key.
+///
+/// The cache is never read, since a cached summary has no recording, but
+/// each summary is stored as [`run_grid`] would store it; a traced run's
+/// summary equals the untraced one.
+pub fn run_grid_audited(
+    cells: &[RunCell],
+    opts: &RunnerOptions,
+) -> Result<Vec<(CellSummary, AuditSummary)>, Vec<Violation>> {
+    run_distinct(cells, opts, |cell, key, disk| {
+        let report = cell.execute_report(TraceMode::Full);
+        let summary = CellSummary::from_report(&report);
+        if let Some(dir) = disk {
+            store_cached(dir, key, &summary);
+        }
+        let audit = report.audit().map_err(|violations| {
+            violations
+                .into_iter()
+                .map(|v| Violation {
+                    what: format!("{key}: {}", v.what),
+                    ..v
+                })
+                .collect::<Vec<_>>()
+        })?;
+        Ok((summary, audit))
+    })
+    .into_iter()
+    .collect()
+}
+
+/// Runs `run(cell, cache key, cache dir)` once per distinct cache key of
+/// `cells`, across [`RunnerOptions::jobs`] workers, and returns one result
+/// per grid cell, in grid order: duplicated cells share a clone of their
+/// first occurrence's result.
+fn run_distinct<T: Clone + Send + Sync>(
+    cells: &[RunCell],
+    opts: &RunnerOptions,
+    run: impl Fn(&RunCell, &str, Option<&Path>) -> T + Sync,
+) -> Vec<T> {
     let keys: Vec<String> = cells.iter().map(RunCell::cache_key).collect();
     // The distinct keys' first cell indices, in grid order, and each
-    // key's position in that list.
+    // cell's position in that list.
     let mut first_of: HashMap<&str, usize> = HashMap::new();
     let mut unique: Vec<usize> = Vec::new();
-    for (i, key) in keys.iter().enumerate() {
-        first_of.entry(key).or_insert_with(|| {
-            unique.push(i);
-            unique.len() - 1
-        });
-    }
+    let slots: Vec<usize> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, key)| {
+            *first_of.entry(key).or_insert_with(|| {
+                unique.push(i);
+                unique.len() - 1
+            })
+        })
+        .collect();
 
     if let Some(dir) = &opts.cache_dir {
         // Best-effort: a read-only tree simply runs without persistence.
         let _ = std::fs::create_dir_all(dir);
     }
-
-    let summaries = parallel_map(unique.len(), opts.jobs, |j| {
-        let slot = unique[j];
-        let key = &keys[slot];
-        let disk = opts.cache_dir.as_deref();
-        match disk.and_then(|dir| load_cached(dir, key)) {
-            Some(summary) => summary,
-            None => {
-                let summary = cells[slot].execute();
-                if let Some(dir) = disk {
-                    store_cached(dir, key, &summary);
-                }
-                summary
-            }
-        }
+    let disk = opts.cache_dir.as_deref();
+    let results = parallel_map(unique.len(), opts.jobs, |j| {
+        run(&cells[unique[j]], &keys[unique[j]], disk)
     });
-    keys.iter()
-        .map(|key| summaries[first_of[key.as_str()]].clone())
-        .collect()
+    slots.iter().map(|&j| results[j].clone()).collect()
 }
 
 /// Computes `task(i)` for every `i` in `0..n` and returns the results in
@@ -633,13 +682,17 @@ pub(crate) fn parallel_map<T: Send + Sync>(
 }
 
 /// Runs the grid with the options selected on the command line and, when
-/// `--json PATH` was given, writes every cell summary there. `--audit`
-/// then re-runs every distinct cell with full tracing and verifies the
-/// accounting invariants (exiting 1 on a violation), and `--trace PATH`
-/// writes the first parallel cell's recording to disk. `--emit PATH`
-/// writes the (fault-armed) grid as a scenario file and exits without
-/// running anything.
-pub fn run_grid_with_args(cells: &[RunCell], args: &CommonArgs) -> Vec<CellSummary> {
+/// `--json PATH` was given, writes every cell summary there. Under
+/// `--audit` the grid runs through [`run_grid_audited`]: each distinct
+/// cell once, fully traced and audited in its worker, with every cell's
+/// audit summary handed back beside the summaries; a violation exits 1.
+/// `--trace PATH` writes the first parallel cell's recording to disk.
+/// `--emit PATH` writes the (fault-armed) grid as a scenario file and
+/// exits without running anything.
+pub fn run_grid_with_args(
+    cells: &[RunCell],
+    args: &CommonArgs,
+) -> (Vec<CellSummary>, Option<Vec<AuditSummary>>) {
     // --faults arms every non-serial cell; the owned grid then feeds the
     // run, the audit and the trace export alike, so fault events show up
     // everywhere downstream.
@@ -673,15 +726,14 @@ pub fn run_grid_with_args(cells: &[RunCell], args: &CommonArgs) -> Vec<CellSumma
             }
         }
     }
-    let results = run_grid(cells, &RunnerOptions::from_args(args));
-    if let Some(path) = &args.json {
-        if let Err(err) = write_grid_json(path, cells, &results) {
-            eprintln!("warning: could not write {}: {err}", path.display());
-        }
-    }
-    if args.audit {
-        match audit_cells(cells) {
-            Ok(totals) => eprintln!("audit: {totals}"),
+    let opts = RunnerOptions::from_args(args);
+    let (results, audits) = if args.audit {
+        match run_grid_audited(cells, &opts) {
+            Ok(audited) => {
+                let (results, audits): (Vec<_>, Vec<_>) = audited.into_iter().unzip();
+                eprintln!("audit: {}", clean_audit_line(cells, &audits));
+                (results, Some(audits))
+            }
             Err(violations) => {
                 for v in violations.iter().take(10) {
                     eprintln!("audit violation: {v}");
@@ -692,6 +744,13 @@ pub fn run_grid_with_args(cells: &[RunCell], args: &CommonArgs) -> Vec<CellSumma
                 );
                 std::process::exit(1);
             }
+        }
+    } else {
+        (run_grid(cells, &opts), None)
+    };
+    if let Some(path) = &args.json {
+        if let Err(err) = write_grid_json(path, cells, &results) {
+            eprintln!("warning: could not write {}: {err}", path.display());
         }
     }
     if let Some(path) = &args.trace {
@@ -716,65 +775,26 @@ pub fn run_grid_with_args(cells: &[RunCell], args: &CommonArgs) -> Vec<CellSumma
             None => eprintln!("warning: --trace given but the grid has no cells"),
         }
     }
-    results
+    (results, audits)
 }
 
-/// Totals accumulated by a clean [`audit_cells`] pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AuditTotals {
-    /// Distinct cells audited.
-    pub cells: usize,
-    /// Events replayed across all cells.
-    pub events: usize,
-    /// Confidence updates recomputed bit-for-bit.
-    pub conf_updates: u64,
-    /// Bloom clamp-contract samples checked.
-    pub bloom_samples: u64,
-}
-
-impl std::fmt::Display for AuditTotals {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} cells clean ({} events, {} confidence updates, {} bloom samples verified)",
-            self.cells, self.events, self.conf_updates, self.bloom_samples
-        )
-    }
-}
-
-/// Re-runs every *distinct* cell of `cells` with full event tracing —
-/// bypassing the cache, whose summaries carry no recording — and replays
-/// each recording through `bfgts_trace::audit`. Returns the totals on
-/// success or the first failing cell's violations, prefixed with its
-/// cache key.
-pub fn audit_cells(cells: &[RunCell]) -> Result<AuditTotals, Vec<Violation>> {
-    let mut seen = std::collections::BTreeSet::new();
-    let mut totals = AuditTotals::default();
-    for cell in cells {
-        let key = cell.cache_key();
-        if !seen.insert(key.clone()) {
-            continue;
-        }
-        let report = cell.execute_report(TraceMode::Full);
-        match report.audit() {
-            Ok(summary) => {
-                totals.cells += 1;
-                totals.events += summary.events;
-                totals.conf_updates += summary.conf_updates;
-                totals.bloom_samples += summary.bloom_samples;
-            }
-            Err(violations) => {
-                return Err(violations
-                    .into_iter()
-                    .map(|v| Violation {
-                        what: format!("{key}: {}", v.what),
-                        ..v
-                    })
-                    .collect())
-            }
-        }
-    }
-    Ok(totals)
+/// The totals of a clean audited grid, over its distinct cells: "N cells
+/// clean (E events, C confidence updates, B bloom samples verified)".
+fn clean_audit_line(cells: &[RunCell], audits: &[AuditSummary]) -> String {
+    let mut seen = BTreeSet::new();
+    let distinct: Vec<&AuditSummary> = cells
+        .iter()
+        .zip(audits)
+        .filter(|(cell, _)| seen.insert(cell.cache_key()))
+        .map(|(_, audit)| audit)
+        .collect();
+    format!(
+        "{} cells clean ({} events, {} confidence updates, {} bloom samples verified)",
+        distinct.len(),
+        distinct.iter().map(|a| a.events).sum::<usize>(),
+        distinct.iter().map(|a| a.conf_updates).sum::<u64>(),
+        distinct.iter().map(|a| a.bloom_samples).sum::<u64>()
+    )
 }
 
 /// The Chrome-trace sibling of a JSONL trace path:

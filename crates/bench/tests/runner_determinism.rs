@@ -2,10 +2,11 @@
 //! Every cell is a deterministic simulation, so a grid run with one
 //! worker and the same grid run with four must agree bit for bit —
 //! including the f64 similarity statistics — and a summary served from
-//! the on-disk cache must be indistinguishable from a fresh simulation.
+//! the on-disk cache, or from a fully traced audited run, must be
+//! indistinguishable from a fresh untraced simulation.
 
-use bfgts_bench::runner::{run_grid, RunCell, RunnerOptions};
-use bfgts_bench::{ManagerKind, Platform};
+use bfgts_bench::runner::{run_grid, run_grid_audited, RunCell, RunnerOptions};
+use bfgts_bench::{ManagerKind, ManagerSpec, Platform};
 use bfgts_testkit::{run_cases, Gen};
 use bfgts_workloads::presets;
 use std::path::PathBuf;
@@ -57,17 +58,47 @@ fn four_workers_match_sequential_on_every_preset() {
 fn worker_count_sweep_is_stable() {
     let platform = Platform::small();
     let spec = presets::intruder().scaled(0.05);
+    let kmeans = presets::kmeans().scaled(0.05);
     let cells = vec![
         RunCell::serial(&spec, platform),
         RunCell::one(&spec, ManagerKind::Ats, platform),
         RunCell::one(&spec, ManagerKind::BfgtsHwBackoff, platform),
         RunCell::one(&spec, ManagerKind::Pts, platform),
+        // Bounded signatures make false-positive conflicts and capacity
+        // aborts, a window manager makes window advances: the audited
+        // path below compares all three.
+        RunCell::one(&kmeans, ManagerKind::BfgtsHw, platform.bounded(64, 2, 8)),
+        RunCell::with_manager(
+            &kmeans,
+            platform,
+            ManagerSpec::WindowGreedy {
+                window_size: None,
+                base_delay: None,
+            },
+        ),
+        RunCell::serial(&spec, platform),
     ];
     let reference = run_grid(&cells, &opts(1, None));
     for jobs in [2, 3, 8, 64] {
         let got = run_grid(&cells, &opts(jobs, None));
         assert_bitwise_identical(&reference, &got);
     }
+    // The audited path runs every distinct cell once, fully traced: its
+    // summaries are the untraced ones, and its audit summaries do not
+    // depend on the worker count either.
+    let audited: Vec<_> = [1, 2, 4]
+        .map(|jobs| run_grid_audited(&cells, &opts(jobs, None)).expect("the grid audits clean"))
+        .into_iter()
+        .map(|run| run.into_iter().unzip::<_, _, Vec<_>, Vec<_>>())
+        .collect();
+    for (summaries, audits) in &audited {
+        assert_bitwise_identical(&reference, summaries);
+        assert_eq!(audits, &audited[0].1);
+    }
+    let audits = &audited[0].1;
+    assert!(audits[4].capacity_aborts > 0 && audits[4].false_positive_conflicts > 0);
+    assert!(audits[5].window_advances > 0);
+    assert_eq!(audits[0], audits[6], "a duplicated cell shares its audit");
 }
 
 #[test]

@@ -744,33 +744,19 @@ pub enum ResolvedWorkload {
 
 impl ResolvedWorkload {
     /// The workload's display name.
-    pub fn name(&self) -> &'static str {
+    pub fn name(&self) -> &str {
         match self {
-            ResolvedWorkload::Benchmark(spec) => spec.name,
+            ResolvedWorkload::Benchmark(spec) => &spec.name,
             ResolvedWorkload::Adversarial(spec) => spec.name,
         }
     }
-}
-
-/// Interns an inline workload's name: [`BenchmarkSpec::name`] is
-/// `&'static str`, so JSON-borne names are leaked once per distinct
-/// string and reused afterwards.
-fn intern_name(name: &str) -> &'static str {
-    static NAMES: std::sync::Mutex<Vec<&'static str>> = std::sync::Mutex::new(Vec::new());
-    let mut names = NAMES.lock().expect("name interner poisoned");
-    if let Some(found) = names.iter().find(|n| **n == name) {
-        return found;
-    }
-    let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-    names.push(leaked);
-    leaked
 }
 
 impl WorkloadSpec {
     /// Describes `spec`: a preset reference when the name and class mix
     /// match a known preset exactly, otherwise the full inline form.
     pub fn from_benchmark(spec: &BenchmarkSpec) -> Self {
-        if let Some(preset) = presets::by_name(spec.name) {
+        if let Some(preset) = presets::by_name(&spec.name) {
             if preset.name == spec.name && preset.classes[..] == spec.classes[..] {
                 return WorkloadSpec::Preset {
                     name: spec.name.to_string(),
@@ -841,7 +827,7 @@ impl WorkloadSpec {
                     class.validate().map_err(|e| format!("inline {e}"))?;
                 }
                 Ok(ResolvedWorkload::Benchmark(BenchmarkSpec {
-                    name: intern_name(name),
+                    name: name.clone().into(),
                     classes: Arc::from(classes.clone()),
                     total_txs: *total_txs,
                     expected: ExpectedProfile {
@@ -1478,7 +1464,7 @@ mod tests {
     fn inline_workloads_round_trip_and_resolve() {
         let spec = {
             let mut spec = presets::kmeans().scaled(0.01);
-            spec.name = "Kmeans-modified";
+            spec.name = "Kmeans-modified".into();
             spec
         };
         let workload = WorkloadSpec::from_benchmark(&spec);

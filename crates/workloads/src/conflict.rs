@@ -1,10 +1,10 @@
 //! The realized conflict graph of a workload and a clairvoyant lower
 //! bound on makespan (DESIGN.md §14).
 //!
-//! The competitive-ratio experiments (`bench_competitive`) compare every
-//! online contention manager against an *offline* quantity: how fast the
-//! same transactions could possibly have finished under a scheduler that
-//! knows the whole future. Computing the true offline optimum is NP-hard
+//! The competitive-ratio report (`bfgts_run --report bench_competitive`)
+//! compares every online contention manager against an *offline*
+//! quantity: how fast the same transactions could possibly have finished
+//! under a scheduler that knows the whole future. Computing the true offline optimum is NP-hard
 //! (it embeds graph coloring), so we report a deterministic **lower
 //! bound** instead — every measured makespan divided by it yields a
 //! ratio that is provably ≥ 1, and smaller is better.

@@ -24,7 +24,7 @@ fn spec(
     expected: ExpectedProfile,
 ) -> BenchmarkSpec {
     BenchmarkSpec {
-        name,
+        name: name.into(),
         classes: Arc::from(classes),
         total_txs,
         expected,

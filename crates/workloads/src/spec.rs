@@ -2,6 +2,7 @@
 
 use crate::class::TxClass;
 use crate::source::WorkloadSource;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// The paper-reported profile of a benchmark (Tables 1 and 4), kept with
@@ -21,8 +22,9 @@ pub struct ExpectedProfile {
 /// and the paper profile it is calibrated against.
 #[derive(Debug, Clone)]
 pub struct BenchmarkSpec {
-    /// Benchmark name as used in the paper's tables.
-    pub name: &'static str,
+    /// Benchmark name as used in the paper's tables. Presets borrow a
+    /// literal; a workload parsed from a scenario owns its name.
+    pub name: Cow<'static, str>,
     /// The static transactions.
     pub classes: Arc<[TxClass]>,
     /// Total dynamic transactions across all threads.

@@ -16,7 +16,7 @@ fn order_book() -> BenchmarkSpec {
     let best_bid_ask = Region::new(0x100, 8); // top of book: white hot
     let book = Region::new(0x10_000, 20_000);
     BenchmarkSpec {
-        name: "OrderBook",
+        name: "OrderBook".into(),
         classes: Arc::from(vec![
             TxClass {
                 // order placement: updates top-of-book + a random level
