@@ -11,17 +11,21 @@
 //! identical bytes — the golden-trace determinism tests diff files
 //! directly.
 //!
-//! The Chrome form is the human-facing view: charges become duration
+//! The JSONL writer ([`to_jsonl`]) and reader ([`parse_jsonl`]) are the
+//! one place where each direction names every event kind. The Chrome
+//! form is the human-facing view, derived from each record's JSONL
+//! fields rather than from the event kinds: charges become duration
 //! (`"X"`) slices on one lane per CPU, everything else becomes instant
 //! events on one lane per thread (confidence updates on a scheduler
 //! lane keyed by static transaction). It is lossy by design — floats
 //! are printed as floats there.
 
 use crate::json::Json;
-use bfgts_scenario::Scenario;
+use bfgts_scenario::{Platform, Scenario};
 use bfgts_trace::{
-    AuditInputs, BucketKind, ConfKind, DecisionKind, TraceEvent, TraceRec, TraceRecording,
+    AuditInputs, Bucket, ConfKind, DecisionKind, TraceEvent, TraceRec, TraceRecording,
 };
+use std::collections::BTreeMap;
 
 /// Format version stamped into (and required of) the JSONL header.
 /// Version 2 added the fault-injection instants (`fault_bloom_corrupt`,
@@ -123,17 +127,25 @@ pub fn parse_jsonl_full(
             .ok_or_else(|| format!("line 1: header field '{key}' missing or malformed"))
     };
     let makespan = field("makespan")?;
-    let num_cpus = field("num_cpus")? as usize;
+    let num_cpus = field("num_cpus")?;
+    // The audit allocates per CPU, so the header may not ask for more
+    // CPUs than any platform has.
+    if num_cpus > Platform::MAX_CPUS as u64 {
+        return Err(format!(
+            "line 1: header field 'num_cpus' is {num_cpus}, above the maximum {}",
+            Platform::MAX_CPUS
+        ));
+    }
     let dropped = field("dropped")?;
     let declared = field("events")?;
-    let per_thread: Vec<[u64; BucketKind::COUNT]> = header
+    let per_thread: Vec<[u64; Bucket::COUNT]> = header
         .get("per_thread")
         .and_then(Json::as_arr)
         .ok_or("line 1: header field 'per_thread' missing")?
         .iter()
         .map(|row| {
             let cells = row.as_arr()?;
-            let mut out = [0u64; BucketKind::COUNT];
+            let mut out = [0u64; Bucket::COUNT];
             if cells.len() != out.len() {
                 return None;
             }
@@ -158,7 +170,8 @@ pub fn parse_jsonl_full(
         }
     };
 
-    let mut events = Vec::with_capacity(declared as usize);
+    // Sized from the lines present, never from the header's claim.
+    let mut events = Vec::with_capacity(lines.clone().count());
     for (i, line) in lines {
         let n = i + 1;
         let value = Json::parse(line).map_err(|e| format!("line {n}: {e}"))?;
@@ -174,7 +187,7 @@ pub fn parse_jsonl_full(
         TraceRecording { events, dropped },
         AuditInputs {
             makespan,
-            num_cpus,
+            num_cpus: num_cpus as usize,
             per_thread,
             window_seed,
         },
@@ -183,100 +196,105 @@ pub fn parse_jsonl_full(
 }
 
 fn rec_to_json(rec: &TraceRec) -> Json {
-    let u = |x: u32| Json::UInt(u64::from(x));
-    let mut pairs: Vec<(&'static str, Json)> = vec![
+    let mut pairs = event_fields(&rec.ev);
+    pairs.extend([
         ("seq", Json::UInt(rec.seq)),
         ("at", Json::UInt(rec.at)),
         ("ev", Json::Str(rec.ev.name().into())),
-    ];
-    match rec.ev {
+    ]);
+    Json::obj(pairs)
+}
+
+/// The JSONL fields of one event, beside its record's `seq`, `at` and
+/// `ev`: what [`to_chrome`] derives each Chrome event from.
+fn event_fields(ev: &TraceEvent) -> Vec<(&'static str, Json)> {
+    let u = |x: u32| Json::UInt(u64::from(x));
+    match *ev {
         TraceEvent::Charge {
             cpu,
             thread,
             bucket,
             cycles,
-        } => pairs.extend([
+        } => vec![
             ("cpu", u(cpu)),
             ("thread", u(thread)),
             ("bucket", Json::Str(bucket.label().into())),
             ("cycles", Json::UInt(cycles)),
-        ]),
+        ],
         TraceEvent::Refile {
             thread,
             from,
             to,
             requested,
             moved,
-        } => pairs.extend([
+        } => vec![
             ("thread", u(thread)),
             ("from", Json::Str(from.label().into())),
             ("to", Json::Str(to.label().into())),
             ("requested", Json::UInt(requested)),
             ("moved", Json::UInt(moved)),
-        ]),
-        TraceEvent::ContextSwitch { cpu, thread, cost } => pairs.extend([
+        ],
+        TraceEvent::ContextSwitch { cpu, thread, cost } => vec![
             ("cpu", u(cpu)),
             ("thread", u(thread)),
             ("cost", Json::UInt(cost)),
-        ]),
+        ],
         TraceEvent::TxBegin {
             thread,
             stx,
             retries,
-        } => pairs.extend([
+        } => vec![
             ("thread", u(thread)),
             ("stx", u(stx)),
             ("retries", u(retries)),
-        ]),
+        ],
         TraceEvent::TxConflict {
             thread,
             stx,
             enemy_thread,
             enemy_stx,
             stalled,
-        } => pairs.extend([
+        } => vec![
             ("thread", u(thread)),
             ("stx", u(stx)),
             ("enemy_thread", u(enemy_thread)),
             ("enemy_stx", u(enemy_stx)),
             ("stalled", Json::Bool(stalled)),
-        ]),
-        TraceEvent::TxStall { thread, stx } => {
-            pairs.extend([("thread", u(thread)), ("stx", u(stx))]);
-        }
+        ],
+        TraceEvent::TxStall { thread, stx } => vec![("thread", u(thread)), ("stx", u(stx))],
         TraceEvent::TxSuspend {
             thread,
             stx,
             target_thread,
             target_stx,
             yielding,
-        } => pairs.extend([
+        } => vec![
             ("thread", u(thread)),
             ("stx", u(stx)),
             ("target_thread", u(target_thread)),
             ("target_stx", u(target_stx)),
             ("yielding", Json::Bool(yielding)),
-        ]),
+        ],
         TraceEvent::TxAbort {
             thread,
             stx,
             undo_lines,
-        } => pairs.extend([
+        } => vec![
             ("thread", u(thread)),
             ("stx", u(stx)),
             ("undo_lines", u(undo_lines)),
-        ]),
+        ],
         TraceEvent::TxCommit {
             thread,
             stx,
             retries,
             rw_lines,
-        } => pairs.extend([
+        } => vec![
             ("thread", u(thread)),
             ("stx", u(stx)),
             ("retries", u(retries)),
             ("rw_lines", u(rw_lines)),
-        ]),
+        ],
         TraceEvent::SchedDecision {
             thread,
             stx,
@@ -284,14 +302,14 @@ fn rec_to_json(rec: &TraceRec) -> Json {
             target_thread,
             target_stx,
             cost,
-        } => pairs.extend([
+        } => vec![
             ("thread", u(thread)),
             ("stx", u(stx)),
             ("kind", Json::Str(kind.label().into())),
             ("target_thread", u(target_thread)),
             ("target_stx", u(target_stx)),
             ("cost", Json::UInt(cost)),
-        ]),
+        ],
         TraceEvent::ConfUpdate {
             kind,
             a_stx,
@@ -300,7 +318,7 @@ fn rec_to_json(rec: &TraceRec) -> Json {
             sim_b_bits,
             param_bits,
             applied_bits,
-        } => pairs.extend([
+        } => vec![
             ("kind", Json::Str(kind.label().into())),
             ("a_stx", u(a_stx)),
             ("b_stx", u(b_stx)),
@@ -308,34 +326,34 @@ fn rec_to_json(rec: &TraceRec) -> Json {
             ("sim_b_bits", Json::UInt(sim_b_bits)),
             ("param_bits", Json::UInt(param_bits)),
             ("applied_bits", Json::UInt(applied_bits)),
-        ]),
+        ],
         TraceEvent::BloomSample {
             thread,
             stx,
             raw_bits,
             clamped_bits,
-        } => pairs.extend([
+        } => vec![
             ("thread", u(thread)),
             ("stx", u(stx)),
             ("raw_bits", Json::UInt(raw_bits)),
             ("clamped_bits", Json::UInt(clamped_bits)),
-        ]),
+        ],
         TraceEvent::ShardTouch { thread, stx, shard } => {
-            pairs.extend([("thread", u(thread)), ("stx", u(stx)), ("shard", u(shard))]);
+            vec![("thread", u(thread)), ("stx", u(stx)), ("shard", u(shard))]
         }
         TraceEvent::CrossShardCommit {
             thread,
             stx,
             shards,
             cost,
-        } => pairs.extend([
+        } => vec![
             ("thread", u(thread)),
             ("stx", u(stx)),
             ("shards", u(shards)),
             ("cost", Json::UInt(cost)),
-        ]),
+        ],
         TraceEvent::FaultBloomCorrupt { thread, stx, bits } => {
-            pairs.extend([("thread", u(thread)), ("stx", u(stx)), ("bits", u(bits))]);
+            vec![("thread", u(thread)), ("stx", u(stx)), ("bits", u(bits))]
         }
         TraceEvent::FalsePositiveConflict {
             thread,
@@ -343,56 +361,55 @@ fn rec_to_json(rec: &TraceRec) -> Json {
             enemy_thread,
             enemy_stx,
             true_conflicts,
-        } => pairs.extend([
+        } => vec![
             ("thread", u(thread)),
             ("stx", u(stx)),
             ("enemy_thread", u(enemy_thread)),
             ("enemy_stx", u(enemy_stx)),
             ("true_conflicts", u(true_conflicts)),
-        ]),
+        ],
         TraceEvent::CapacityAbort {
             thread,
             stx,
             tracked,
             capacity,
-        } => pairs.extend([
+        } => vec![
             ("thread", u(thread)),
             ("stx", u(stx)),
             ("tracked", u(tracked)),
             ("capacity", u(capacity)),
-        ]),
+        ],
         TraceEvent::FaultConfPoison {
             thread,
             saturate,
             entries,
-        } => pairs.extend([
+        } => vec![
             ("thread", u(thread)),
             ("saturate", Json::Bool(saturate)),
             ("entries", Json::UInt(entries)),
-        ]),
+        ],
         TraceEvent::TxArrival {
             thread,
             stx,
             arrival,
-        } => pairs.extend([
+        } => vec![
             ("thread", u(thread)),
             ("stx", u(stx)),
             ("arrival", Json::UInt(arrival)),
-        ]),
+        ],
         TraceEvent::QueueDepth { thread, depth } => {
-            pairs.extend([("thread", u(thread)), ("depth", Json::UInt(depth))]);
+            vec![("thread", u(thread)), ("depth", Json::UInt(depth))]
         }
         TraceEvent::WindowAdvance {
             thread,
             window,
             priority,
-        } => pairs.extend([
+        } => vec![
             ("thread", u(thread)),
             ("window", Json::UInt(window)),
             ("priority", Json::UInt(priority)),
-        ]),
+        ],
     }
-    Json::obj(pairs)
 }
 
 fn rec_from_json(v: &Json) -> Option<TraceRec> {
@@ -405,7 +422,7 @@ fn rec_from_json(v: &Json) -> Option<TraceRec> {
         Json::Bool(b) => Some(*b),
         _ => None,
     };
-    let bucketf = |key: &str| BucketKind::from_label(v.get(key)?.as_str()?);
+    let bucketf = |key: &str| Bucket::from_label(v.get(key)?.as_str()?);
     let ev = match name {
         "charge" => TraceEvent::Charge {
             cpu: u32f("cpu")?,
@@ -536,10 +553,29 @@ fn rec_from_json(v: &Json) -> Option<TraceRec> {
 }
 
 /// Renders a recording in Chrome `trace_event` format.
+///
+/// Each event is derived from its record's JSONL fields, never from its
+/// kind:
+///
+/// * lane: the CPU lane when the record names a `cpu` (charges and
+///   context switches), the scheduler lane keyed by `a_stx` for
+///   confidence updates, the `thread` lane otherwise;
+/// * name: a charge (a record with a `bucket` and `cycles`) is a
+///   duration slice named by its bucket. Any other record is an instant
+///   named by its event, with its `kind` (`sched:yield`,
+///   `conf:wait_justified`), its `fault:` prefix and its `stx` or
+///   `window` folded in;
+/// * args: every other field, `*_bits` fields printed as floats.
 pub fn to_chrome(recording: &TraceRecording, inputs: &AuditInputs) -> String {
     const PID_CPUS: u64 = 0;
     const PID_THREADS: u64 = 1;
     const PID_SCHED: u64 = 2;
+    // The lane keys in precedence order, each with its process.
+    const LANES: [(&str, u64); 3] = [
+        ("cpu", PID_CPUS),
+        ("a_stx", PID_SCHED),
+        ("thread", PID_THREADS),
+    ];
     let meta = |pid: u64, name: &str| {
         Json::obj([
             ("ph", Json::Str("M".into())),
@@ -562,300 +598,55 @@ pub fn to_chrome(recording: &TraceRecording, inputs: &AuditInputs) -> String {
             Json::Str(format!("0x{bits:016x}"))
         }
     };
-    let instant = |pid: u64, tid: u64, at: u64, name: String, args: Json| {
-        Json::obj([
-            ("ph", Json::Str("i".into())),
-            ("pid", Json::UInt(pid)),
-            ("tid", Json::UInt(tid)),
-            ("ts", Json::UInt(at)),
-            ("s", Json::Str("t".into())),
-            ("name", Json::Str(name)),
-            ("args", args),
-        ])
-    };
     for rec in &recording.events {
-        let at = rec.at;
-        events.push(match rec.ev {
-            TraceEvent::Charge {
-                cpu,
-                thread,
-                bucket,
-                cycles,
-            } => Json::obj([
+        let mut fields: BTreeMap<&str, Json> = event_fields(&rec.ev).into_iter().collect();
+        let (pid, tid) = LANES
+            .into_iter()
+            .find_map(|(key, pid)| Some((pid, fields.remove(key)?)))
+            .expect("every trace event names a cpu, an a_stx or a thread");
+        let mut chrome = vec![
+            ("pid", Json::UInt(pid)),
+            ("tid", tid),
+            ("ts", Json::UInt(rec.at)),
+        ];
+        if let (Some(bucket), Some(cycles)) = (fields.remove("bucket"), fields.remove("cycles")) {
+            chrome.extend([
                 ("ph", Json::Str("X".into())),
-                ("pid", Json::UInt(PID_CPUS)),
-                ("tid", Json::UInt(u64::from(cpu))),
-                ("ts", Json::UInt(at)),
-                ("dur", Json::UInt(cycles)),
                 ("cat", Json::Str("charge".into())),
-                ("name", Json::Str(bucket.label().into())),
-                (
-                    "args",
-                    Json::obj([("thread", Json::UInt(u64::from(thread)))]),
-                ),
-            ]),
-            TraceEvent::ContextSwitch { cpu, thread, cost } => instant(
-                PID_CPUS,
-                u64::from(cpu),
-                at,
-                "context_switch".into(),
-                Json::obj([
-                    ("thread", Json::UInt(u64::from(thread))),
-                    ("cost", Json::UInt(cost)),
-                ]),
-            ),
-            TraceEvent::Refile {
-                thread,
-                from,
-                to,
-                requested,
-                moved,
-            } => instant(
-                PID_THREADS,
-                u64::from(thread),
-                at,
-                "refile".into(),
-                Json::obj([
-                    ("from", Json::Str(from.label().into())),
-                    ("to", Json::Str(to.label().into())),
-                    ("requested", Json::UInt(requested)),
-                    ("moved", Json::UInt(moved)),
-                ]),
-            ),
-            TraceEvent::TxBegin {
-                thread,
-                stx,
-                retries,
-            } => instant(
-                PID_THREADS,
-                u64::from(thread),
-                at,
-                format!("tx_begin stx{stx}"),
-                Json::obj([("retries", Json::UInt(u64::from(retries)))]),
-            ),
-            TraceEvent::TxConflict {
-                thread,
-                stx,
-                enemy_thread,
-                enemy_stx,
-                stalled,
-            } => instant(
-                PID_THREADS,
-                u64::from(thread),
-                at,
-                format!("tx_conflict stx{stx}"),
-                Json::obj([
-                    ("enemy_thread", Json::UInt(u64::from(enemy_thread))),
-                    ("enemy_stx", Json::UInt(u64::from(enemy_stx))),
-                    ("stalled", Json::Bool(stalled)),
-                ]),
-            ),
-            TraceEvent::TxStall { thread, stx } => instant(
-                PID_THREADS,
-                u64::from(thread),
-                at,
-                format!("tx_stall stx{stx}"),
-                Json::obj([]),
-            ),
-            TraceEvent::TxSuspend {
-                thread,
-                stx,
-                target_thread,
-                target_stx,
-                yielding,
-            } => instant(
-                PID_THREADS,
-                u64::from(thread),
-                at,
-                format!("tx_suspend stx{stx}"),
-                Json::obj([
-                    ("target_thread", Json::UInt(u64::from(target_thread))),
-                    ("target_stx", Json::UInt(u64::from(target_stx))),
-                    ("yielding", Json::Bool(yielding)),
-                ]),
-            ),
-            TraceEvent::TxAbort {
-                thread,
-                stx,
-                undo_lines,
-            } => instant(
-                PID_THREADS,
-                u64::from(thread),
-                at,
-                format!("tx_abort stx{stx}"),
-                Json::obj([("undo_lines", Json::UInt(u64::from(undo_lines)))]),
-            ),
-            TraceEvent::TxCommit {
-                thread,
-                stx,
-                retries,
-                rw_lines,
-            } => instant(
-                PID_THREADS,
-                u64::from(thread),
-                at,
-                format!("tx_commit stx{stx}"),
-                Json::obj([
-                    ("retries", Json::UInt(u64::from(retries))),
-                    ("rw_lines", Json::UInt(u64::from(rw_lines))),
-                ]),
-            ),
-            TraceEvent::SchedDecision {
-                thread,
-                stx,
-                kind,
-                target_thread,
-                target_stx,
-                cost,
-            } => instant(
-                PID_THREADS,
-                u64::from(thread),
-                at,
-                format!("sched:{} stx{stx}", kind.label()),
-                Json::obj([
-                    ("target_thread", Json::UInt(u64::from(target_thread))),
-                    ("target_stx", Json::UInt(u64::from(target_stx))),
-                    ("cost", Json::UInt(cost)),
-                ]),
-            ),
-            TraceEvent::ConfUpdate {
-                kind,
-                a_stx,
-                b_stx,
-                sim_a_bits,
-                sim_b_bits,
-                param_bits,
-                applied_bits,
-            } => instant(
-                PID_SCHED,
-                u64::from(a_stx),
-                at,
-                format!("conf:{}", kind.label()),
-                Json::obj([
-                    ("b_stx", Json::UInt(u64::from(b_stx))),
-                    ("sim_a", float(sim_a_bits)),
-                    ("sim_b", float(sim_b_bits)),
-                    ("param", float(param_bits)),
-                    ("applied", float(applied_bits)),
-                ]),
-            ),
-            TraceEvent::BloomSample {
-                thread,
-                stx,
-                raw_bits,
-                clamped_bits,
-            } => instant(
-                PID_THREADS,
-                u64::from(thread),
-                at,
-                format!("bloom_sample stx{stx}"),
-                Json::obj([("raw", float(raw_bits)), ("clamped", float(clamped_bits))]),
-            ),
-            TraceEvent::ShardTouch { thread, stx, shard } => instant(
-                PID_THREADS,
-                u64::from(thread),
-                at,
-                format!("shard_touch stx{stx}"),
-                Json::obj([("shard", Json::UInt(u64::from(shard)))]),
-            ),
-            TraceEvent::CrossShardCommit {
-                thread,
-                stx,
-                shards,
-                cost,
-            } => instant(
-                PID_THREADS,
-                u64::from(thread),
-                at,
-                format!("cross_shard_commit stx{stx}"),
-                Json::obj([
-                    ("shards", Json::UInt(u64::from(shards))),
-                    ("cost", Json::UInt(cost)),
-                ]),
-            ),
-            TraceEvent::FaultBloomCorrupt { thread, stx, bits } => instant(
-                PID_THREADS,
-                u64::from(thread),
-                at,
-                format!("fault:bloom_corrupt stx{stx}"),
-                Json::obj([("bits", Json::UInt(u64::from(bits)))]),
-            ),
-            TraceEvent::FalsePositiveConflict {
-                thread,
-                stx,
-                enemy_thread,
-                enemy_stx,
-                true_conflicts,
-            } => instant(
-                PID_THREADS,
-                u64::from(thread),
-                at,
-                format!("false_positive_conflict stx{stx}"),
-                Json::obj([
-                    ("enemy_thread", Json::UInt(u64::from(enemy_thread))),
-                    ("enemy_stx", Json::UInt(u64::from(enemy_stx))),
-                    ("true_conflicts", Json::UInt(u64::from(true_conflicts))),
-                ]),
-            ),
-            TraceEvent::CapacityAbort {
-                thread,
-                stx,
-                tracked,
-                capacity,
-            } => instant(
-                PID_THREADS,
-                u64::from(thread),
-                at,
-                format!("capacity_abort stx{stx}"),
-                Json::obj([
-                    ("tracked", Json::UInt(u64::from(tracked))),
-                    ("capacity", Json::UInt(u64::from(capacity))),
-                ]),
-            ),
-            TraceEvent::FaultConfPoison {
-                thread,
-                saturate,
-                entries,
-            } => instant(
-                PID_THREADS,
-                u64::from(thread),
-                at,
-                "fault:conf_poison".into(),
-                Json::obj([
-                    ("saturate", Json::Bool(saturate)),
-                    ("entries", Json::UInt(entries)),
-                ]),
-            ),
-            TraceEvent::TxArrival {
-                thread,
-                stx,
-                arrival,
-            } => instant(
-                PID_THREADS,
-                u64::from(thread),
-                at,
-                format!("tx_arrival stx{stx}"),
-                Json::obj([("arrival", Json::UInt(arrival))]),
-            ),
-            TraceEvent::QueueDepth { thread, depth } => instant(
-                PID_THREADS,
-                u64::from(thread),
-                at,
-                "queue_depth".into(),
-                Json::obj([("depth", Json::UInt(depth))]),
-            ),
-            TraceEvent::WindowAdvance {
-                thread,
-                window,
-                priority,
-            } => instant(
-                PID_THREADS,
-                u64::from(thread),
-                at,
-                format!("window_advance w{window}"),
-                Json::obj([("priority", Json::UInt(priority))]),
-            ),
-        });
+                ("name", bucket),
+                ("dur", cycles),
+            ]);
+        } else {
+            let ev = rec.ev.name();
+            let (head, tail) = ev.split_once('_').unwrap_or((ev, ""));
+            let mut name = match fields.remove("kind") {
+                Some(kind) => format!("{head}:{}", kind.as_str().unwrap_or_default()),
+                None if head == "fault" => format!("fault:{tail}"),
+                None => ev.to_string(),
+            };
+            if let Some(stx) = fields.remove("stx") {
+                name += &format!(" stx{stx}");
+            }
+            if let Some(window) = fields.remove("window") {
+                name += &format!(" w{window}");
+            }
+            chrome.extend([
+                ("ph", Json::Str("i".into())),
+                ("s", Json::Str("t".into())),
+                ("name", Json::Str(name)),
+            ]);
+        }
+        let args = fields
+            .into_iter()
+            .map(
+                |(key, value)| match (key.strip_suffix("_bits"), value.as_u64()) {
+                    (Some(stem), Some(bits)) => (stem.to_string(), float(bits)),
+                    _ => (key.to_string(), value),
+                },
+            )
+            .collect();
+        chrome.push(("args", Json::Obj(args)));
+        events.push(Json::obj(chrome));
     }
     let doc = Json::obj([
         ("displayTimeUnit", Json::Str("ns".into())),
@@ -883,13 +674,13 @@ mod tests {
             TraceEvent::Charge {
                 cpu: 0,
                 thread: 1,
-                bucket: BucketKind::Tx,
+                bucket: Bucket::Tx,
                 cycles: 40,
             },
             TraceEvent::Refile {
                 thread: 1,
-                from: BucketKind::Tx,
-                to: BucketKind::Abort,
+                from: Bucket::Tx,
+                to: Bucket::Abort,
                 requested: 40,
                 moved: 40,
             },
@@ -1020,10 +811,17 @@ mod tests {
         (recording, inputs)
     }
 
+    /// The exports of [`sample_recording`], written before the Chrome
+    /// view was derived from the JSONL record. Never regenerated: they
+    /// pin every byte both exporters write.
+    const SAMPLE_JSONL: &str = include_str!("../tests/fixtures/sample_recording.jsonl");
+    const SAMPLE_CHROME: &str = include_str!("../tests/fixtures/sample_recording.chrome.json");
+
     #[test]
     fn jsonl_round_trips_every_variant_exactly() {
         let (recording, inputs) = sample_recording();
         let text = to_jsonl(&recording, &inputs);
+        assert_eq!(text, SAMPLE_JSONL);
         let (parsed_rec, parsed_inputs) = parse_jsonl(&text).unwrap();
         assert_eq!(parsed_rec, recording);
         assert_eq!(parsed_inputs, inputs);
@@ -1043,6 +841,18 @@ mod tests {
         assert!(parse_jsonl(&bad_version).is_err(), "future version");
         let bad_event = text.replace("\"ev\":\"tx_stall\"", "\"ev\":\"tx_mystery\"");
         assert!(parse_jsonl(&bad_event).is_err(), "unknown event name");
+        // Header sizes no allocation may trust: an event count no vector
+        // can hold, one that would take 64 TiB, and a CPU count that
+        // would make the audit allocate 8 TiB.
+        for (field, hostile) in [
+            ("\"events\":21", "\"events\":18446744073709551615"),
+            ("\"events\":21", "\"events\":1099511627776"),
+            ("\"num_cpus\":2", "\"num_cpus\":1099511627776"),
+        ] {
+            let err = parse_jsonl(&text.replace(field, hostile)).unwrap_err();
+            let name = field.split('"').nth(1).unwrap();
+            assert!(err.contains(name), "{hostile}: {err}");
+        }
     }
 
     #[test]
@@ -1077,6 +887,7 @@ mod tests {
     fn chrome_export_is_valid_json_with_cpu_slices() {
         let (recording, inputs) = sample_recording();
         let text = to_chrome(&recording, &inputs);
+        assert_eq!(text, SAMPLE_CHROME);
         let doc = Json::parse(text.trim_end()).unwrap();
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
         // 3 process-name metadata records + one record per event.

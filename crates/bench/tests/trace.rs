@@ -16,6 +16,7 @@ use bfgts_sim::TraceMode;
 use bfgts_testkit::run_cases;
 use bfgts_workloads::presets;
 use std::path::PathBuf;
+use std::process::Command;
 
 /// The determinism regression workload of `crates/htm/tests/determinism.rs`:
 /// four threads hammering an overlapping 8-line window.
@@ -64,6 +65,39 @@ fn golden_trace_is_byte_identical_across_runs() {
 
 fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("bfgts_trace_test_{}_{name}", std::process::id()))
+}
+
+#[test]
+fn trace_dump_answers_hostile_headers_with_an_error() {
+    // Header sizes a file can lie about: an event count no vector can
+    // hold, one that would take 64 TiB, and a CPU count that would make
+    // the audit allocate 8 TiB. Each gets an `error:` line and exit 2,
+    // never a panic or an abort.
+    let text = traced_jsonl(Box::new(NullCm));
+    let (recording, inputs) = parse_jsonl(&text).expect("own export parses");
+    let events = recording.events.len() as u64;
+    let path = temp_path("hostile_header.jsonl");
+    for (key, honest, hostile, error) in [
+        ("events", events, u64::MAX, "header declares"),
+        ("events", events, 1 << 40, "header declares"),
+        ("num_cpus", inputs.num_cpus as u64, 1 << 40, "'num_cpus'"),
+    ] {
+        let (from, to) = (
+            format!("\"{key}\":{honest}"),
+            format!("\"{key}\":{hostile}"),
+        );
+        std::fs::write(&path, text.replacen(&from, &to, 1)).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_trace_dump"))
+            .arg(&path)
+            .arg("--audit")
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{to}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{to}: {stderr}");
+        assert!(stderr.contains(error), "{to}: {stderr}");
+    }
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

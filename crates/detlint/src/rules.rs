@@ -166,6 +166,7 @@ pub const HOT_FNS: &[(&str, &str)] = &[
     ("sim", "Engine::promote_sleepers"),
     ("sim", "Engine::service_cpu"),
     ("sim", "Engine::step_thread"),
+    ("sim", "Engine::charge"),
     ("sim", "Engine::runs_ahead"),
     ("sim", "Cpu::preempts"),
     ("sim", "Engine::wake_internal"),

@@ -1,67 +1,11 @@
 //! Cycle-bucket accounting matching the paper's Figure 5 breakdown.
+//!
+//! The five categories are [`Bucket`], the trace vocabulary's own type
+//! (re-exported as `bfgts_sim::Bucket`): the engine charges the same
+//! value its `Charge` event names, so nothing converts between the two.
 
-use std::fmt;
+use bfgts_trace::Bucket;
 use std::ops::{Add, AddAssign};
-
-/// The execution-time category a slice of cycles belongs to.
-///
-/// These are the five categories of the paper's Figure 5 runtime
-/// breakdown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Bucket {
-    /// Useful work outside any transaction.
-    NonTx,
-    /// Kernel mode: context switches, yields, futex waits, OS bookkeeping.
-    Kernel,
-    /// Useful work inside transactions that eventually committed.
-    Tx,
-    /// Wasted work: cycles spent in transactions that aborted, plus
-    /// rollback costs and post-abort backoff stalls.
-    Abort,
-    /// Contention-manager overhead: begin-time prediction scans, commit
-    /// bookkeeping, similarity calculations, confidence updates.
-    Scheduling,
-}
-
-impl Bucket {
-    /// All buckets in report order.
-    pub const ALL: [Bucket; 5] = [
-        Bucket::NonTx,
-        Bucket::Kernel,
-        Bucket::Tx,
-        Bucket::Abort,
-        Bucket::Scheduling,
-    ];
-
-    /// Short label used in experiment output.
-    pub fn label(self) -> &'static str {
-        match self {
-            Bucket::NonTx => "non-tx",
-            Bucket::Kernel => "kernel",
-            Bucket::Tx => "tx",
-            Bucket::Abort => "abort",
-            Bucket::Scheduling => "sched",
-        }
-    }
-
-    /// The tracing vocabulary's mirror of this bucket (the `bfgts-trace`
-    /// crate is a leaf and defines its own copy of the five categories).
-    pub fn trace_kind(self) -> bfgts_trace::BucketKind {
-        match self {
-            Bucket::NonTx => bfgts_trace::BucketKind::NonTx,
-            Bucket::Kernel => bfgts_trace::BucketKind::Kernel,
-            Bucket::Tx => bfgts_trace::BucketKind::Tx,
-            Bucket::Abort => bfgts_trace::BucketKind::Abort,
-            Bucket::Scheduling => bfgts_trace::BucketKind::Scheduling,
-        }
-    }
-}
-
-impl fmt::Display for Bucket {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// Per-bucket cycle totals for one thread or one whole run.
 ///
@@ -252,11 +196,5 @@ mod tests {
         assert_eq!(t.transfer(Bucket::Tx, Bucket::Abort, 999), 10);
         assert_eq!(t.get(Bucket::Tx), 0);
         assert_eq!(t.get(Bucket::Abort), 10);
-    }
-
-    #[test]
-    fn labels_are_stable() {
-        assert_eq!(Bucket::Scheduling.label(), "sched");
-        assert_eq!(Bucket::NonTx.to_string(), "non-tx");
     }
 }

@@ -1,13 +1,13 @@
 //! The discrete-event execution engine: CPUs, run queues, the OS scheduler
 //! model and the main event loop.
 
-use crate::accounting::{Bucket, TimeBuckets};
+use crate::accounting::TimeBuckets;
 use crate::cost::CostModel;
 use crate::equeue::{EventQueue, EventQueueKind};
 use crate::ids::{CpuId, ThreadId};
 use crate::rng::SimRng;
 use crate::time::Cycle;
-use bfgts_trace::{TraceEvent, TraceMode, TraceRecording, TraceSink};
+use bfgts_trace::{Bucket, TraceEvent, TraceMode, TraceRecording, TraceSink};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
@@ -110,8 +110,8 @@ impl<'a> ThreadCtx<'a> {
         let thread = self.thread.index() as u32;
         self.trace.emit(self.now.as_u64(), || TraceEvent::Refile {
             thread,
-            from: from.trace_kind(),
-            to: to.trace_kind(),
+            from,
+            to,
             requested: cycles,
             moved,
         });
@@ -296,7 +296,7 @@ impl RunReport {
 
     /// The ground truth `bfgts_trace::audit` checks this run's trace
     /// against: makespan, CPU count and the per-thread bucket totals in
-    /// the trace crate's index order.
+    /// [`Bucket::ALL`] order.
     pub fn audit_inputs(&self) -> bfgts_trace::AuditInputs {
         bfgts_trace::AuditInputs {
             makespan: self.makespan.as_u64(),
@@ -304,13 +304,7 @@ impl RunReport {
             per_thread: self
                 .per_thread
                 .iter()
-                .map(|t| {
-                    let mut row = [0u64; bfgts_trace::BucketKind::COUNT];
-                    for b in Bucket::ALL {
-                        row[b.trace_kind().index()] = t.get(b);
-                    }
-                    row
-                })
+                .map(|t| Bucket::ALL.map(|b| t.get(b)))
                 .collect(),
             // The engine knows nothing about window-based managers; the
             // TM harness overrides this for runs that declared a seed.
@@ -592,9 +586,6 @@ impl<W> Engine<W> {
             slot.last = Some(next);
             slot.ran_since_switch = 0;
             self.thread_mut(next).state = ThreadState::Running;
-            if switch > 0 {
-                self.thread_mut(next).buckets.charge(Bucket::Kernel, switch);
-            }
             if switched {
                 let at = self.now.as_u64();
                 let (cpu_u, thread_u) = (cpu.index() as u32, next.index() as u32);
@@ -603,14 +594,7 @@ impl<W> Engine<W> {
                     thread: thread_u,
                     cost: switch,
                 });
-                if switch > 0 {
-                    self.trace.emit(at, || TraceEvent::Charge {
-                        cpu: cpu_u,
-                        thread: thread_u,
-                        bucket: Bucket::Kernel.trace_kind(),
-                        cycles: switch,
-                    });
-                }
+                self.charge(cpu, next, Bucket::Kernel, switch, at);
             }
             self.arm(cpu, self.now + Cycle::new(switch));
             return;
@@ -642,19 +626,9 @@ impl<W> Engine<W> {
                 .as_u64()
                 .checked_add(extra)
                 .expect("trace timestamp overflowed u64");
-            let (cpu_u, thread_u) = (cpu.index() as u32, tid.index() as u32);
-            let kernel = Bucket::Kernel.trace_kind();
             match action {
                 Action::Work { cycles, bucket } => {
-                    self.thread_mut(tid).buckets.charge(bucket, cycles);
-                    if cycles > 0 {
-                        self.trace.emit(at_after, || TraceEvent::Charge {
-                            cpu: cpu_u,
-                            thread: thread_u,
-                            bucket: bucket.trace_kind(),
-                            cycles,
-                        });
-                    }
+                    self.charge(cpu, tid, bucket, cycles, at_after);
                     let ran = cycles
                         .checked_add(extra)
                         .expect("step-cycle accounting overflowed u64");
@@ -674,17 +648,7 @@ impl<W> Engine<W> {
                     self.arm(cpu, next);
                 }
                 Action::Yield => {
-                    self.thread_mut(tid)
-                        .buckets
-                        .charge(Bucket::Kernel, yield_syscall);
-                    if yield_syscall > 0 {
-                        self.trace.emit(at_after, || TraceEvent::Charge {
-                            cpu: cpu_u,
-                            thread: thread_u,
-                            bucket: kernel,
-                            cycles: yield_syscall,
-                        });
-                    }
+                    self.charge(cpu, tid, Bucket::Kernel, yield_syscall, at_after);
                     self.thread_mut(tid).state = ThreadState::Ready;
                     let slot = self.cpu_mut(cpu);
                     slot.current = None;
@@ -698,17 +662,7 @@ impl<W> Engine<W> {
                     self.arm(cpu, self.now + Cycle::new(pause.max(1)));
                 }
                 Action::Block => {
-                    self.thread_mut(tid)
-                        .buckets
-                        .charge(Bucket::Kernel, futex_block);
-                    if futex_block > 0 {
-                        self.trace.emit(at_after, || TraceEvent::Charge {
-                            cpu: cpu_u,
-                            thread: thread_u,
-                            bucket: kernel,
-                            cycles: futex_block,
-                        });
-                    }
+                    self.charge(cpu, tid, Bucket::Kernel, futex_block, at_after);
                     let slot = self.thread_mut(tid);
                     if slot.pending_wake {
                         // A wake raced ahead of the block: consume it and
@@ -792,17 +746,26 @@ impl<W> Engine<W> {
         }
         wakes.clear();
         self.wakes = wakes;
-        if extra > 0 {
-            self.thread_mut(tid).buckets.charge(Bucket::Kernel, extra);
-            let (cpu_u, thread_u) = (cpu.index() as u32, tid.index() as u32);
-            self.trace.emit(self.now.as_u64(), || TraceEvent::Charge {
-                cpu: cpu_u,
-                thread: thread_u,
-                bucket: Bucket::Kernel.trace_kind(),
-                cycles: extra,
-            });
-        }
+        self.charge(cpu, tid, Bucket::Kernel, extra, self.now.as_u64());
         (action, extra)
+    }
+
+    /// Charges `cycles` to `tid`'s `bucket` and records the interval
+    /// `[at, at + cycles)` on `cpu` as a `Charge` event: every bucket
+    /// charge the engine makes, and the one place it emits `Charge`. A
+    /// zero-cycle charge changes no total and emits nothing.
+    fn charge(&mut self, cpu: CpuId, tid: ThreadId, bucket: Bucket, cycles: u64, at: u64) {
+        if cycles == 0 {
+            return;
+        }
+        self.thread_mut(tid).buckets.charge(bucket, cycles);
+        let (cpu, thread) = (cpu.index() as u32, tid.index() as u32);
+        self.trace.emit(at, || TraceEvent::Charge {
+            cpu,
+            thread,
+            bucket,
+            cycles,
+        });
     }
 
     /// Whether the thread on `cpu`, whose Work step ends at `next`, steps

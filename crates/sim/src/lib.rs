@@ -56,16 +56,16 @@ pub mod ids;
 pub mod rng;
 pub mod time;
 
-pub use accounting::{Bucket, TimeBuckets};
+pub use accounting::TimeBuckets;
 pub use cost::CostModel;
 pub use engine::{Action, Engine, EngineConfig, RunError, RunReport, ThreadCtx, ThreadLogic};
 pub use equeue::EventQueueKind;
 pub use ids::{CpuId, ThreadId};
 pub use rng::SimRng;
 pub use time::Cycle;
-// Re-exported so downstream crates can configure tracing without a direct
-// `bfgts-trace` dependency.
+// Re-exported so downstream crates can name cycle buckets and configure
+// tracing without a direct `bfgts-trace` dependency.
 pub use bfgts_trace::{
-    window_priority, BucketKind, ConfKind, DecisionKind, TraceEvent, TraceMode, TraceRecording,
+    window_priority, Bucket, ConfKind, DecisionKind, TraceEvent, TraceMode, TraceRecording,
     TraceSink, NO_TARGET,
 };

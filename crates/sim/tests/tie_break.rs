@@ -15,8 +15,8 @@
 
 use bfgts_sim::equeue::{EventQueue, EventQueueKind};
 use bfgts_sim::{
-    Action, Bucket, BucketKind, CostModel, Cycle, Engine, EngineConfig, RunError, RunReport,
-    ThreadCtx, ThreadId, ThreadLogic, TraceEvent, TraceMode,
+    Action, Bucket, CostModel, Cycle, Engine, EngineConfig, RunError, RunReport, ThreadCtx,
+    ThreadId, ThreadLogic, TraceEvent, TraceMode,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -246,7 +246,7 @@ fn a_wake_superseding_an_idle_timer_traces_identically_under_both_queues() {
         .trace
         .events
         .iter()
-        .find(|r| matches!(r.ev, TraceEvent::Charge { thread: 2, bucket, .. } if bucket == BucketKind::Tx))
+        .find(|r| matches!(r.ev, TraceEvent::Charge { thread: 2, bucket, .. } if bucket == Bucket::Tx))
         .map(|r| r.at)
         .expect("t2 ran after its wake");
     assert_eq!(woken_at, 10_000, "the wake waited for the timer");

@@ -71,7 +71,7 @@
 //!
 //! [`TraceMode::Full`]: crate::TraceMode::Full
 
-use crate::event::{BucketKind, ConfKind, TraceEvent};
+use crate::event::{Bucket, ConfKind, TraceEvent};
 use crate::sink::TraceRecording;
 
 /// The shared randomized-priority draw of the window-based greedy
@@ -100,8 +100,8 @@ pub struct AuditInputs {
     /// Number of simulated CPUs.
     pub num_cpus: usize,
     /// Reported per-thread bucket totals, indexed by thread id then
-    /// [`BucketKind::index`].
-    pub per_thread: Vec<[u64; BucketKind::COUNT]>,
+    /// [`Bucket::index`].
+    pub per_thread: Vec<[u64; Bucket::COUNT]>,
     /// Seed of the window-priority stream, declared by runs under a
     /// window-based greedy manager and `None` for every other run.
     /// [`TraceEvent::WindowAdvance`] events are only legal when a seed
@@ -143,7 +143,7 @@ pub struct AuditSummary {
     /// exact, so `busy + idle` sums to `makespan × num_cpus`).
     pub per_cpu_idle: Vec<u64>,
     /// Total cycles per bucket after refiles, summed over threads.
-    pub charged: [u64; BucketKind::COUNT],
+    pub charged: [u64; Bucket::COUNT],
     /// Transaction commits seen.
     pub commits: u64,
     /// Transaction aborts seen.
@@ -225,7 +225,7 @@ pub fn audit(
     }
 
     let threads = inputs.per_thread.len();
-    let mut acc: Vec<[u64; BucketKind::COUNT]> = vec![[0; BucketKind::COUNT]; threads];
+    let mut acc: Vec<[u64; Bucket::COUNT]> = vec![[0; Bucket::COUNT]; threads];
     let mut cpu_cursor: Vec<u64> = vec![0; inputs.num_cpus];
     let mut cpu_busy: Vec<u64> = vec![0; inputs.num_cpus];
     let mut open: Vec<Option<OpenTx>> = vec![None; threads];
@@ -835,7 +835,7 @@ pub fn audit(
     }
     // I1: exact bucket conservation per thread and bucket.
     for (t, (got, want)) in acc.iter().zip(&inputs.per_thread).enumerate() {
-        for b in BucketKind::ALL {
+        for b in Bucket::ALL {
             if got[b.index()] != want[b.index()] {
                 v.push(end(format!(
                     "thread {t} bucket {}: trace accounts for {}cy but the run reported \
@@ -860,7 +860,7 @@ pub fn audit(
     summary.per_cpu_idle = cpu_busy.iter().map(|b| inputs.makespan - b).collect();
     summary.per_cpu_busy = cpu_busy;
     for row in &acc {
-        for b in BucketKind::ALL {
+        for b in Bucket::ALL {
             summary.charged[b.index()] += row[b.index()];
         }
     }
@@ -885,14 +885,7 @@ mod tests {
         TraceRecording { events, dropped: 0 }
     }
 
-    fn charge(
-        seq: u64,
-        at: u64,
-        cpu: u32,
-        thread: u32,
-        bucket: BucketKind,
-        cycles: u64,
-    ) -> TraceRec {
+    fn charge(seq: u64, at: u64, cpu: u32, thread: u32, bucket: Bucket, cycles: u64) -> TraceRec {
         TraceRec {
             seq,
             at,
@@ -908,8 +901,8 @@ mod tests {
     #[test]
     fn clean_single_thread_trace_passes() {
         let events = vec![
-            charge(0, 0, 0, 0, BucketKind::Kernel, 10),
-            charge(1, 10, 0, 0, BucketKind::NonTx, 90),
+            charge(0, 0, 0, 0, Bucket::Kernel, 10),
+            charge(1, 10, 0, 0, Bucket::NonTx, 90),
         ];
         let inp = inputs(100, 1, vec![[90, 10, 0, 0, 0]]);
         let s = audit(&rec(events), &inp).expect("clean trace");
@@ -920,7 +913,7 @@ mod tests {
 
     #[test]
     fn bucket_mismatch_is_flagged_as_gap_and_double_count() {
-        let events = vec![charge(0, 0, 0, 0, BucketKind::NonTx, 50)];
+        let events = vec![charge(0, 0, 0, 0, Bucket::NonTx, 50)];
         let inp = inputs(100, 1, vec![[40, 10, 0, 0, 0]]);
         let errs = audit(&rec(events), &inp).unwrap_err();
         assert_eq!(errs.len(), 2);
@@ -931,8 +924,8 @@ mod tests {
     #[test]
     fn overlapping_charges_on_one_cpu_are_flagged() {
         let events = vec![
-            charge(0, 0, 0, 0, BucketKind::NonTx, 60),
-            charge(1, 50, 0, 1, BucketKind::NonTx, 10),
+            charge(0, 0, 0, 0, Bucket::NonTx, 60),
+            charge(1, 50, 0, 1, Bucket::NonTx, 10),
         ];
         let inp = inputs(100, 1, vec![[60, 0, 0, 0, 0], [10, 0, 0, 0, 0]]);
         let errs = audit(&rec(events), &inp).unwrap_err();
@@ -944,7 +937,7 @@ mod tests {
 
     #[test]
     fn charge_past_makespan_is_flagged() {
-        let events = vec![charge(0, 90, 0, 0, BucketKind::NonTx, 20)];
+        let events = vec![charge(0, 90, 0, 0, Bucket::NonTx, 20)];
         let inp = inputs(100, 1, vec![[20, 0, 0, 0, 0]]);
         let errs = audit(&rec(events), &inp).unwrap_err();
         assert!(
@@ -956,14 +949,14 @@ mod tests {
     #[test]
     fn refile_conserves_and_saturation_is_flagged() {
         let ok = vec![
-            charge(0, 0, 0, 0, BucketKind::Tx, 80),
+            charge(0, 0, 0, 0, Bucket::Tx, 80),
             TraceRec {
                 seq: 1,
                 at: 80,
                 ev: TraceEvent::Refile {
                     thread: 0,
-                    from: BucketKind::Tx,
-                    to: BucketKind::Abort,
+                    from: Bucket::Tx,
+                    to: Bucket::Abort,
                     requested: 30,
                     moved: 30,
                 },
@@ -973,14 +966,14 @@ mod tests {
         audit(&rec(ok), &inp).expect("conserving refile");
 
         let saturated = vec![
-            charge(0, 0, 0, 0, BucketKind::Tx, 20),
+            charge(0, 0, 0, 0, Bucket::Tx, 20),
             TraceRec {
                 seq: 1,
                 at: 20,
                 ev: TraceEvent::Refile {
                     thread: 0,
-                    from: BucketKind::Tx,
-                    to: BucketKind::Abort,
+                    from: Bucket::Tx,
+                    to: Bucket::Abort,
                     requested: 30,
                     moved: 20,
                 },
@@ -1762,7 +1755,7 @@ mod tests {
 
     #[test]
     fn out_of_range_ids_are_flagged() {
-        let events = vec![charge(0, 0, 7, 9, BucketKind::NonTx, 10)];
+        let events = vec![charge(0, 0, 7, 9, Bucket::NonTx, 10)];
         let inp = inputs(100, 1, vec![[0; 5]]);
         let errs = audit(&rec(events), &inp).unwrap_err();
         assert!(

@@ -1,73 +1,79 @@
 //! The typed event vocabulary.
 //!
 //! Events carry only primitives (`u32` ids, `u64` cycle counts, `u64`
-//! IEEE-754 bit patterns) so the crate stays a leaf: the simulator, HTM
-//! model and scheduler convert their own id types at the emission site.
+//! IEEE-754 bit patterns) and this crate's own small enums, so the crate
+//! stays a leaf: the simulator, HTM model and scheduler convert their own
+//! id types at the emission site. The cycle [`Bucket`] needs no
+//! conversion, since the simulator charges this very type.
 
 /// Sentinel for "no target thread/transaction" in events whose target is
 /// optional (e.g. a [`TraceEvent::SchedDecision`] that proceeds).
 pub const NO_TARGET: u32 = u32::MAX;
 
-/// The five cycle buckets of the paper's Figure 5, mirroring
-/// `bfgts_sim::Bucket` (which converts via `Bucket::trace_kind`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum BucketKind {
+/// The execution-time category a slice of cycles belongs to: the five
+/// categories of the paper's Figure 5 runtime breakdown. The simulator
+/// charges them (`bfgts_sim` re-exports this type) and the trace names
+/// them, so one type serves both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Bucket {
     /// Useful work outside any transaction.
     NonTx,
-    /// Kernel/OS time: context switches, futex traffic, syscalls.
+    /// Kernel mode: context switches, yields, futex waits, OS bookkeeping.
     Kernel,
-    /// Useful work inside transactions that eventually commit.
+    /// Useful work inside transactions that eventually committed.
     Tx,
-    /// Work inside transactions that aborted, plus rollback costs.
+    /// Wasted work: cycles spent in transactions that aborted, plus
+    /// rollback costs and post-abort backoff stalls.
     Abort,
-    /// Contention-manager decision overhead.
+    /// Contention-manager overhead: begin-time prediction scans, commit
+    /// bookkeeping, similarity calculations, confidence updates.
     Scheduling,
 }
 
-impl BucketKind {
-    /// All buckets, in the fixed order used for array indexing and the
-    /// per-thread totals in [`crate::AuditInputs`].
-    pub const ALL: [BucketKind; 5] = [
-        BucketKind::NonTx,
-        BucketKind::Kernel,
-        BucketKind::Tx,
-        BucketKind::Abort,
-        BucketKind::Scheduling,
+impl Bucket {
+    /// All buckets in report order, which is also the order used for
+    /// array indexing and the per-thread totals in [`crate::AuditInputs`].
+    pub const ALL: [Bucket; 5] = [
+        Bucket::NonTx,
+        Bucket::Kernel,
+        Bucket::Tx,
+        Bucket::Abort,
+        Bucket::Scheduling,
     ];
 
     /// Number of buckets.
     pub const COUNT: usize = 5;
 
-    /// Position of this bucket in [`BucketKind::ALL`].
+    /// Position of this bucket in [`Bucket::ALL`].
     pub fn index(self) -> usize {
         match self {
-            BucketKind::NonTx => 0,
-            BucketKind::Kernel => 1,
-            BucketKind::Tx => 2,
-            BucketKind::Abort => 3,
-            BucketKind::Scheduling => 4,
+            Bucket::NonTx => 0,
+            Bucket::Kernel => 1,
+            Bucket::Tx => 2,
+            Bucket::Abort => 3,
+            Bucket::Scheduling => 4,
         }
     }
 
-    /// Inverse of [`BucketKind::index`].
-    pub fn from_index(i: usize) -> Option<BucketKind> {
-        BucketKind::ALL.get(i).copied()
+    /// Inverse of [`Bucket::index`].
+    pub fn from_index(i: usize) -> Option<Bucket> {
+        Bucket::ALL.get(i).copied()
     }
 
     /// Stable lowercase label, used in exports.
     pub fn label(self) -> &'static str {
         match self {
-            BucketKind::NonTx => "non_tx",
-            BucketKind::Kernel => "kernel",
-            BucketKind::Tx => "tx",
-            BucketKind::Abort => "abort",
-            BucketKind::Scheduling => "scheduling",
+            Bucket::NonTx => "non_tx",
+            Bucket::Kernel => "kernel",
+            Bucket::Tx => "tx",
+            Bucket::Abort => "abort",
+            Bucket::Scheduling => "scheduling",
         }
     }
 
-    /// Inverse of [`BucketKind::label`].
-    pub fn from_label(s: &str) -> Option<BucketKind> {
-        BucketKind::ALL.into_iter().find(|b| b.label() == s)
+    /// Inverse of [`Bucket::label`].
+    pub fn from_label(s: &str) -> Option<Bucket> {
+        Bucket::ALL.into_iter().find(|b| b.label() == s)
     }
 }
 
@@ -88,6 +94,15 @@ pub enum DecisionKind {
 }
 
 impl DecisionKind {
+    /// Every verdict.
+    pub const ALL: [DecisionKind; 5] = [
+        DecisionKind::Proceed,
+        DecisionKind::Spin,
+        DecisionKind::Yield,
+        DecisionKind::Block,
+        DecisionKind::Delay,
+    ];
+
     /// Stable lowercase label, used in exports.
     pub fn label(self) -> &'static str {
         match self {
@@ -101,15 +116,7 @@ impl DecisionKind {
 
     /// Inverse of [`DecisionKind::label`].
     pub fn from_label(s: &str) -> Option<DecisionKind> {
-        [
-            DecisionKind::Proceed,
-            DecisionKind::Spin,
-            DecisionKind::Yield,
-            DecisionKind::Block,
-            DecisionKind::Delay,
-        ]
-        .into_iter()
-        .find(|d| d.label() == s)
+        DecisionKind::ALL.into_iter().find(|d| d.label() == s)
     }
 }
 
@@ -138,6 +145,14 @@ pub enum ConfKind {
 }
 
 impl ConfKind {
+    /// Every update rule.
+    pub const ALL: [ConfKind; 4] = [
+        ConfKind::ConflictInc,
+        ConfKind::SuspendDecay,
+        ConfKind::WaitJustified,
+        ConfKind::WaitUnjustified,
+    ];
+
     /// Stable lowercase label, used in exports.
     pub fn label(self) -> &'static str {
         match self {
@@ -150,14 +165,7 @@ impl ConfKind {
 
     /// Inverse of [`ConfKind::label`].
     pub fn from_label(s: &str) -> Option<ConfKind> {
-        [
-            ConfKind::ConflictInc,
-            ConfKind::SuspendDecay,
-            ConfKind::WaitJustified,
-            ConfKind::WaitUnjustified,
-        ]
-        .into_iter()
-        .find(|k| k.label() == s)
+        ConfKind::ALL.into_iter().find(|k| k.label() == s)
     }
 }
 
@@ -177,7 +185,7 @@ pub enum TraceEvent {
         /// Charged thread.
         thread: u32,
         /// Destination bucket.
-        bucket: BucketKind,
+        bucket: Bucket,
         /// Interval length in cycles (never zero; zero-cost operations
         /// emit nothing).
         cycles: u64,
@@ -190,9 +198,9 @@ pub enum TraceEvent {
         /// Thread whose buckets were adjusted.
         thread: u32,
         /// Source bucket.
-        from: BucketKind,
+        from: Bucket,
         /// Destination bucket.
-        to: BucketKind,
+        to: Bucket,
         /// Cycles the caller asked to move.
         requested: u64,
         /// Cycles actually moved.
@@ -493,33 +501,24 @@ mod tests {
 
     #[test]
     fn bucket_index_roundtrip() {
-        for (i, b) in BucketKind::ALL.into_iter().enumerate() {
+        for (i, b) in Bucket::ALL.into_iter().enumerate() {
             assert_eq!(b.index(), i);
-            assert_eq!(BucketKind::from_index(i), Some(b));
-            assert_eq!(BucketKind::from_label(b.label()), Some(b));
+            assert_eq!(Bucket::from_index(i), Some(b));
+            assert_eq!(Bucket::from_label(b.label()), Some(b));
         }
-        assert_eq!(BucketKind::from_index(5), None);
-        assert_eq!(BucketKind::from_label("bogus"), None);
+        assert_eq!(Bucket::from_index(5), None);
+        assert_eq!(Bucket::from_label("bogus"), None);
     }
 
     #[test]
     fn decision_and_conf_labels_roundtrip() {
-        for d in [
-            DecisionKind::Proceed,
-            DecisionKind::Spin,
-            DecisionKind::Yield,
-            DecisionKind::Block,
-            DecisionKind::Delay,
-        ] {
+        for d in DecisionKind::ALL {
             assert_eq!(DecisionKind::from_label(d.label()), Some(d));
         }
-        for k in [
-            ConfKind::ConflictInc,
-            ConfKind::SuspendDecay,
-            ConfKind::WaitJustified,
-            ConfKind::WaitUnjustified,
-        ] {
+        for k in ConfKind::ALL {
             assert_eq!(ConfKind::from_label(k.label()), Some(k));
         }
+        assert_eq!(DecisionKind::from_label("bogus"), None);
+        assert_eq!(ConfKind::from_label("bogus"), None);
     }
 }

@@ -20,6 +20,9 @@
 //!   decisions with their confidence and similarity inputs, and Bloom
 //!   intersection-estimate samples. Every floating-point input is carried
 //!   as an IEEE-754 bit pattern (`u64`) so traces are byte-reproducible.
+//!   The five Figure 5 buckets are this crate's [`Bucket`], which the
+//!   simulator's accounting charges directly, so no emission site
+//!   converts a bucket.
 //! * [`TraceSink`] — the collector. Disabled it is a single `None` check
 //!   per emission with the event constructor never run; enabled it is an
 //!   unbounded or ring-buffered recorder. The simulation engine owns one
@@ -44,5 +47,5 @@ mod event;
 mod sink;
 
 pub use audit::{audit, window_priority, AuditInputs, AuditSummary, Violation};
-pub use event::{BucketKind, ConfKind, DecisionKind, TraceEvent, NO_TARGET};
+pub use event::{Bucket, ConfKind, DecisionKind, TraceEvent, NO_TARGET};
 pub use sink::{TraceMode, TraceRec, TraceRecording, TraceSink};

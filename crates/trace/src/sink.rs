@@ -146,13 +146,13 @@ impl TraceSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::BucketKind;
+    use crate::event::Bucket;
 
     fn charge(cycles: u64) -> TraceEvent {
         TraceEvent::Charge {
             cpu: 0,
             thread: 0,
-            bucket: BucketKind::NonTx,
+            bucket: Bucket::NonTx,
             cycles,
         }
     }

@@ -77,6 +77,6 @@ fn main() {
     println!("\ntime breakdown:");
     let total = report.sim.total();
     for (bucket, frac) in total.breakdown() {
-        println!("  {bucket:>7}: {:5.1}%", frac * 100.0);
+        println!("  {:>10}: {:5.1}%", bucket.label(), frac * 100.0);
     }
 }
