@@ -15,25 +15,9 @@
 //! file replays its cells byte-identically and shares its
 //! `results/cache` entries.
 
-use bfgts_bench::runner::{run_grid_with_args, RunCell};
+use bfgts_bench::runner::{load_cells, run_grid_with_args, RunCell};
 use bfgts_bench::{parse_common_args, Input};
 use std::process::ExitCode;
-
-/// Loads every scenario in `path` as an executable cell, with the file
-/// and entry index in any error.
-fn load_cells(path: &std::path::Path) -> Result<Vec<RunCell>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let scenarios = bfgts_scenario::scenarios_from_str(&text)
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    scenarios
-        .into_iter()
-        .enumerate()
-        .map(|(i, scenario)| {
-            RunCell::from_scenario(scenario)
-                .map_err(|e| format!("{}: scenario {i}: {e}", path.display()))
-        })
-        .collect()
-}
 
 fn main() -> ExitCode {
     let (input, args) = parse_common_args();
@@ -46,7 +30,11 @@ fn main() -> ExitCode {
     };
     let mut cells = Vec::new();
     for file in &files {
-        match load_cells(file) {
+        let label = file.display().to_string();
+        let loaded = std::fs::read_to_string(file)
+            .map_err(|e| format!("{label}: {e}"))
+            .and_then(|text| load_cells(&label, &text));
+        match loaded {
             Ok(mut loaded) => cells.append(&mut loaded),
             Err(msg) => {
                 eprintln!("error: {msg}");

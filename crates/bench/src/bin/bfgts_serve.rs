@@ -18,7 +18,7 @@
 //! `bfgts_run` replay of the same file.
 
 use bfgts_bench::json::Json;
-use bfgts_bench::runner::RunCell;
+use bfgts_bench::runner::{latency_to_json, load_cells, RunCell};
 use bfgts_sim::TraceMode;
 use bfgts_trace::{TraceEvent, TraceRecording};
 use std::collections::BTreeSet;
@@ -197,18 +197,7 @@ fn serve_scenario(
         ("workload", Json::Str(cell.scenario.workload.name().into())),
     ];
     if let Some(latency) = report.latency() {
-        pairs.push((
-            "latency",
-            Json::obj([
-                ("count", Json::UInt(latency.count)),
-                ("p50", Json::UInt(latency.p50)),
-                ("p95", Json::UInt(latency.p95)),
-                ("p99", Json::UInt(latency.p99)),
-                ("total_cycles", Json::UInt(latency.total_cycles)),
-                // Bit pattern, like the cell cache: replay-diffable.
-                ("tx_per_sec_bits", Json::UInt(latency.tx_per_sec.to_bits())),
-            ]),
-        ));
+        pairs.push(("latency", latency_to_json(&latency)));
         pairs.push((
             // Human-facing view of the same number; {:?}-formatted f64s
             // are shortest-round-trip, so equal bits print equal text.
@@ -229,13 +218,7 @@ fn serve_document(
     args: &Args,
     out: &mut impl std::io::Write,
 ) -> Result<usize, String> {
-    let scenarios =
-        bfgts_scenario::scenarios_from_str(text).map_err(|e| format!("{label}: {e}"))?;
-    let cells = scenarios
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| RunCell::from_scenario(s).map_err(|e| format!("{label}: scenario {i}: {e}")))
-        .collect::<Result<Vec<_>, _>>()?;
+    let cells = load_cells(label, text)?;
     let served = cells.len();
     for cell in &cells {
         serve_scenario(cell, args.interval, args.audit, out)

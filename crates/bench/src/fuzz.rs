@@ -339,34 +339,24 @@ impl Repro {
 
     /// Parses a repro from its JSON document.
     pub fn from_json(value: &Json) -> Result<Repro, String> {
-        let field = |key: &str| value.get(key).ok_or_else(|| format!("missing '{key}'"));
-        let uint = |key: &str| {
-            field(key)?
-                .as_u64()
-                .ok_or_else(|| format!("'{key}' must be an unsigned integer"))
-        };
-        let version = uint("version")?;
-        if version != REPRO_VERSION {
-            return Err(format!(
-                "repro version {version} unsupported (expected {REPRO_VERSION})"
-            ));
-        }
-        let violations = field("violations")?
-            .as_arr()
-            .ok_or("'violations' must be an array")?
-            .iter()
-            .map(|v| {
-                v.as_str()
+        value.read("repro", |f| {
+            let version: u64 = f.req("version")?;
+            if version != REPRO_VERSION {
+                return Err(format!(
+                    "repro version {version} unsupported (expected {REPRO_VERSION})"
+                ));
+            }
+            Ok(Repro {
+                seed: f.req("seed")?,
+                scenario: Scenario::from_json(f.req("scenario")?)?,
+                min_fraction_pct: f.req("min_fraction_pct")?,
+                fingerprint: f.req("fingerprint")?,
+                violations: f
+                    .req::<Vec<&str>>("violations")?
+                    .into_iter()
                     .map(str::to_string)
-                    .ok_or("violations must be strings".to_string())
+                    .collect(),
             })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Repro {
-            seed: uint("seed")?,
-            scenario: Scenario::from_json(field("scenario")?)?,
-            min_fraction_pct: uint("min_fraction_pct")?,
-            fingerprint: uint("fingerprint")?,
-            violations,
         })
     }
 }
@@ -658,6 +648,13 @@ mod tests {
         serial.scenario.manager = ManagerSpec::Serial;
         let err = replay(&serial).unwrap_err();
         assert!(err.contains("BFGTS manager"), "{err}");
+        // A repro file with a field no read asks for is rejected by name.
+        let mut doc = repro.to_json();
+        if let Json::Obj(map) = &mut doc {
+            map.insert("minimized".into(), Json::Bool(true));
+        }
+        let err = Repro::from_json(&doc).unwrap_err();
+        assert!(err.contains("'minimized'"), "{err}");
         repro.scenario.workload = WorkloadSpec::Adversarial {
             name: "adv-unknown".to_string(),
             total_txs: 100,

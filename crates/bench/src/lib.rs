@@ -73,10 +73,10 @@ pub struct CommonArgs {
     pub json: Option<std::path::PathBuf>,
     /// Optional path for a JSONL event trace of the grid's first
     /// parallel cell (`--trace PATH`; a Chrome trace is written next to
-    /// it).
+    /// it). Implies [`CommonArgs::audit`]: the trace is the audited run.
     pub trace: Option<std::path::PathBuf>,
     /// Whether every distinct cell runs once with full tracing and its
-    /// accounting is audited (`--audit`).
+    /// accounting is audited (`--audit`, or implied by `--trace`).
     pub audit: bool,
     /// Seed of a randomized fault plan injected into every non-serial
     /// cell (`--faults SEED`; see `bfgts_faultsim::FaultPlan`).
@@ -138,9 +138,9 @@ options:
                  (default: available parallelism)
   --no-cache     ignore and bypass results/cache
   --json PATH    also write per-cell results as JSON to PATH
-  --trace PATH   re-run the first parallel cell with full event tracing
-                 and write it as JSONL to PATH (plus a Chrome trace
-                 next to it); the recording is audited first
+  --trace PATH   implies --audit; write the audited recording of the
+                 first parallel cell as JSONL to PATH (plus a Chrome
+                 trace next to it)
   --audit        run every distinct cell once, fully traced, and verify
                  the accounting invariants (exits 1 on the first
                  violation)

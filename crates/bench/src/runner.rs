@@ -23,7 +23,8 @@
 //!   the cache, and bumping [`CACHE_VERSION`] invalidates it wholesale.
 //! * Under `--audit`, [`run_grid_audited`] runs each distinct cell once,
 //!   fully traced, and audits its recording in the same worker, so the
-//!   summary and the audit come from one simulation.
+//!   summary and the audit come from one simulation. `--trace` implies
+//!   `--audit`, and its file is written from that same recording.
 //!
 //! Since cache version 2 a cell *is* a [`Scenario`] (DESIGN.md §10): the
 //! cache key is the scenario's content hash, `--emit` dumps any grid as
@@ -428,91 +429,83 @@ impl CellSummary {
         // Mirrors the scenario's own protocol: closed runs serialise
         // exactly as they did before latency existed.
         if let Some(latency) = &self.latency {
-            pairs.push((
-                "latency",
-                Json::obj([
-                    ("count", Json::UInt(latency.count)),
-                    ("p50", Json::UInt(latency.p50)),
-                    ("p95", Json::UInt(latency.p95)),
-                    ("p99", Json::UInt(latency.p99)),
-                    ("total_cycles", Json::UInt(latency.total_cycles)),
-                    // f64 as bits, like similarity: byte-exact cache hits.
-                    ("tx_per_sec_bits", Json::UInt(latency.tx_per_sec.to_bits())),
-                ]),
-            ));
+            pairs.push(("latency", latency_to_json(latency)));
         }
         Json::obj(pairs)
     }
 
-    fn from_json(value: &Json) -> Option<Self> {
-        let buckets_raw = value.get("buckets")?.as_arr()?;
-        if buckets_raw.len() != Bucket::ALL.len() {
-            return None;
-        }
-        let mut buckets = TimeBuckets::default();
-        for (&bucket, raw) in Bucket::ALL.iter().zip(buckets_raw) {
-            buckets.charge(bucket, raw.as_u64()?);
-        }
-        let triple = |item: &Json| -> Option<(u32, u64, u64)> {
-            let arr = item.as_arr()?;
-            Some((
-                u32::try_from(arr.first()?.as_u64()?).ok()?,
-                arr.get(1)?.as_u64()?,
-                arr.get(2)?.as_u64()?,
-            ))
-        };
-        let pair = |item: &Json| -> Option<(u32, u32)> {
-            let arr = item.as_arr()?;
-            Some((
-                u32::try_from(arr.first()?.as_u64()?).ok()?,
-                u32::try_from(arr.get(1)?.as_u64()?).ok()?,
-            ))
-        };
-        let sim = |item: &Json| -> Option<(u32, f64)> {
-            let arr = item.as_arr()?;
-            Some((
-                u32::try_from(arr.first()?.as_u64()?).ok()?,
-                f64::from_bits(arr.get(1)?.as_u64()?),
-            ))
-        };
-        Some(Self {
-            cm_name: value.get("cm_name")?.as_str()?.to_string(),
-            makespan: value.get("makespan")?.as_u64()?,
-            buckets,
-            commits: value.get("commits")?.as_u64()?,
-            aborts: value.get("aborts")?.as_u64()?,
-            stalls: value.get("stalls")?.as_u64()?,
-            per_stx: value
-                .get("per_stx")?
-                .as_arr()?
-                .iter()
-                .map(triple)
-                .collect::<Option<_>>()?,
-            conflict_edges: value
-                .get("conflict_edges")?
-                .as_arr()?
-                .iter()
-                .map(pair)
-                .collect::<Option<_>>()?,
-            similarity: value
-                .get("similarity_bits")?
-                .as_arr()?
-                .iter()
-                .map(sim)
-                .collect::<Option<_>>()?,
-            latency: match value.get("latency") {
-                None => None,
-                Some(digest) => Some(LatencyDigest {
-                    count: digest.get("count")?.as_u64()?,
-                    total_cycles: digest.get("total_cycles")?.as_u64()?,
-                    p50: digest.get("p50")?.as_u64()?,
-                    p95: digest.get("p95")?.as_u64()?,
-                    p99: digest.get("p99")?.as_u64()?,
-                    tx_per_sec: f64::from_bits(digest.get("tx_per_sec_bits")?.as_u64()?),
-                }),
-            },
+    /// Parses [`CellSummary::to_json`] back. The entry must have been
+    /// written for `key` under the current [`CACHE_VERSION`]: a
+    /// filename-hash collision or a stale entry is rejected, never
+    /// silently trusted.
+    fn from_json(value: &Json, key: &str) -> Result<Self, String> {
+        value.read("cache entry", |f| {
+            if f.req::<u64>("v")? != CACHE_VERSION || f.req::<&str>("key")? != key {
+                return Err(format!("cache entry is not for {key}"));
+            }
+            let mut buckets = TimeBuckets::default();
+            let cycles = f.req::<[u64; Bucket::COUNT]>("buckets")?;
+            for (bucket, cycles) in Bucket::ALL.into_iter().zip(cycles) {
+                buckets.charge(bucket, cycles);
+            }
+            let latency = f.opt::<&Json>("latency")?.map(|doc| {
+                doc.read("latency", |l| {
+                    Ok(LatencyDigest {
+                        count: l.req("count")?,
+                        total_cycles: l.req("total_cycles")?,
+                        p50: l.req("p50")?,
+                        p95: l.req("p95")?,
+                        p99: l.req("p99")?,
+                        tx_per_sec: f64::from_bits(l.req("tx_per_sec_bits")?),
+                    })
+                })
+            });
+            Ok(Self {
+                cm_name: f.req::<&str>("cm_name")?.to_string(),
+                makespan: f.req("makespan")?,
+                buckets,
+                commits: f.req("commits")?,
+                aborts: f.req("aborts")?,
+                stalls: f.req("stalls")?,
+                per_stx: f.req("per_stx")?,
+                conflict_edges: f.req("conflict_edges")?,
+                similarity: f
+                    .req::<Vec<(u32, u64)>>("similarity_bits")?
+                    .into_iter()
+                    .map(|(stx, bits)| (stx, f64::from_bits(bits)))
+                    .collect(),
+                latency: latency.transpose()?,
+            })
         })
     }
+}
+
+/// The open-system latency digest as JSON, the one form the cell cache
+/// and `bfgts_serve`'s summary rows both write. The throughput is stored
+/// as its `f64` bit pattern, so cache hits and replays are byte-exact.
+pub fn latency_to_json(latency: &LatencyDigest) -> Json {
+    Json::obj([
+        ("count", Json::UInt(latency.count)),
+        ("p50", Json::UInt(latency.p50)),
+        ("p95", Json::UInt(latency.p95)),
+        ("p99", Json::UInt(latency.p99)),
+        ("total_cycles", Json::UInt(latency.total_cycles)),
+        ("tx_per_sec_bits", Json::UInt(latency.tx_per_sec.to_bits())),
+    ])
+}
+
+/// Parses a scenario document (one scenario object or an array of them)
+/// into executable cells. Errors start with `label`, and an entry whose
+/// workload does not resolve is named by its index.
+pub fn load_cells(label: &str, text: &str) -> Result<Vec<RunCell>, String> {
+    bfgts_scenario::scenarios_from_str(text)
+        .map_err(|e| format!("{label}: {e}"))?
+        .into_iter()
+        .enumerate()
+        .map(|(i, scenario)| {
+            RunCell::from_scenario(scenario).map_err(|e| format!("{label}: scenario {i}: {e}"))
+        })
+        .collect()
 }
 
 /// Execution options for [`run_grid`], usually derived from
@@ -584,13 +577,19 @@ pub fn run_grid(cells: &[RunCell], opts: &RunnerOptions) -> Vec<CellSummary> {
 /// summary, in grid order, or the violations of the first failing cell
 /// in grid order, each prefixed with that cell's cache key.
 ///
+/// With `trace`, the worker that runs the grid's first parallel cell
+/// (or, without one, its first cell) also writes that cell's audited
+/// recording there ([`export_cell_trace`]).
+///
 /// The cache is never read, since a cached summary has no recording, but
 /// each summary is stored as [`run_grid`] would store it; a traced run's
 /// summary equals the untraced one.
 pub fn run_grid_audited(
     cells: &[RunCell],
     opts: &RunnerOptions,
+    trace: Option<&Path>,
 ) -> Result<Vec<(CellSummary, AuditSummary)>, Vec<Violation>> {
+    let trace_key = trace.and(trace_cell(cells)).map(RunCell::cache_key);
     run_distinct(cells, opts, |cell, key, disk| {
         let report = cell.execute_report(TraceMode::Full);
         let summary = CellSummary::from_report(&report);
@@ -606,10 +605,30 @@ pub fn run_grid_audited(
                 })
                 .collect::<Vec<_>>()
         })?;
+        if let Some(path) = trace.filter(|_| trace_key.as_deref() == Some(key)) {
+            match export_cell_trace(&report, &cell.scenario, path) {
+                Ok(()) => eprintln!(
+                    "trace: wrote {} and {}",
+                    path.display(),
+                    chrome_trace_path(path).display()
+                ),
+                Err(err) => eprintln!("warning: could not write {}: {err}", path.display()),
+            }
+        }
         Ok((summary, audit))
     })
     .into_iter()
     .collect()
+}
+
+/// The cell `--trace` records: the first parallel cell, which makes the
+/// most interesting trace (serial baselines have no conflicts to look
+/// at), or else the first cell.
+fn trace_cell(cells: &[RunCell]) -> Option<&RunCell> {
+    cells
+        .iter()
+        .find(|c| !matches!(c.scenario.manager, ManagerSpec::Serial))
+        .or_else(|| cells.first())
 }
 
 /// Runs `run(cell, cache key, cache dir)` once per distinct cache key of
@@ -686,9 +705,10 @@ pub(crate) fn parallel_map<T: Send + Sync>(
 /// `--audit` the grid runs through [`run_grid_audited`]: each distinct
 /// cell once, fully traced and audited in its worker, with every cell's
 /// audit summary handed back beside the summaries; a violation exits 1.
-/// `--trace PATH` writes the first parallel cell's recording to disk.
-/// `--emit PATH` writes the (fault-armed) grid as a scenario file and
-/// exits without running anything.
+/// `--trace PATH` implies `--audit`: the worker that audits the first
+/// parallel cell writes its recording to disk. `--emit PATH` writes the
+/// (fault-armed) grid as a scenario file and exits without running
+/// anything.
 pub fn run_grid_with_args(
     cells: &[RunCell],
     args: &CommonArgs,
@@ -727,8 +747,11 @@ pub fn run_grid_with_args(
         }
     }
     let opts = RunnerOptions::from_args(args);
-    let (results, audits) = if args.audit {
-        match run_grid_audited(cells, &opts) {
+    if args.trace.is_some() && cells.is_empty() {
+        eprintln!("warning: --trace given but the grid has no cells");
+    }
+    let (results, audits) = if args.audit || args.trace.is_some() {
+        match run_grid_audited(cells, &opts, args.trace.as_deref()) {
             Ok(audited) => {
                 let (results, audits): (Vec<_>, Vec<_>) = audited.into_iter().unzip();
                 eprintln!("audit: {}", clean_audit_line(cells, &audits));
@@ -751,28 +774,6 @@ pub fn run_grid_with_args(
     if let Some(path) = &args.json {
         if let Err(err) = write_grid_json(path, cells, &results) {
             eprintln!("warning: could not write {}: {err}", path.display());
-        }
-    }
-    if let Some(path) = &args.trace {
-        // A parallel cell makes the most interesting trace; serial
-        // baselines have no conflicts to look at.
-        let cell = cells
-            .iter()
-            .find(|c| !matches!(c.scenario.manager, ManagerSpec::Serial))
-            .or_else(|| cells.first());
-        match cell {
-            Some(cell) => {
-                if let Err(err) = export_cell_trace(cell, path) {
-                    eprintln!("warning: could not write {}: {err}", path.display());
-                } else {
-                    eprintln!(
-                        "trace: wrote {} and {}",
-                        path.display(),
-                        chrome_trace_path(path).display()
-                    );
-                }
-            }
-            None => eprintln!("warning: --trace given but the grid has no cells"),
         }
     }
     (results, audits)
@@ -803,17 +804,17 @@ pub fn chrome_trace_path(path: &Path) -> PathBuf {
     path.with_extension("chrome.json")
 }
 
-/// Re-runs `cell` with full event tracing and writes the recording as
-/// JSONL to `path` plus a Chrome trace to [`chrome_trace_path`]. The
-/// recording is audited first; a violation is a simulator bug and
-/// panics. The JSONL header embeds the cell's scenario (with the trace
-/// mode it actually ran under), so the file is self-describing: the run
-/// can be reproduced from the trace alone.
-pub fn export_cell_trace(cell: &RunCell, path: &Path) -> std::io::Result<()> {
-    let report = cell.execute_report(TraceMode::Full);
-    report.audit_or_panic();
+/// Writes the fully traced `report` of `scenario` as JSONL to `path`
+/// plus a Chrome trace to [`chrome_trace_path`]. The JSONL header embeds
+/// the scenario (with the trace mode it actually ran under), so the file
+/// is self-describing: the run can be reproduced from the trace alone.
+pub fn export_cell_trace(
+    report: &TmRunReport,
+    scenario: &Scenario,
+    path: &Path,
+) -> std::io::Result<()> {
     let inputs = report.audit_inputs();
-    let mut scenario = cell.scenario.clone();
+    let mut scenario = scenario.clone();
     scenario.trace = TraceMode::Full;
     if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         std::fs::create_dir_all(parent)?;
@@ -882,13 +883,7 @@ fn cache_path(dir: &Path, key: &str) -> PathBuf {
 
 fn load_cached(dir: &Path, key: &str) -> Option<CellSummary> {
     let text = std::fs::read_to_string(cache_path(dir, key)).ok()?;
-    let value = Json::parse(&text).ok()?;
-    // The full key is stored in the file: a filename-hash collision or a
-    // stale version entry is rejected, never silently trusted.
-    if value.get("v")?.as_u64()? != CACHE_VERSION || value.get("key")?.as_str()? != key {
-        return None;
-    }
-    CellSummary::from_json(&value)
+    CellSummary::from_json(&Json::parse(&text).ok()?, key).ok()
 }
 
 fn store_cached(dir: &Path, key: &str, summary: &CellSummary) {
@@ -1003,7 +998,7 @@ mod tests {
     fn summary_json_round_trips_exactly() {
         let spec = tiny_spec();
         let summary = RunCell::one(&spec, ManagerKind::BfgtsHw, Platform::small()).execute();
-        let round = CellSummary::from_json(&summary.to_json("k")).expect("parses");
+        let round = CellSummary::from_json(&summary.to_json("k"), "k").expect("parses");
         assert_eq!(summary, round);
         // Bit-exact similarity is what makes cached output byte-identical.
         for ((_, a), (_, b)) in summary.similarity.iter().zip(&round.similarity) {
@@ -1049,6 +1044,16 @@ mod tests {
             jobs: 1,
             cache_dir: Some(dir.clone()),
         };
+        let grid = run_grid(std::slice::from_ref(&cell), &opts);
+        assert_eq!(grid[0], cell.execute());
+        // An otherwise valid entry with a field no read asks for is not
+        // trusted either: its wrong makespan must not come back.
+        let mut entry = grid[0].to_json(&cell.cache_key());
+        if let Json::Obj(map) = &mut entry {
+            map.insert("makespan".into(), Json::UInt(1));
+            map.insert("extra".into(), Json::Bool(true));
+        }
+        std::fs::write(cache_path(&dir, &cell.cache_key()), entry.to_string()).unwrap();
         let grid = run_grid(std::slice::from_ref(&cell), &opts);
         assert_eq!(grid[0], cell.execute());
         let _ = std::fs::remove_dir_all(&dir);
@@ -1128,7 +1133,7 @@ mod tests {
     fn open_summaries_round_trip_and_audit_clean() {
         let cell = open_cell();
         let summary = cell.execute();
-        let round = CellSummary::from_json(&summary.to_json("k")).expect("parses");
+        let round = CellSummary::from_json(&summary.to_json("k"), "k").expect("parses");
         assert_eq!(summary, round);
         assert_eq!(
             round.latency.unwrap().tx_per_sec.to_bits(),

@@ -107,75 +107,13 @@ pub fn parse_jsonl_full(
         .enumerate()
         .filter(|(_, line)| !line.trim().is_empty());
     let (_, first) = lines.next().ok_or("empty trace file")?;
-    let header = Json::parse(first).map_err(|e| format!("line 1: {e}"))?;
-    if header.get("type").and_then(Json::as_str) != Some("header") {
-        return Err("line 1: not a trace header".into());
-    }
-    let version = header
-        .get("version")
-        .and_then(Json::as_u64)
-        .ok_or("line 1: header has no version")?;
-    if version != TRACE_FORMAT_VERSION {
-        return Err(format!(
-            "unsupported trace format version {version} (expected {TRACE_FORMAT_VERSION})"
-        ));
-    }
-    let field = |key: &str| {
-        header
-            .get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("line 1: header field '{key}' missing or malformed"))
-    };
-    let makespan = field("makespan")?;
-    let num_cpus = field("num_cpus")?;
-    // The audit allocates per CPU, so the header may not ask for more
-    // CPUs than any platform has.
-    if num_cpus > Platform::MAX_CPUS as u64 {
-        return Err(format!(
-            "line 1: header field 'num_cpus' is {num_cpus}, above the maximum {}",
-            Platform::MAX_CPUS
-        ));
-    }
-    let dropped = field("dropped")?;
-    let declared = field("events")?;
-    let per_thread: Vec<[u64; Bucket::COUNT]> = header
-        .get("per_thread")
-        .and_then(Json::as_arr)
-        .ok_or("line 1: header field 'per_thread' missing")?
-        .iter()
-        .map(|row| {
-            let cells = row.as_arr()?;
-            let mut out = [0u64; Bucket::COUNT];
-            if cells.len() != out.len() {
-                return None;
-            }
-            for (slot, cell) in out.iter_mut().zip(cells) {
-                *slot = cell.as_u64()?;
-            }
-            Some(out)
-        })
-        .collect::<Option<_>>()
-        .ok_or("line 1: malformed 'per_thread' row")?;
-    let window_seed = match header.get("window_seed") {
-        None => None,
-        Some(doc) => Some(
-            doc.as_u64()
-                .ok_or("line 1: header field 'window_seed' malformed")?,
-        ),
-    };
-    let scenario = match header.get("scenario") {
-        None => None,
-        Some(doc) => {
-            Some(Scenario::from_json(doc).map_err(|e| format!("line 1: embedded scenario: {e}"))?)
-        }
-    };
-
+    let header = Json::parse(first).and_then(|header| header_from_json(&header));
+    let (inputs, declared, dropped, scenario) = header.map_err(|e| format!("line 1: {e}"))?;
     // Sized from the lines present, never from the header's claim.
     let mut events = Vec::with_capacity(lines.clone().count());
     for (i, line) in lines {
-        let n = i + 1;
-        let value = Json::parse(line).map_err(|e| format!("line {n}: {e}"))?;
-        events.push(rec_from_json(&value).ok_or_else(|| format!("line {n}: malformed event"))?);
+        let rec = Json::parse(line).and_then(|value| rec_from_json(&value));
+        events.push(rec.map_err(|e| format!("line {}: {e}", i + 1))?);
     }
     if events.len() as u64 != declared {
         return Err(format!(
@@ -183,16 +121,42 @@ pub fn parse_jsonl_full(
             events.len()
         ));
     }
-    Ok((
-        TraceRecording { events, dropped },
-        AuditInputs {
-            makespan,
-            num_cpus: num_cpus as usize,
-            per_thread,
-            window_seed,
-        },
-        scenario,
-    ))
+    Ok((TraceRecording { events, dropped }, inputs, scenario))
+}
+
+/// Decodes a JSONL header: the audit inputs, the declared event and
+/// dropped counts, and the embedded scenario, if any.
+fn header_from_json(header: &Json) -> Result<(AuditInputs, u64, u64, Option<Scenario>), String> {
+    header.read("header", |f| {
+        if f.opt::<&str>("type")? != Some("header") {
+            return Err("not a trace header".into());
+        }
+        let version: u64 = f.req("version")?;
+        if version != TRACE_FORMAT_VERSION {
+            return Err(format!(
+                "unsupported trace format version {version} (expected {TRACE_FORMAT_VERSION})"
+            ));
+        }
+        let num_cpus = f.req("num_cpus")?;
+        // The audit allocates per CPU, so the header may not ask for more
+        // CPUs than any platform has.
+        if num_cpus > Platform::MAX_CPUS {
+            return Err(format!(
+                "header field 'num_cpus' is {num_cpus}, above the maximum {}",
+                Platform::MAX_CPUS
+            ));
+        }
+        let inputs = AuditInputs {
+            makespan: f.req("makespan")?,
+            num_cpus,
+            per_thread: f.req("per_thread")?,
+            window_seed: f.opt("window_seed")?,
+        };
+        let (declared, dropped) = (f.req("events")?, f.req("dropped")?);
+        let scenario = f.opt("scenario")?.map(Scenario::from_json).transpose();
+        let scenario = scenario.map_err(|e| format!("embedded scenario: {e}"))?;
+        Ok((inputs, declared, dropped, scenario))
+    })
 }
 
 fn rec_to_json(rec: &TraceRec) -> Json {
@@ -412,144 +376,139 @@ fn event_fields(ev: &TraceEvent) -> Vec<(&'static str, Json)> {
     }
 }
 
-fn rec_from_json(v: &Json) -> Option<TraceRec> {
-    let seq = v.get("seq")?.as_u64()?;
-    let at = v.get("at")?.as_u64()?;
-    let name = v.get("ev")?.as_str()?;
-    let u32f = |key: &str| -> Option<u32> { v.get(key)?.as_u64()?.try_into().ok() };
-    let u64f = |key: &str| v.get(key)?.as_u64();
-    let boolf = |key: &str| match v.get(key)? {
-        Json::Bool(b) => Some(*b),
-        _ => None,
-    };
-    let bucketf = |key: &str| Bucket::from_label(v.get(key)?.as_str()?);
-    let ev = match name {
-        "charge" => TraceEvent::Charge {
-            cpu: u32f("cpu")?,
-            thread: u32f("thread")?,
-            bucket: bucketf("bucket")?,
-            cycles: u64f("cycles")?,
-        },
-        "refile" => TraceEvent::Refile {
-            thread: u32f("thread")?,
-            from: bucketf("from")?,
-            to: bucketf("to")?,
-            requested: u64f("requested")?,
-            moved: u64f("moved")?,
-        },
-        "context_switch" => TraceEvent::ContextSwitch {
-            cpu: u32f("cpu")?,
-            thread: u32f("thread")?,
-            cost: u64f("cost")?,
-        },
-        "tx_begin" => TraceEvent::TxBegin {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-            retries: u32f("retries")?,
-        },
-        "tx_conflict" => TraceEvent::TxConflict {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-            enemy_thread: u32f("enemy_thread")?,
-            enemy_stx: u32f("enemy_stx")?,
-            stalled: boolf("stalled")?,
-        },
-        "tx_stall" => TraceEvent::TxStall {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-        },
-        "tx_suspend" => TraceEvent::TxSuspend {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-            target_thread: u32f("target_thread")?,
-            target_stx: u32f("target_stx")?,
-            yielding: boolf("yielding")?,
-        },
-        "tx_abort" => TraceEvent::TxAbort {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-            undo_lines: u32f("undo_lines")?,
-        },
-        "tx_commit" => TraceEvent::TxCommit {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-            retries: u32f("retries")?,
-            rw_lines: u32f("rw_lines")?,
-        },
-        "sched_decision" => TraceEvent::SchedDecision {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-            kind: DecisionKind::from_label(v.get("kind")?.as_str()?)?,
-            target_thread: u32f("target_thread")?,
-            target_stx: u32f("target_stx")?,
-            cost: u64f("cost")?,
-        },
-        "conf_update" => TraceEvent::ConfUpdate {
-            kind: ConfKind::from_label(v.get("kind")?.as_str()?)?,
-            a_stx: u32f("a_stx")?,
-            b_stx: u32f("b_stx")?,
-            sim_a_bits: u64f("sim_a_bits")?,
-            sim_b_bits: u64f("sim_b_bits")?,
-            param_bits: u64f("param_bits")?,
-            applied_bits: u64f("applied_bits")?,
-        },
-        "bloom_sample" => TraceEvent::BloomSample {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-            raw_bits: u64f("raw_bits")?,
-            clamped_bits: u64f("clamped_bits")?,
-        },
-        "shard_touch" => TraceEvent::ShardTouch {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-            shard: u32f("shard")?,
-        },
-        "cross_shard_commit" => TraceEvent::CrossShardCommit {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-            shards: u32f("shards")?,
-            cost: u64f("cost")?,
-        },
-        "fault_bloom_corrupt" => TraceEvent::FaultBloomCorrupt {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-            bits: u32f("bits")?,
-        },
-        "false_positive_conflict" => TraceEvent::FalsePositiveConflict {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-            enemy_thread: u32f("enemy_thread")?,
-            enemy_stx: u32f("enemy_stx")?,
-            true_conflicts: u32f("true_conflicts")?,
-        },
-        "capacity_abort" => TraceEvent::CapacityAbort {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-            tracked: u32f("tracked")?,
-            capacity: u32f("capacity")?,
-        },
-        "fault_conf_poison" => TraceEvent::FaultConfPoison {
-            thread: u32f("thread")?,
-            saturate: boolf("saturate")?,
-            entries: u64f("entries")?,
-        },
-        "tx_arrival" => TraceEvent::TxArrival {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-            arrival: u64f("arrival")?,
-        },
-        "queue_depth" => TraceEvent::QueueDepth {
-            thread: u32f("thread")?,
-            depth: u64f("depth")?,
-        },
-        "window_advance" => TraceEvent::WindowAdvance {
-            thread: u32f("thread")?,
-            window: u64f("window")?,
-            priority: u64f("priority")?,
-        },
-        _ => return None,
-    };
-    Some(TraceRec { seq, at, ev })
+fn rec_from_json(v: &Json) -> Result<TraceRec, String> {
+    v.read("event", |f| {
+        let (seq, at) = (f.req("seq")?, f.req("at")?);
+        let bucket =
+            |label| Bucket::from_label(label).ok_or_else(|| format!("unknown bucket '{label}'"));
+        let ev = match f.req::<&str>("ev")? {
+            "charge" => TraceEvent::Charge {
+                cpu: f.req("cpu")?,
+                thread: f.req("thread")?,
+                bucket: bucket(f.req("bucket")?)?,
+                cycles: f.req("cycles")?,
+            },
+            "refile" => TraceEvent::Refile {
+                thread: f.req("thread")?,
+                from: bucket(f.req("from")?)?,
+                to: bucket(f.req("to")?)?,
+                requested: f.req("requested")?,
+                moved: f.req("moved")?,
+            },
+            "context_switch" => TraceEvent::ContextSwitch {
+                cpu: f.req("cpu")?,
+                thread: f.req("thread")?,
+                cost: f.req("cost")?,
+            },
+            "tx_begin" => TraceEvent::TxBegin {
+                thread: f.req("thread")?,
+                stx: f.req("stx")?,
+                retries: f.req("retries")?,
+            },
+            "tx_conflict" => TraceEvent::TxConflict {
+                thread: f.req("thread")?,
+                stx: f.req("stx")?,
+                enemy_thread: f.req("enemy_thread")?,
+                enemy_stx: f.req("enemy_stx")?,
+                stalled: f.req("stalled")?,
+            },
+            "tx_stall" => TraceEvent::TxStall {
+                thread: f.req("thread")?,
+                stx: f.req("stx")?,
+            },
+            "tx_suspend" => TraceEvent::TxSuspend {
+                thread: f.req("thread")?,
+                stx: f.req("stx")?,
+                target_thread: f.req("target_thread")?,
+                target_stx: f.req("target_stx")?,
+                yielding: f.req("yielding")?,
+            },
+            "tx_abort" => TraceEvent::TxAbort {
+                thread: f.req("thread")?,
+                stx: f.req("stx")?,
+                undo_lines: f.req("undo_lines")?,
+            },
+            "tx_commit" => TraceEvent::TxCommit {
+                thread: f.req("thread")?,
+                stx: f.req("stx")?,
+                retries: f.req("retries")?,
+                rw_lines: f.req("rw_lines")?,
+            },
+            "sched_decision" => TraceEvent::SchedDecision {
+                thread: f.req("thread")?,
+                stx: f.req("stx")?,
+                kind: DecisionKind::from_label(f.req("kind")?).ok_or("unknown decision kind")?,
+                target_thread: f.req("target_thread")?,
+                target_stx: f.req("target_stx")?,
+                cost: f.req("cost")?,
+            },
+            "conf_update" => TraceEvent::ConfUpdate {
+                kind: ConfKind::from_label(f.req("kind")?).ok_or("unknown confidence kind")?,
+                a_stx: f.req("a_stx")?,
+                b_stx: f.req("b_stx")?,
+                sim_a_bits: f.req("sim_a_bits")?,
+                sim_b_bits: f.req("sim_b_bits")?,
+                param_bits: f.req("param_bits")?,
+                applied_bits: f.req("applied_bits")?,
+            },
+            "bloom_sample" => TraceEvent::BloomSample {
+                thread: f.req("thread")?,
+                stx: f.req("stx")?,
+                raw_bits: f.req("raw_bits")?,
+                clamped_bits: f.req("clamped_bits")?,
+            },
+            "shard_touch" => TraceEvent::ShardTouch {
+                thread: f.req("thread")?,
+                stx: f.req("stx")?,
+                shard: f.req("shard")?,
+            },
+            "cross_shard_commit" => TraceEvent::CrossShardCommit {
+                thread: f.req("thread")?,
+                stx: f.req("stx")?,
+                shards: f.req("shards")?,
+                cost: f.req("cost")?,
+            },
+            "fault_bloom_corrupt" => TraceEvent::FaultBloomCorrupt {
+                thread: f.req("thread")?,
+                stx: f.req("stx")?,
+                bits: f.req("bits")?,
+            },
+            "false_positive_conflict" => TraceEvent::FalsePositiveConflict {
+                thread: f.req("thread")?,
+                stx: f.req("stx")?,
+                enemy_thread: f.req("enemy_thread")?,
+                enemy_stx: f.req("enemy_stx")?,
+                true_conflicts: f.req("true_conflicts")?,
+            },
+            "capacity_abort" => TraceEvent::CapacityAbort {
+                thread: f.req("thread")?,
+                stx: f.req("stx")?,
+                tracked: f.req("tracked")?,
+                capacity: f.req("capacity")?,
+            },
+            "fault_conf_poison" => TraceEvent::FaultConfPoison {
+                thread: f.req("thread")?,
+                saturate: f.req("saturate")?,
+                entries: f.req("entries")?,
+            },
+            "tx_arrival" => TraceEvent::TxArrival {
+                thread: f.req("thread")?,
+                stx: f.req("stx")?,
+                arrival: f.req("arrival")?,
+            },
+            "queue_depth" => TraceEvent::QueueDepth {
+                thread: f.req("thread")?,
+                depth: f.req("depth")?,
+            },
+            "window_advance" => TraceEvent::WindowAdvance {
+                thread: f.req("thread")?,
+                window: f.req("window")?,
+                priority: f.req("priority")?,
+            },
+            other => return Err(format!("unknown event '{other}'")),
+        };
+        Ok(TraceRec { seq, at, ev })
+    })
 }
 
 /// Renders a recording in Chrome `trace_event` format.
@@ -841,6 +800,19 @@ mod tests {
         assert!(parse_jsonl(&bad_version).is_err(), "future version");
         let bad_event = text.replace("\"ev\":\"tx_stall\"", "\"ev\":\"tx_mystery\"");
         assert!(parse_jsonl(&bad_event).is_err(), "unknown event name");
+        // A field no read asks for, in the header or in an event, is an
+        // error naming it.
+        for (from, to, name) in [
+            ("\"dropped\"", "\"droped\":0,\"dropped\"", "'droped'"),
+            (
+                "\"ev\":\"tx_stall\"",
+                "\"ev\":\"tx_stall\",\"cpu\":0",
+                "'cpu'",
+            ),
+        ] {
+            let err = parse_jsonl(&text.replacen(from, to, 1)).unwrap_err();
+            assert!(err.contains(name), "{to}: {err}");
+        }
         // Header sizes no allocation may trust: an event count no vector
         // can hold, one that would take 64 TiB, and a CPU count that
         // would make the audit allocate 8 TiB.

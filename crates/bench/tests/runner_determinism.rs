@@ -87,7 +87,9 @@ fn worker_count_sweep_is_stable() {
     // summaries are the untraced ones, and its audit summaries do not
     // depend on the worker count either.
     let audited: Vec<_> = [1, 2, 4]
-        .map(|jobs| run_grid_audited(&cells, &opts(jobs, None)).expect("the grid audits clean"))
+        .map(|jobs| {
+            run_grid_audited(&cells, &opts(jobs, None), None).expect("the grid audits clean")
+        })
         .into_iter()
         .map(|run| run.into_iter().unzip::<_, _, Vec<_>, Vec<_>>())
         .collect();

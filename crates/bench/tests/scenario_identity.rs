@@ -253,11 +253,11 @@ fn small_kmeans(kind: ManagerKind) -> Scenario {
     RunCell::one(&presets::kmeans().scaled(0.02), kind, Platform::small()).scenario
 }
 
-/// Pipes `hostile` and then a valid line into `bfgts_serve --stdin` and
-/// requires an error reply naming `error` for line 1, exit status 1, and
-/// the valid line 2 served, all within a minute: a line that hangs the
-/// server fails the test instead of stalling the suite.
-fn assert_serve_rejects_and_goes_on(hostile: &Scenario, error: &str) {
+/// Pipes the `hostile` line and then a valid one into `bfgts_serve
+/// --stdin` and requires an error reply naming `error` for line 1, exit
+/// status 1, and the valid line 2 served, all within a minute: a line
+/// that hangs the server fails the test instead of stalling the suite.
+fn assert_serve_rejects_and_goes_on(hostile: &str, error: &str) {
     let valid = small_kmeans(ManagerKind::Backoff).to_json();
     let mut serve = Command::new(env!("CARGO_BIN_EXE_bfgts_serve"))
         .arg("--stdin")
@@ -270,7 +270,7 @@ fn assert_serve_rejects_and_goes_on(hostile: &Scenario, error: &str) {
         .stdin
         .take()
         .unwrap()
-        .write_all(format!("{}\n{valid}\n", hostile.to_json()).as_bytes())
+        .write_all(format!("{hostile}\n{valid}\n").as_bytes())
         .unwrap();
     // Drain both pipes on their own threads so a full pipe cannot stall
     // the server while the deadline runs.
@@ -315,7 +315,10 @@ fn hostile_stx_gets_an_error_reply_from_serve() {
     classes[0].stx = u32::MAX;
     spec.classes = classes.into();
     let hostile = RunCell::one(&spec, ManagerKind::BfgtsHw, Platform::small()).scenario;
-    assert_serve_rejects_and_goes_on(&hostile, "class field 'stx' is 4294967295");
+    assert_serve_rejects_and_goes_on(
+        &hostile.to_json().to_string(),
+        "class field 'stx' is 4294967295",
+    );
 }
 
 #[test]
@@ -336,7 +339,7 @@ fn hostile_class_size_gets_an_error_reply_from_serve() {
         spec.classes = classes.into();
         let hostile = RunCell::one(&spec, ManagerKind::BfgtsHw, Platform::small()).scenario;
         assert_serve_rejects_and_goes_on(
-            &hostile,
+            &hostile.to_json().to_string(),
             &format!("scenario 0: inline class sTx0: '{field}' is 1000000000000 accesses"),
         );
     }
@@ -350,7 +353,7 @@ fn hostile_platform_gets_an_error_reply_from_serve() {
     let mut hostile = small_kmeans(ManagerKind::Backoff);
     hostile.platform.cpus = 1_000_000_000_000;
     assert_serve_rejects_and_goes_on(
-        &hostile,
+        &hostile.to_json().to_string(),
         "platform 'cpus' 1000000000000 exceeds the maximum of 4096",
     );
 }
@@ -366,7 +369,7 @@ fn hostile_roster_bloom_bits_get_an_error_reply_from_serve() {
             bloom_bits: Some(bits),
         };
         assert_serve_rejects_and_goes_on(
-            &hostile,
+            &hostile.to_json().to_string(),
             &format!(
                 "manager field 'bloom_bits' must be a multiple of 64 in 64..=8192, got {bits}"
             ),
@@ -379,7 +382,7 @@ fn hostile_tuned_bloom_bits_get_an_error_reply_from_serve() {
     let mut hostile = small_kmeans(ManagerKind::BfgtsHw);
     hostile.manager = ManagerSpec::Bfgts(BfgtsConfig::hw().bloom_bits(0));
     assert_serve_rejects_and_goes_on(
-        &hostile,
+        &hostile.to_json().to_string(),
         "manager field 'bloom_bits' must be a multiple of 64 in 64..=8192, got 0",
     );
 }
@@ -392,7 +395,7 @@ fn hostile_alias_slots_get_an_error_reply_from_serve() {
         let mut hostile = small_kmeans(ManagerKind::BfgtsHw);
         hostile.manager = ManagerSpec::Bfgts(BfgtsConfig::hw().with_alias_slots(slots));
         assert_serve_rejects_and_goes_on(
-            &hostile,
+            &hostile.to_json().to_string(),
             &format!("manager field 'alias_slots' must be in 1..=1024, got {slots}"),
         );
     }
@@ -406,7 +409,7 @@ fn hostile_arrival_gap_gets_an_error_reply_from_serve() {
     let mut hostile = small_kmeans(ManagerKind::Backoff);
     hostile.arrivals = Some(ArrivalSpec::poisson(1_000_000_000_000));
     assert_serve_rejects_and_goes_on(
-        &hostile,
+        &hostile.to_json().to_string(),
         "simulation exceeded max_cycles=50000000000 (live-lock?)",
     );
 }
@@ -420,7 +423,7 @@ fn hostile_cost_perturbation_gets_an_error_reply_from_serve() {
         max_percent: 1_000_000,
     }));
     assert_serve_rejects_and_goes_on(
-        &hostile,
+        &hostile.to_json().to_string(),
         "fault field 'max_percent' must be at most 100, got 1000000",
     );
 }
@@ -435,7 +438,7 @@ fn hostile_corruption_rate_gets_an_error_reply_from_serve() {
         bits: 16,
     }));
     assert_serve_rejects_and_goes_on(
-        &hostile,
+        &hostile.to_json().to_string(),
         "fault field 'rate_pct' must be at most 100, got 101",
     );
 }
@@ -450,7 +453,7 @@ fn hostile_corruption_bits_get_an_error_reply_from_serve() {
         bits: u32::MAX,
     }));
     assert_serve_rejects_and_goes_on(
-        &hostile,
+        &hostile.to_json().to_string(),
         "fault field 'bits' must be at most 8192, got 4294967295",
     );
 }
@@ -465,8 +468,30 @@ fn hostile_pre_work_span_gets_an_error_reply_from_serve() {
     spec.classes = classes.into();
     let hostile = RunCell::one(&spec, ManagerKind::BfgtsHw, Platform::small()).scenario;
     assert_serve_rejects_and_goes_on(
-        &hostile,
+        &hostile.to_json().to_string(),
         "scenario 0: inline class sTx0: pre_work range [0, 18446744073709551615] has more \
          values than u64 can count",
     );
+}
+
+#[test]
+fn hostile_unknown_key_gets_an_error_reply_from_serve() {
+    // A misspelled `detection` key used to be ignored: the line ran under
+    // perfect detection, with another scenario id, and was answered.
+    let mut scenario = small_kmeans(ManagerKind::BfgtsHw);
+    scenario.platform = scenario.platform.bounded(256, 2, 16);
+    let line = scenario.to_json().to_string();
+    assert!(line.contains("\"detection\""), "{line}");
+    assert_serve_rejects_and_goes_on(
+        &line.replacen("\"detection\"", "\"detecton\"", 1),
+        "unknown platform field 'detecton'",
+    );
+}
+
+#[test]
+fn hostile_nesting_gets_an_error_reply_from_serve() {
+    // A 100 KB line of 50,000 nested arrays overflowed the parser's stack
+    // and aborted the server before the next line was answered.
+    let line = "[".repeat(50_000) + &"]".repeat(50_000);
+    assert_serve_rejects_and_goes_on(&line, "nesting deeper than 64 levels at byte 64");
 }

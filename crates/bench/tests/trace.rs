@@ -125,6 +125,8 @@ fn trace_flag_output_is_byte_identical_across_jobs_counts() {
     let summaries_j1 = run(1, path_j1.clone());
     let summaries_j4 = run(4, path_j4.clone());
     assert_eq!(summaries_j1, summaries_j4, "grid results depend on --jobs");
+    // --trace implies --audit: the traced cell is the audited one.
+    assert!(summaries_j1.1.is_some(), "--trace ran without the audit");
 
     let bytes_j1 = std::fs::read(&path_j1).expect("jsonl written");
     let bytes_j4 = std::fs::read(&path_j4).expect("jsonl written");

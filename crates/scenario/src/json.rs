@@ -9,9 +9,22 @@
 //! round trip are stored as `u64` bit patterns by the caller, never as
 //! `Float` — objects keep their keys sorted, so serialisation is
 //! canonical and content hashes over the text are stable.
+//!
+//! Documents arrive from outside the program (`bfgts_serve` reads them
+//! from stdin), so the parser rejects a repeated key and nesting deeper
+//! than [`MAX_DEPTH`], and every decoder reads its objects through
+//! [`Json::read`], which words a missing or mistyped field in one way
+//! and rejects any key no read asked for.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// The parser recurses once per level, so a bound keeps a hostile line
+/// from overflowing the stack; the deepest committed document, a trace
+/// header, nests 6 levels.
+pub const MAX_DEPTH: usize = 64;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,6 +85,29 @@ impl Json {
         }
     }
 
+    /// Reads this value as the object `what` (the name its errors give
+    /// it): `decode` reads its fields through [`Fields`], and then any
+    /// key no read asked for is rejected by name.
+    pub fn read<'a, T>(
+        &'a self,
+        what: &'a str,
+        decode: impl FnOnce(&mut Fields<'a>) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let Json::Obj(map) = self else {
+            return Err(format!("{what} must be an object"));
+        };
+        let mut fields = Fields {
+            what,
+            map,
+            asked: Vec::with_capacity(map.len()),
+        };
+        let value = decode(&mut fields)?;
+        match map.keys().find(|k| !fields.asked.contains(&k.as_str())) {
+            Some(key) => Err(format!("unknown {what} field '{key}'")),
+            None => Ok(value),
+        }
+    }
+
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
@@ -112,11 +148,12 @@ impl Json {
     }
 
     /// Parses a JSON document. Returns `Err` with a byte offset and
-    /// message on malformed input.
+    /// message on malformed input, a repeated key or nesting deeper than
+    /// [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -131,6 +168,139 @@ impl std::fmt::Display for Json {
         let mut out = String::new();
         self.write(&mut out);
         f.write_str(&out)
+    }
+}
+
+/// The field reader of one object ([`Json::read`]): the one place a
+/// decoder looks a key up, converts its value and words a missing or
+/// mistyped field, as `{what} field '{key}' must be …`. It remembers
+/// every key asked for, so [`Json::read`] can reject the others.
+pub struct Fields<'a> {
+    what: &'a str,
+    map: &'a BTreeMap<String, Json>,
+    asked: Vec<&'a str>,
+}
+
+impl<'a> Fields<'a> {
+    /// The value at `key`, or `None` when the object has no such key.
+    pub fn opt<T: Field<'a>>(&mut self, key: &'a str) -> Result<Option<T>, String> {
+        self.asked.push(key);
+        match self.map.get(key) {
+            None => Ok(None),
+            Some(value) => T::decode(value)
+                .map(Some)
+                .ok_or_else(|| self.wrong::<T>(key)),
+        }
+    }
+
+    /// The value at `key`, which must be present.
+    pub fn req<T: Field<'a>>(&mut self, key: &'a str) -> Result<T, String> {
+        self.opt(key)?.ok_or_else(|| self.wrong::<T>(key))
+    }
+
+    fn wrong<T: Field<'a>>(&self, key: &str) -> String {
+        format!("{} field '{key}' must be {}", self.what, T::expected())
+    }
+}
+
+/// A type a [`Fields`] read converts a JSON value to.
+pub trait Field<'a>: Sized {
+    /// What a value must be to convert, for the error message.
+    fn expected() -> String;
+    /// The converted value, or `None` if `value` has the wrong type or
+    /// does not fit.
+    fn decode(value: &'a Json) -> Option<Self>;
+}
+
+macro_rules! integer_fields {
+    ($($t:ty),*) => {$(
+        impl Field<'_> for $t {
+            fn expected() -> String {
+                concat!("an integer fitting ", stringify!($t)).into()
+            }
+            fn decode(value: &Json) -> Option<Self> {
+                <$t>::try_from(value.as_u64()?).ok()
+            }
+        }
+    )*};
+}
+integer_fields!(u64, u32, usize);
+
+impl Field<'_> for bool {
+    fn expected() -> String {
+        "a boolean".into()
+    }
+    fn decode(value: &Json) -> Option<Self> {
+        match value {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+}
+
+impl<'a> Field<'a> for &'a str {
+    fn expected() -> String {
+        "a string".into()
+    }
+    fn decode(value: &'a Json) -> Option<Self> {
+        value.as_str()
+    }
+}
+
+/// Any value: the caller decodes it further.
+impl<'a> Field<'a> for &'a Json {
+    fn expected() -> String {
+        "present".into()
+    }
+    fn decode(value: &'a Json) -> Option<Self> {
+        Some(value)
+    }
+}
+
+impl<'a, T: Field<'a>> Field<'a> for Vec<T> {
+    fn expected() -> String {
+        format!("an array, each entry {}", T::expected())
+    }
+    fn decode(value: &'a Json) -> Option<Self> {
+        value.as_arr()?.iter().map(T::decode).collect()
+    }
+}
+
+impl<'a, T: Field<'a>, const N: usize> Field<'a> for [T; N] {
+    fn expected() -> String {
+        format!("an array of {N} entries, each {}", T::expected())
+    }
+    fn decode(value: &'a Json) -> Option<Self> {
+        Vec::decode(value)?.try_into().ok()
+    }
+}
+
+impl<'a, A: Field<'a>, B: Field<'a>> Field<'a> for (A, B) {
+    fn expected() -> String {
+        format!(
+            "an array of 2 entries: {}, {}",
+            A::expected(),
+            B::expected()
+        )
+    }
+    fn decode(value: &'a Json) -> Option<Self> {
+        match value.as_arr()? {
+            [a, b] => Some((A::decode(a)?, B::decode(b)?)),
+            _ => None,
+        }
+    }
+}
+
+impl<'a, A: Field<'a>, B: Field<'a>, C: Field<'a>> Field<'a> for (A, B, C) {
+    fn expected() -> String {
+        let (a, b, c) = (A::expected(), B::expected(), C::expected());
+        format!("an array of 3 entries: {a}, {b}, {c}")
+    }
+    fn decode(value: &'a Json) -> Option<Self> {
+        match value.as_arr()? {
+            [a, b, c] => Some((A::decode(a)?, B::decode(b)?, C::decode(c)?)),
+            _ => None,
+        }
     }
 }
 
@@ -167,8 +337,13 @@ fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
@@ -184,7 +359,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -206,10 +381,16 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let at = *pos;
+                let slot = match map.entry(parse_string(bytes, pos)?) {
+                    Entry::Vacant(slot) => slot,
+                    Entry::Occupied(e) => {
+                        return Err(format!("repeated key '{}' at byte {at}", e.key()))
+                    }
+                };
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                map.insert(key, parse_value(bytes, pos)?);
+                slot.insert(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -355,6 +536,50 @@ mod tests {
         for text in ["{", "[1,", "\"abc", "tru", "{\"a\" 1}", "1 2"] {
             assert!(Json::parse(text).is_err(), "{text} parsed");
         }
+        let err = Json::parse("{\"a\":1,\"b\":{},\"a\":2}").unwrap_err();
+        assert_eq!(err, "repeated key 'a' at byte 14");
+        // The bound itself parses; one level past it, of either kind, is
+        // an error naming the limit and where it was crossed.
+        let nested = |open: &str, close: &str, depth: usize| {
+            Json::parse(&(open.repeat(depth) + "0" + &close.repeat(depth)))
+        };
+        assert!(nested("[", "]", MAX_DEPTH).is_ok());
+        assert!(nested("{\"a\":", "}", MAX_DEPTH).is_ok());
+        let err = nested("[", "]", MAX_DEPTH + 1).unwrap_err();
+        assert_eq!(err, "nesting deeper than 64 levels at byte 64");
+        let err = nested("{\"a\":", "}", MAX_DEPTH + 1).unwrap_err();
+        assert_eq!(err, "nesting deeper than 64 levels at byte 320");
+    }
+
+    #[test]
+    fn reader_words_errors_and_rejects_unasked_keys() {
+        let doc = Json::parse(r#"{"big":4294967296,"flag":1,"pair":[1,2]}"#).unwrap();
+        let err = |e: Result<(), String>| e.unwrap_err();
+        assert_eq!(
+            err(doc.read("thing", |f| f.req::<u32>("big").map(drop))),
+            "thing field 'big' must be an integer fitting u32"
+        );
+        assert_eq!(
+            err(doc.read("thing", |f| f.req::<bool>("flag").map(drop))),
+            "thing field 'flag' must be a boolean"
+        );
+        assert_eq!(
+            err(doc.read("thing", |f| f.req::<u64>("gone").map(drop))),
+            "thing field 'gone' must be an integer fitting u64"
+        );
+        let pair = doc.read("thing", |f| {
+            let pair = f.req::<(u64, u64)>("pair")?;
+            f.opt::<&Json>("big")?;
+            f.opt::<&Json>("flag")?;
+            Ok(pair)
+        });
+        assert_eq!(pair, Ok((1, 2)));
+        let unasked = doc.read("thing", |f| f.req::<(u64, u64)>("pair").map(drop));
+        assert_eq!(err(unasked), "unknown thing field 'big'");
+        assert_eq!(
+            err(Json::UInt(1).read("thing", |_| Ok(()))),
+            "thing must be an object"
+        );
     }
 
     #[test]

@@ -39,7 +39,7 @@ use bfgts_workloads::{
     presets, AdversarialSpec, ArrivalProcess, ArrivalSpec, BenchmarkSpec, ExpectedProfile,
     RandomRegion, Region, TxClass, MAX_STX,
 };
-use json::Json;
+use json::{Fields, Json};
 use std::sync::Arc;
 
 /// Format version of a scenario document. Bump on any change to the
@@ -176,67 +176,51 @@ impl Platform {
     }
 
     fn from_json(value: &Json) -> Result<Self, String> {
-        let uint = |key: &str| {
-            value
-                .get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("platform field '{key}' must be an unsigned integer"))
-        };
-        let cpus = uint("cpus")?;
-        let threads = uint("threads")?;
-        if cpus == 0 || threads == 0 {
-            return Err("platform needs at least one cpu and one thread".into());
-        }
-        if cpus > Self::MAX_CPUS as u64 {
-            return Err(format!(
-                "platform 'cpus' {cpus} exceeds the maximum of {}",
-                Self::MAX_CPUS
-            ));
-        }
-        if threads > Self::MAX_THREADS as u64 {
-            return Err(format!(
-                "platform 'threads' {threads} exceeds the maximum of {}",
-                Self::MAX_THREADS
-            ));
-        }
-        let shards = match value.get("shards") {
-            None => 1,
-            Some(v) => v
-                .as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .filter(|&n| n >= 1)
-                .ok_or("platform field 'shards' must be an integer ≥ 1 fitting u32")?,
-        };
-        let detection = match value.get("detection") {
-            None => Detection::Perfect,
-            Some(doc) => {
-                let field = |key: &str| {
-                    doc.get(key)
-                        .and_then(Json::as_u64)
-                        .and_then(|n| u32::try_from(n).ok())
-                        .ok_or_else(|| {
-                            format!(
-                                "platform detection field '{key}' must be an integer fitting u32"
-                            )
-                        })
-                };
-                let detection = Detection::BoundedSig {
-                    bits: field("bits")?,
-                    hashes: field("hashes")?,
-                    capacity: field("capacity")?,
-                };
-                detection
-                    .validate()
-                    .map_err(|e| format!("platform detection: {e}"))?;
-                detection
+        value.read("platform", |f| {
+            let cpus: u64 = f.req("cpus")?;
+            let threads: u64 = f.req("threads")?;
+            if cpus == 0 || threads == 0 {
+                return Err("platform needs at least one cpu and one thread".into());
             }
-        };
-        Ok(Self {
-            cpus: cpus as usize,
-            threads: threads as usize,
-            seed: uint("seed")?,
-            shards,
-            detection,
+            if cpus > Self::MAX_CPUS as u64 {
+                return Err(format!(
+                    "platform 'cpus' {cpus} exceeds the maximum of {}",
+                    Self::MAX_CPUS
+                ));
+            }
+            if threads > Self::MAX_THREADS as u64 {
+                return Err(format!(
+                    "platform 'threads' {threads} exceeds the maximum of {}",
+                    Self::MAX_THREADS
+                ));
+            }
+            let shards = f.opt("shards")?.unwrap_or(1);
+            if shards == 0 {
+                return Err("platform field 'shards' must be an integer ≥ 1 fitting u32".into());
+            }
+            let detection = match f.opt::<&Json>("detection")? {
+                None => Detection::Perfect,
+                Some(doc) => {
+                    let detection = doc.read("platform detection", |d| {
+                        Ok(Detection::BoundedSig {
+                            bits: d.req("bits")?,
+                            hashes: d.req("hashes")?,
+                            capacity: d.req("capacity")?,
+                        })
+                    })?;
+                    detection
+                        .validate()
+                        .map_err(|e| format!("platform detection: {e}"))?;
+                    detection
+                }
+            };
+            Ok(Self {
+                cpus: cpus as usize,
+                threads: threads as usize,
+                seed: f.req("seed")?,
+                shards,
+                detection,
+            })
         })
     }
 }
@@ -450,24 +434,20 @@ fn bfgts_to_json(cfg: &BfgtsConfig) -> Json {
     Json::obj(pairs)
 }
 
-/// Parses [`bfgts_to_json`] back. An absent `bloom_bits` keeps the
-/// variant's default signature.
-fn bfgts_from_json(value: &Json) -> Result<BfgtsConfig, String> {
-    let variant = value
-        .get("variant")
-        .and_then(Json::as_str)
-        .and_then(variant_from_key)
+/// Parses [`bfgts_to_json`]'s fields back. An absent `bloom_bits` keeps
+/// the variant's default signature.
+fn bfgts_from_json(f: &mut Fields) -> Result<BfgtsConfig, String> {
+    let variant = variant_from_key(f.req("variant")?)
         .ok_or("bfgts manager needs a 'variant' of sw|hw|hw_backoff|no_overhead")?;
     let mut cfg = BfgtsConfig::new(variant);
-    if let Some(bits) = ManagerSpec::opt_bloom_bits(value)? {
+    if let Some(bits) = ManagerSpec::opt_bloom_bits(f)? {
         cfg = cfg.bloom_bits(bits);
     }
-    cfg.small_tx_interval = ManagerSpec::opt_u32(value, "small_tx_interval")?
-        .ok_or("bfgts manager needs a 'small_tx_interval' integer")?;
+    cfg.small_tx_interval = f.req("small_tx_interval")?;
     // The aliased confidence table is a dense slots × slots square, the
     // unaliased one is at most (MAX_STX + 1)²: aliasing only ever
     // shrinks it, so MAX_STX bounds the slot count as it bounds sTxIDs.
-    cfg.alias_slots = match ManagerSpec::opt_u32(value, "alias_slots")? {
+    cfg.alias_slots = match f.opt("alias_slots")? {
         Some(slots) if !(1..=MAX_STX).contains(&slots) => {
             return Err(format!(
                 "manager field 'alias_slots' must be in 1..={MAX_STX}, got {slots}"
@@ -475,11 +455,7 @@ fn bfgts_from_json(value: &Json) -> Result<BfgtsConfig, String> {
         }
         slots => slots,
     };
-    cfg.similarity_weighting = match value.get("similarity_weighting") {
-        Some(Json::Bool(b)) => *b,
-        Some(_) => return Err("'similarity_weighting' must be a boolean".into()),
-        None => return Err("bfgts manager needs a 'similarity_weighting' boolean".into()),
-    };
+    cfg.similarity_weighting = f.req("similarity_weighting")?;
     Ok(cfg)
 }
 
@@ -645,50 +621,36 @@ impl ManagerSpec {
         }
     }
 
+    /// Parses [`ManagerSpec::to_json`] back. An absent optional tunable
+    /// means "use the manager default" and never re-serialises.
     fn from_json(value: &Json) -> Result<Self, String> {
-        match value.get("kind").and_then(Json::as_str) {
-            Some("serial") => Ok(ManagerSpec::Serial),
-            Some("roster") => {
-                let kind = value
-                    .get("manager")
-                    .and_then(Json::as_str)
-                    .and_then(ManagerKind::from_key)
-                    .ok_or("roster manager needs a known 'manager' key")?;
-                let bloom_bits = Self::opt_bloom_bits(value)?;
-                Ok(ManagerSpec::Kind { kind, bloom_bits })
-            }
-            Some("bfgts") => Ok(ManagerSpec::Bfgts(bfgts_from_json(value)?)),
-            Some("polka") => Ok(ManagerSpec::Polka),
-            Some("stall") => Ok(ManagerSpec::Stall),
-            Some("window_greedy") => Ok(ManagerSpec::WindowGreedy {
-                window_size: Self::opt_u32(value, "window_size")?,
-                base_delay: Self::opt_u32(value, "base_delay")?,
-            }),
-            Some("balanced_greedy") => Ok(ManagerSpec::BalancedGreedy {
-                window_size: Self::opt_u32(value, "window_size")?,
-            }),
-            Some(other) => Err(format!("unknown manager kind '{other}'")),
-            None => Err("manager is missing a 'kind' string".into()),
-        }
-    }
-
-    /// An optional u32 tunable under the absent-key protocol: a missing
-    /// key means "use the manager default" and never re-serialises.
-    fn opt_u32(value: &Json, key: &str) -> Result<Option<u32>, String> {
-        match value.get(key) {
-            None => Ok(None),
-            Some(v) => v
-                .as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .map(Some)
-                .ok_or_else(|| format!("manager field '{key}' must fit u32")),
-        }
+        value.read("manager", |f| {
+            Ok(match f.req::<&str>("kind")? {
+                "serial" => ManagerSpec::Serial,
+                "roster" => ManagerSpec::Kind {
+                    kind: ManagerKind::from_key(f.req("manager")?)
+                        .ok_or("roster manager needs a known 'manager' key")?,
+                    bloom_bits: Self::opt_bloom_bits(f)?,
+                },
+                "bfgts" => ManagerSpec::Bfgts(bfgts_from_json(f)?),
+                "polka" => ManagerSpec::Polka,
+                "stall" => ManagerSpec::Stall,
+                "window_greedy" => ManagerSpec::WindowGreedy {
+                    window_size: f.opt("window_size")?,
+                    base_delay: f.opt("base_delay")?,
+                },
+                "balanced_greedy" => ManagerSpec::BalancedGreedy {
+                    window_size: f.opt("window_size")?,
+                },
+                other => return Err(format!("unknown manager kind '{other}'")),
+            })
+        })
     }
 
     /// An optional `bloom_bits`, checked against
     /// [`ManagerSpec::MAX_BLOOM_BITS`].
-    fn opt_bloom_bits(value: &Json) -> Result<Option<u32>, String> {
-        let bits = Self::opt_u32(value, "bloom_bits")?;
+    fn opt_bloom_bits(f: &mut Fields) -> Result<Option<u32>, String> {
+        let bits: Option<u32> = f.opt("bloom_bits")?;
         match bits {
             Some(b) if !b.is_multiple_of(64) || !(64..=Self::MAX_BLOOM_BITS).contains(&b) => {
                 Err(format!(
@@ -869,32 +831,24 @@ impl WorkloadSpec {
     }
 
     fn from_json(value: &Json) -> Result<Self, String> {
-        let name = value
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("workload needs a 'name' string")?
-            .to_string();
-        let total_txs = value
-            .get("total_txs")
-            .and_then(Json::as_u64)
-            .ok_or("workload needs a 'total_txs' integer")?;
-        match value.get("kind").and_then(Json::as_str) {
-            Some("preset") => Ok(WorkloadSpec::Preset { name, total_txs }),
-            Some("adversarial") => Ok(WorkloadSpec::Adversarial { name, total_txs }),
-            Some("inline") => Ok(WorkloadSpec::Inline {
-                name,
-                total_txs,
-                classes: value
-                    .get("classes")
-                    .and_then(Json::as_arr)
-                    .ok_or("inline workload needs a 'classes' array")?
-                    .iter()
-                    .map(class_from_json)
-                    .collect::<Result<_, _>>()?,
-            }),
-            Some(other) => Err(format!("unknown workload kind '{other}'")),
-            None => Err("workload is missing a 'kind' string".into()),
-        }
+        value.read("workload", |f| {
+            let name = f.req::<&str>("name")?.to_string();
+            let total_txs = f.req("total_txs")?;
+            Ok(match f.req::<&str>("kind")? {
+                "preset" => WorkloadSpec::Preset { name, total_txs },
+                "adversarial" => WorkloadSpec::Adversarial { name, total_txs },
+                "inline" => WorkloadSpec::Inline {
+                    name,
+                    total_txs,
+                    classes: f
+                        .req::<Vec<&Json>>("classes")?
+                        .into_iter()
+                        .map(class_from_json)
+                        .collect::<Result<_, _>>()?,
+                },
+                other => return Err(format!("unknown workload kind '{other}'")),
+            })
+        })
     }
 }
 
@@ -905,18 +859,14 @@ fn region_to_json(region: Region) -> Json {
     ])
 }
 
-fn region_from_json(value: &Json) -> Result<Region, String> {
-    let uint = |key: &str| {
-        value
-            .get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("region field '{key}' must be an unsigned integer"))
-    };
-    let lines = uint("lines")?;
+/// Reads [`region_to_json`]'s fields from `f`, whose object may carry
+/// more (a shared random region's `kind`).
+fn region_from_json(f: &mut Fields) -> Result<Region, String> {
+    let lines = f.req("lines")?;
     if lines == 0 {
         return Err("region must contain at least one line".into());
     }
-    Ok(Region::new(uint("base")?, lines))
+    Ok(Region::new(f.req("base")?, lines))
 }
 
 fn class_to_json(class: &TxClass) -> Json {
@@ -959,59 +909,40 @@ fn class_to_json(class: &TxClass) -> Json {
 }
 
 fn class_from_json(value: &Json) -> Result<TxClass, String> {
-    let uint = |key: &str| {
-        value
-            .get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("class field '{key}' must be an unsigned integer"))
-    };
-    // Scheduler tables are indexed by sTxID, so an unbounded id is an
-    // allocation request (see `MAX_STX`).
-    let stx = uint("stx")?;
-    if stx > u64::from(MAX_STX) {
-        return Err(format!(
-            "class field 'stx' is {stx}, above the static transaction id bound {MAX_STX}"
-        ));
-    }
-    let pre_work = value
-        .get("pre_work")
-        .and_then(Json::as_arr)
-        .filter(|arr| arr.len() == 2)
-        .ok_or("class field 'pre_work' must be a [lo, hi] pair")?;
-    let random_region = value
-        .get("random_region")
-        .ok_or("class is missing 'random_region'")?;
-    let random_region = match random_region.get("kind").and_then(Json::as_str) {
-        Some("shared") => RandomRegion::Shared(region_from_json(random_region)?),
-        Some("per_thread") => RandomRegion::PerThread {
-            lines: random_region
-                .get("lines")
-                .and_then(Json::as_u64)
-                .ok_or("per_thread region needs a 'lines' integer")?,
-        },
-        _ => return Err("random_region needs a kind of shared|per_thread".into()),
-    };
-    Ok(TxClass {
-        stx: stx as u32,
-        weight: f64::from_bits(uint("weight_bits")?),
-        private_hot: uint("private_hot")? as usize,
-        shared_picks: uint("shared_picks")? as usize,
-        shared_pool: match value.get("shared_pool") {
-            None => None,
-            Some(pool) => Some(region_from_json(pool)?),
-        },
-        shared_writes: matches!(value.get("shared_writes"), Some(Json::Bool(true))),
-        random_picks: uint("random_picks")? as usize,
-        random_region,
-        write_frac: f64::from_bits(uint("write_frac_bits")?),
-        pre_work: (
-            pre_work[0]
-                .as_u64()
-                .ok_or("pre_work entries must be unsigned integers")?,
-            pre_work[1]
-                .as_u64()
-                .ok_or("pre_work entries must be unsigned integers")?,
-        ),
+    value.read("class", |f| {
+        // Scheduler tables are indexed by sTxID, so an unbounded id is an
+        // allocation request (see `MAX_STX`).
+        let stx: u64 = f.req("stx")?;
+        if stx > u64::from(MAX_STX) {
+            return Err(format!(
+                "class field 'stx' is {stx}, above the static transaction id bound {MAX_STX}"
+            ));
+        }
+        let random_region = f.req::<&Json>("random_region")?;
+        let random_region = random_region.read("random_region", |r| {
+            Ok(match r.req::<&str>("kind")? {
+                "shared" => RandomRegion::Shared(region_from_json(r)?),
+                "per_thread" => RandomRegion::PerThread {
+                    lines: r.req("lines")?,
+                },
+                _ => return Err("random_region needs a kind of shared|per_thread".into()),
+            })
+        })?;
+        Ok(TxClass {
+            stx: stx as u32,
+            weight: f64::from_bits(f.req("weight_bits")?),
+            private_hot: f.req("private_hot")?,
+            shared_picks: f.req("shared_picks")?,
+            shared_pool: f
+                .opt::<&Json>("shared_pool")?
+                .map(|pool| pool.read("shared_pool", region_from_json))
+                .transpose()?,
+            shared_writes: f.req("shared_writes")?,
+            random_picks: f.req("random_picks")?,
+            random_region,
+            write_frac: f64::from_bits(f.req("write_frac_bits")?),
+            pre_work: f.req("pre_work")?,
+        })
     })
 }
 
@@ -1037,30 +968,22 @@ pub fn fault_to_json(fault: &Fault) -> Json {
 
 /// Parses a fault from its JSON form.
 pub fn fault_from_json(value: &Json) -> Result<Fault, String> {
-    let uint = |key: &str| {
-        value
-            .get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("fault field '{key}' must be an unsigned integer"))
-    };
-    let narrow = |key: &str| {
-        u32::try_from(uint(key)?).map_err(|_| format!("fault field '{key}' exceeds u32"))
-    };
-    let fault = match value.get("kind").and_then(Json::as_str) {
-        Some("cost_perturb") => Fault::CostPerturb {
-            max_percent: narrow("max_percent")?,
-        },
-        Some("bloom_corrupt") => Fault::BloomCorrupt {
-            rate_pct: narrow("rate_pct")?,
-            bits: narrow("bits")?,
-        },
-        Some("conf_poison") => Fault::ConfPoison {
-            period: uint("period")?,
-            saturate: matches!(value.get("saturate"), Some(Json::Bool(true))),
-        },
-        Some(other) => return Err(format!("unknown fault kind '{other}'")),
-        None => return Err("fault is missing a 'kind' string".into()),
-    };
+    let fault = value.read("fault", |f| {
+        Ok(match f.req::<&str>("kind")? {
+            "cost_perturb" => Fault::CostPerturb {
+                max_percent: f.req("max_percent")?,
+            },
+            "bloom_corrupt" => Fault::BloomCorrupt {
+                rate_pct: f.req("rate_pct")?,
+                bits: f.req("bits")?,
+            },
+            "conf_poison" => Fault::ConfPoison {
+                period: f.req("period")?,
+                saturate: f.req("saturate")?,
+            },
+            other => return Err(format!("unknown fault kind '{other}'")),
+        })
+    })?;
     fault.validate()?;
     Ok(fault)
 }
@@ -1078,18 +1001,16 @@ pub fn plan_to_json(plan: &FaultPlan) -> Json {
 
 /// Parses a fault plan from its JSON form.
 pub fn plan_from_json(value: &Json) -> Result<FaultPlan, String> {
-    let seed = value
-        .get("seed")
-        .and_then(Json::as_u64)
-        .ok_or("plan is missing a 'seed' integer")?;
-    let faults = value
-        .get("faults")
-        .and_then(Json::as_arr)
-        .ok_or("plan is missing a 'faults' array")?
-        .iter()
-        .map(fault_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(FaultPlan { seed, faults })
+    value.read("fault plan", |f| {
+        Ok(FaultPlan {
+            seed: f.req("seed")?,
+            faults: f
+                .req::<Vec<&Json>>("faults")?
+                .into_iter()
+                .map(fault_from_json)
+                .collect::<Result<_, _>>()?,
+        })
+    })
 }
 
 /// Serialises one arrival process to its scenario JSON form (a
@@ -1126,28 +1047,23 @@ pub fn process_to_json(process: &ArrivalProcess) -> Json {
 /// Decodes one arrival process; [`arrivals_from_json`] validates it
 /// with the rest of the spec.
 fn process_from_json(value: &Json) -> Result<ArrivalProcess, String> {
-    let uint = |key: &str| {
-        value
-            .get(key)
-            .and_then(Json::as_u64)
-            .ok_or(format!("arrival process is missing a '{key}' integer"))
-    };
-    Ok(match value.get("kind").and_then(Json::as_str) {
-        Some("poisson") => ArrivalProcess::Poisson {
-            mean_gap: uint("mean_gap")?,
-        },
-        Some("bursty") => ArrivalProcess::Bursty {
-            burst: u32::try_from(uint("burst")?).map_err(|_| "bursty 'burst' exceeds u32")?,
-            gap_in: uint("gap_in")?,
-            gap_out: uint("gap_out")?,
-        },
-        Some("diurnal") => ArrivalProcess::Diurnal {
-            period: uint("period")?,
-            peak_gap: uint("peak_gap")?,
-            trough_gap: uint("trough_gap")?,
-        },
-        Some(other) => return Err(format!("unknown arrival process kind '{other}'")),
-        None => return Err("arrival process is missing a 'kind' string".into()),
+    value.read("arrival process", |f| {
+        Ok(match f.req::<&str>("kind")? {
+            "poisson" => ArrivalProcess::Poisson {
+                mean_gap: f.req("mean_gap")?,
+            },
+            "bursty" => ArrivalProcess::Bursty {
+                burst: f.req("burst")?,
+                gap_in: f.req("gap_in")?,
+                gap_out: f.req("gap_out")?,
+            },
+            "diurnal" => ArrivalProcess::Diurnal {
+                period: f.req("period")?,
+                peak_gap: f.req("peak_gap")?,
+                trough_gap: f.req("trough_gap")?,
+            },
+            other => return Err(format!("unknown arrival process kind '{other}'")),
+        })
     })
 }
 
@@ -1172,29 +1088,16 @@ pub fn arrivals_to_json(spec: &ArrivalSpec) -> Json {
 /// Parses an arrival spec and checks it with [`ArrivalSpec::validate`],
 /// which also holds the canonical strictly-increasing override order.
 pub fn arrivals_from_json(value: &Json) -> Result<ArrivalSpec, String> {
-    let process = process_from_json(
-        value
-            .get("process")
-            .ok_or("arrivals are missing a 'process' object")?,
-    )?;
-    let per_stx = value
-        .get("per_stx")
-        .and_then(Json::as_arr)
-        .ok_or("arrivals are missing a 'per_stx' array")?
-        .iter()
-        .map(|item| {
-            let pair = item
-                .as_arr()
-                .filter(|a| a.len() == 2)
-                .ok_or("each arrivals override must be a [stx, process] pair".to_string())?;
-            let stx = pair[0]
-                .as_u64()
-                .and_then(|v| u32::try_from(v).ok())
-                .ok_or("arrival override stx must be a u32".to_string())?;
-            Ok((stx, process_from_json(&pair[1])?))
+    let spec = value.read("arrivals", |f| {
+        Ok(ArrivalSpec {
+            process: process_from_json(f.req("process")?)?,
+            per_stx: f
+                .req::<Vec<(u32, &Json)>>("per_stx")?
+                .into_iter()
+                .map(|(stx, process)| Ok((stx, process_from_json(process)?)))
+                .collect::<Result<_, String>>()?,
         })
-        .collect::<Result<Vec<_>, String>>()?;
-    let spec = ArrivalSpec { process, per_stx };
+    })?;
     spec.validate()?;
     Ok(spec)
 }
@@ -1212,15 +1115,12 @@ fn trace_from_json(value: &Json) -> Result<TraceMode, String> {
         Json::Str(s) if s == "off" => Ok(TraceMode::Off),
         Json::Str(s) if s == "full" => Ok(TraceMode::Full),
         obj @ Json::Obj(_) => {
-            let cap = obj
-                .get("ring")
-                .and_then(Json::as_u64)
-                .ok_or("ring trace mode needs a 'ring' integer")?;
+            let cap = obj.read("trace", |f| f.req("ring"))?;
             // Matches TraceSink::new, which rejects zero-capacity rings.
             if cap == 0 {
                 return Err("ring trace mode needs a capacity >= 1 (use \"off\")".into());
             }
-            Ok(TraceMode::Ring(cap as usize))
+            Ok(TraceMode::Ring(cap))
         }
         _ => Err("trace mode must be \"off\", \"full\" or {\"ring\": N}".into()),
     }
@@ -1333,45 +1233,23 @@ impl Scenario {
 
     /// Parses a scenario from its JSON document.
     pub fn from_json(value: &Json) -> Result<Self, String> {
-        let version = value
-            .get("version")
-            .and_then(Json::as_u64)
-            .ok_or("scenario is missing a 'version' integer")?;
-        if version != SCENARIO_VERSION {
-            return Err(format!(
-                "scenario version {version} unsupported (expected {SCENARIO_VERSION})"
-            ));
-        }
-        Ok(Self {
-            platform: Platform::from_json(
-                value
-                    .get("platform")
-                    .ok_or("scenario is missing 'platform'")?,
-            )?,
-            costs: value
-                .get("costs")
-                .and_then(Json::as_str)
-                .and_then(CostKind::from_key)
-                .ok_or("scenario needs a 'costs' of htm|stm")?,
-            workload: WorkloadSpec::from_json(
-                value
-                    .get("workload")
-                    .ok_or("scenario is missing 'workload'")?,
-            )?,
-            manager: ManagerSpec::from_json(
-                value
-                    .get("manager")
-                    .ok_or("scenario is missing 'manager'")?,
-            )?,
-            faults: match value.get("faults") {
-                None => None,
-                Some(plan) => Some(plan_from_json(plan)?),
-            },
-            arrivals: match value.get("arrivals") {
-                None => None,
-                Some(spec) => Some(arrivals_from_json(spec)?),
-            },
-            trace: trace_from_json(value.get("trace").ok_or("scenario is missing 'trace'")?)?,
+        value.read("scenario", |f| {
+            let version: u64 = f.req("version")?;
+            if version != SCENARIO_VERSION {
+                return Err(format!(
+                    "scenario version {version} unsupported (expected {SCENARIO_VERSION})"
+                ));
+            }
+            Ok(Self {
+                platform: Platform::from_json(f.req("platform")?)?,
+                costs: CostKind::from_key(f.req("costs")?)
+                    .ok_or("scenario needs a 'costs' of htm|stm")?,
+                workload: WorkloadSpec::from_json(f.req("workload")?)?,
+                manager: ManagerSpec::from_json(f.req("manager")?)?,
+                faults: f.opt("faults")?.map(plan_from_json).transpose()?,
+                arrivals: f.opt("arrivals")?.map(arrivals_from_json).transpose()?,
+                trace: trace_from_json(f.req("trace")?)?,
+            })
         })
     }
 
@@ -2018,5 +1896,43 @@ mod tests {
             map.insert("version".into(), Json::UInt(99));
         }
         assert!(Scenario::from_json(&doc).is_err());
+        // Every object rejects a key no read asked for, and a boolean is
+        // read only from a boolean: each document errs naming its key.
+        let mut bounded = sample();
+        bounded.platform = bounded.platform.bounded(256, 2, 16);
+        let mut classes = presets::kmeans().classes.to_vec();
+        classes[0].shared_writes = true;
+        let mut inline = sample();
+        inline.workload = WorkloadSpec::Inline {
+            name: "inline".into(),
+            total_txs: 10,
+            classes,
+        };
+        let mut poisoned = sample();
+        poisoned.faults = Some(FaultPlan::new(1).fault(Fault::ConfPoison {
+            period: 5,
+            saturate: true,
+        }));
+        for (scenario, from, to, key) in [
+            (sample(), "\"costs\"", "\"extra\":1,\"costs\"", "'extra'"),
+            (bounded, "\"detection\"", "\"detecton\"", "'detecton'"),
+            (
+                inline,
+                "\"shared_writes\":true",
+                "\"shared_writes\":1",
+                "'shared_writes'",
+            ),
+            (
+                poisoned,
+                "\"saturate\":true",
+                "\"saturate\":\"yes\"",
+                "'saturate'",
+            ),
+        ] {
+            let text = scenario.to_json().to_string();
+            assert!(text.contains(from), "{text}");
+            let err = scenarios_from_str(&text.replacen(from, to, 1)).unwrap_err();
+            assert!(err.contains(key), "{key}: {err}");
+        }
     }
 }
