@@ -18,7 +18,7 @@
 //! the audit recomputes every draw from the declared seed and must
 //! notice. `--chrome PATH` converts the file for `chrome://tracing`.
 
-use bfgts_bench::trace_export::{parse_jsonl_full, to_chrome};
+use bfgts_bench::trace_export::{parse_jsonl_full, write_chrome};
 use bfgts_trace::{audit, TraceEvent};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -168,7 +168,8 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = chrome_out {
-        if let Err(err) = std::fs::write(&path, to_chrome(&recording, &inputs)) {
+        let out = std::fs::File::create(&path).map(std::io::BufWriter::new);
+        if let Err(err) = out.and_then(|mut out| write_chrome(&mut out, &recording, &inputs)) {
             return fail(&format!("cannot write {path}: {err}"));
         }
         println!("wrote {path}");

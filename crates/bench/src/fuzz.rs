@@ -286,7 +286,10 @@ pub fn trace_jsonl(scenario: &Scenario) -> String {
     let cell = RunCell::from_scenario(scenario.clone()).expect("fuzz scenarios resolve");
     let report = cell.execute_report(TraceMode::Full);
     let inputs = report.audit_inputs();
-    trace_export::to_jsonl_with_scenario(&report.sim.trace, &inputs, Some(&cell.scenario))
+    let mut out = Vec::new();
+    trace_export::write_jsonl(&mut out, &report.sim.trace, &inputs, Some(&cell.scenario))
+        .expect("writing to memory cannot fail");
+    String::from_utf8(out).expect("JSON text is UTF-8")
 }
 
 /// FNV-1a fingerprint of [`trace_jsonl`]: equal fingerprints mean the

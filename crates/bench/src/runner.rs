@@ -37,7 +37,8 @@
 //! cache hit reproduces the fresh run's output byte for byte.
 
 use crate::json::Json;
-use crate::{trace_export, CommonArgs, ManagerKind, Platform};
+use crate::trace_export::{write_chrome, write_jsonl};
+use crate::{CommonArgs, ManagerKind, Platform};
 use bfgts_baselines::BackoffCm;
 use bfgts_faultsim::FaultPlan;
 use bfgts_htm::{try_run_workload, ContentionManager, LatencyDigest, TmRunReport};
@@ -46,6 +47,8 @@ use bfgts_sim::{Bucket, RunError, TimeBuckets, TraceMode};
 use bfgts_trace::{AuditSummary, Violation};
 use bfgts_workloads::{open_sources, ArrivalSpec, BenchmarkSpec};
 use std::collections::{BTreeSet, HashMap};
+use std::fs::File;
+use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -804,7 +807,7 @@ pub fn chrome_trace_path(path: &Path) -> PathBuf {
     path.with_extension("chrome.json")
 }
 
-/// Writes the fully traced `report` of `scenario` as JSONL to `path`
+/// Streams the fully traced `report` of `scenario` as JSONL to `path`
 /// plus a Chrome trace to [`chrome_trace_path`]. The JSONL header embeds
 /// the scenario (with the trace mode it actually ran under), so the file
 /// is self-describing: the run can be reproduced from the trace alone.
@@ -819,14 +822,11 @@ pub fn export_cell_trace(
     if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         std::fs::create_dir_all(parent)?;
     }
-    std::fs::write(
-        path,
-        trace_export::to_jsonl_with_scenario(&report.sim.trace, &inputs, Some(&scenario)),
-    )?;
-    std::fs::write(
-        chrome_trace_path(path),
-        trace_export::to_chrome(&report.sim.trace, &inputs),
-    )
+    let trace = &report.sim.trace;
+    let jsonl = &mut BufWriter::new(File::create(path)?);
+    write_jsonl(jsonl, trace, &inputs, Some(&scenario))?;
+    let chrome = &mut BufWriter::new(File::create(chrome_trace_path(path))?);
+    write_chrome(chrome, trace, &inputs)
 }
 
 /// Writes `cells` as a scenario file (a JSON array in grid order, the

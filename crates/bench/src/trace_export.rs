@@ -11,14 +11,17 @@
 //! identical bytes — the golden-trace determinism tests diff files
 //! directly.
 //!
-//! The JSONL writer ([`to_jsonl`]) and reader ([`parse_jsonl`]) are the
-//! one place where each direction names every event kind. The Chrome
+//! The JSONL writer ([`write_jsonl`]) and reader ([`parse_jsonl`]) are
+//! the one place where each direction names every event kind. The Chrome
 //! form is the human-facing view, derived from each record's JSONL
 //! fields rather than from the event kinds: charges become duration
 //! (`"X"`) slices on one lane per CPU, everything else becomes instant
 //! events on one lane per thread (confidence updates on a scheduler
 //! lane keyed by static transaction). It is lossy by design — floats
 //! are printed as floats there.
+//!
+//! Both writers stream into any [`Write`], one record at a time, so an
+//! export to a file holds no more than the recording it reads.
 
 use crate::json::Json;
 use bfgts_scenario::{Platform, Scenario};
@@ -26,6 +29,7 @@ use bfgts_trace::{
     AuditInputs, Bucket, ConfKind, DecisionKind, TraceEvent, TraceRec, TraceRecording,
 };
 use std::collections::BTreeMap;
+use std::io::{self, Write};
 
 /// Format version stamped into (and required of) the JSONL header.
 /// Version 2 added the fault-injection instants (`fault_bloom_corrupt`,
@@ -39,18 +43,15 @@ use std::collections::BTreeMap;
 /// version stays at 3 and every previously written file still parses.
 pub const TRACE_FORMAT_VERSION: u64 = 3;
 
-/// Serialises a recording plus its audit ground truth as JSONL.
-pub fn to_jsonl(recording: &TraceRecording, inputs: &AuditInputs) -> String {
-    to_jsonl_with_scenario(recording, inputs, None)
-}
-
-/// Like [`to_jsonl`], but embeds the scenario that produced the
-/// recording into the header, making the file self-describing.
-pub fn to_jsonl_with_scenario(
+/// Writes a recording plus its audit ground truth as JSONL, one record
+/// at a time, then flushes `out`. A given `scenario` is embedded in the
+/// header, making the file self-describing.
+pub fn write_jsonl(
+    out: &mut impl Write,
     recording: &TraceRecording,
     inputs: &AuditInputs,
     scenario: Option<&Scenario>,
-) -> String {
+) -> io::Result<()> {
     let mut pairs = vec![
         ("type", Json::Str("header".into())),
         ("version", Json::UInt(TRACE_FORMAT_VERSION)),
@@ -77,20 +78,22 @@ pub fn to_jsonl_with_scenario(
     if let Some(scenario) = scenario {
         pairs.push(("scenario", scenario.to_json()));
     }
-    use std::fmt::Write as _;
-    let header = Json::obj(pairs);
-    // Pre-size from the event count and stream every record straight
-    // into the one buffer — no per-record intermediate `String`.
-    let mut out = String::with_capacity(256 + recording.events.len() * 96);
-    let _ = writeln!(out, "{header}");
+    writeln!(out, "{}", Json::obj(pairs))?;
     for rec in &recording.events {
-        let _ = writeln!(out, "{}", rec_to_json(rec));
+        writeln!(out, "{}", rec_to_json(rec))?;
     }
-    out
+    out.flush()
+}
+
+/// [`write_jsonl`] into memory, with no scenario in the header.
+pub fn to_jsonl(recording: &TraceRecording, inputs: &AuditInputs) -> String {
+    let mut out = Vec::new();
+    write_jsonl(&mut out, recording, inputs, None).expect("writing to memory cannot fail");
+    String::from_utf8(out).expect("JSON text is UTF-8")
 }
 
 /// Parses a JSONL trace back into a recording and its audit inputs.
-/// Inverse of [`to_jsonl`]; errors name the offending line. A header
+/// Inverse of [`write_jsonl`]; errors name the offending line. A header
 /// scenario, if embedded, is dropped — use [`parse_jsonl_full`] to keep
 /// it.
 pub fn parse_jsonl(text: &str) -> Result<(TraceRecording, AuditInputs), String> {
@@ -98,7 +101,7 @@ pub fn parse_jsonl(text: &str) -> Result<(TraceRecording, AuditInputs), String> 
 }
 
 /// Parses a JSONL trace including the embedded scenario, when the header
-/// carries one. Inverse of [`to_jsonl_with_scenario`].
+/// carries one. Inverse of [`write_jsonl`].
 pub fn parse_jsonl_full(
     text: &str,
 ) -> Result<(TraceRecording, AuditInputs, Option<Scenario>), String> {
@@ -170,7 +173,7 @@ fn rec_to_json(rec: &TraceRec) -> Json {
 }
 
 /// The JSONL fields of one event, beside its record's `seq`, `at` and
-/// `ev`: what [`to_chrome`] derives each Chrome event from.
+/// `ev`: what [`write_chrome`] derives each Chrome event from.
 fn event_fields(ev: &TraceEvent) -> Vec<(&'static str, Json)> {
     let u = |x: u32| Json::UInt(u64::from(x));
     match *ev {
@@ -511,7 +514,8 @@ fn rec_from_json(v: &Json) -> Result<TraceRec, String> {
     })
 }
 
-/// Renders a recording in Chrome `trace_event` format.
+/// Writes a recording in Chrome `trace_event` format, one event at a
+/// time, then flushes `out`.
 ///
 /// Each event is derived from its record's JSONL fields, never from its
 /// kind:
@@ -525,7 +529,14 @@ fn rec_from_json(v: &Json) -> Result<TraceRec, String> {
 ///   `conf:wait_justified`), its `fault:` prefix and its `stx` or
 ///   `window` folded in;
 /// * args: every other field, `*_bits` fields printed as floats.
-pub fn to_chrome(recording: &TraceRecording, inputs: &AuditInputs) -> String {
+///
+/// The document's keys come in the sorted order a [`Json::Obj`] would
+/// print them: `displayTimeUnit`, `otherData`, then `traceEvents`.
+pub fn write_chrome(
+    out: &mut impl Write,
+    recording: &TraceRecording,
+    inputs: &AuditInputs,
+) -> io::Result<()> {
     const PID_CPUS: u64 = 0;
     const PID_THREADS: u64 = 1;
     const PID_SCHED: u64 = 2;
@@ -544,11 +555,17 @@ pub fn to_chrome(recording: &TraceRecording, inputs: &AuditInputs) -> String {
             ("args", Json::obj([("name", Json::Str(name.into()))])),
         ])
     };
-    let mut events = vec![
+    let other = Json::obj([
+        ("makespan", Json::UInt(inputs.makespan)),
+        ("num_cpus", Json::UInt(inputs.num_cpus as u64)),
+    ]);
+    write!(
+        out,
+        "{{\"displayTimeUnit\":\"ns\",\"otherData\":{other},\"traceEvents\":[{},{},{}",
         meta(PID_CPUS, "cpus"),
         meta(PID_THREADS, "threads"),
         meta(PID_SCHED, "scheduler (by stx)"),
-    ];
+    )?;
     let float = |bits: u64| {
         let x = f64::from_bits(bits);
         if x.is_finite() {
@@ -605,20 +622,10 @@ pub fn to_chrome(recording: &TraceRecording, inputs: &AuditInputs) -> String {
             )
             .collect();
         chrome.push(("args", Json::Obj(args)));
-        events.push(Json::obj(chrome));
+        write!(out, ",{}", Json::obj(chrome))?;
     }
-    let doc = Json::obj([
-        ("displayTimeUnit", Json::Str("ns".into())),
-        ("traceEvents", Json::Arr(events)),
-        (
-            "otherData",
-            Json::obj([
-                ("makespan", Json::UInt(inputs.makespan)),
-                ("num_cpus", Json::UInt(inputs.num_cpus as u64)),
-            ]),
-        ),
-    ]);
-    doc.to_string() + "\n"
+    writeln!(out, "]}}")?;
+    out.flush()
 }
 
 #[cfg(test)]
@@ -840,7 +847,12 @@ mod tests {
             Platform::small(),
         );
         scenario.trace = bfgts_sim::TraceMode::Full;
-        let text = to_jsonl_with_scenario(&recording, &inputs, Some(&scenario));
+        let with_scenario = |recording, inputs, scenario| {
+            let mut out = Vec::new();
+            write_jsonl(&mut out, recording, inputs, scenario).unwrap();
+            String::from_utf8(out).unwrap()
+        };
+        let text = with_scenario(&recording, &inputs, Some(&scenario));
         let (parsed_rec, parsed_inputs, parsed_scenario) = parse_jsonl_full(&text).unwrap();
         assert_eq!(parsed_rec, recording);
         assert_eq!(parsed_inputs, inputs);
@@ -850,7 +862,7 @@ mod tests {
         assert!(none.is_none());
         // And embedding does not disturb the event stream fixed point.
         assert_eq!(
-            to_jsonl_with_scenario(&parsed_rec, &parsed_inputs, parsed_scenario.as_ref()),
+            with_scenario(&parsed_rec, &parsed_inputs, parsed_scenario.as_ref()),
             text
         );
     }
@@ -858,7 +870,9 @@ mod tests {
     #[test]
     fn chrome_export_is_valid_json_with_cpu_slices() {
         let (recording, inputs) = sample_recording();
-        let text = to_chrome(&recording, &inputs);
+        let mut out = Vec::new();
+        write_chrome(&mut out, &recording, &inputs).unwrap();
+        let text = String::from_utf8(out).unwrap();
         assert_eq!(text, SAMPLE_CHROME);
         let doc = Json::parse(text.trim_end()).unwrap();
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();

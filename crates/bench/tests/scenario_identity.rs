@@ -258,6 +258,11 @@ fn small_kmeans(kind: ManagerKind) -> Scenario {
 /// status 1, and the valid line 2 served, all within a minute: a line
 /// that hangs the server fails the test instead of stalling the suite.
 fn assert_serve_rejects_and_goes_on(hostile: &str, error: &str) {
+    assert_serve_rejects_within(hostile, error, 60);
+}
+
+/// [`assert_serve_rejects_and_goes_on`] with a deadline of `secs`.
+fn assert_serve_rejects_within(hostile: &str, error: &str, secs: u64) {
     let valid = small_kmeans(ManagerKind::Backoff).to_json();
     let mut serve = Command::new(env!("CARGO_BIN_EXE_bfgts_serve"))
         .arg("--stdin")
@@ -283,8 +288,8 @@ fn assert_serve_rejects_and_goes_on(hostile: &str, error: &str) {
     };
     let stdout = drain(Box::new(serve.stdout.take().unwrap()));
     let stderr = drain(Box::new(serve.stderr.take().unwrap()));
-    // Poll for up to a minute: 3000 polls 20 ms apart.
-    let status = (0..3000).find_map(|_| {
+    // Poll until the deadline, 20 ms apart.
+    let status = (0..secs * 50).find_map(|_| {
         let status = serve.try_wait().unwrap();
         if status.is_none() {
             std::thread::sleep(Duration::from_millis(20));
@@ -293,7 +298,7 @@ fn assert_serve_rejects_and_goes_on(hostile: &str, error: &str) {
     });
     let Some(status) = status else {
         serve.kill().unwrap();
-        panic!("bfgts_serve gave no reply within 60 s for stdin:1 ({error})");
+        panic!("bfgts_serve gave no reply within {secs} s for stdin:1 ({error})");
     };
     let stderr = String::from_utf8(stderr.join().unwrap()).unwrap();
     assert_eq!(status.code(), Some(1), "{stderr}");
@@ -494,4 +499,25 @@ fn hostile_nesting_gets_an_error_reply_from_serve() {
     // and aborted the server before the next line was answered.
     let line = "[".repeat(50_000) + &"]".repeat(50_000);
     assert_serve_rejects_and_goes_on(&line, "nesting deeper than 64 levels at byte 64");
+}
+
+#[test]
+fn hostile_long_name_gets_an_error_reply_from_serve() {
+    // The parser re-checked the rest of the line as UTF-8 once per
+    // string character, so a 1.6M-character workload name took about a
+    // minute to reach its error reply. Read linearly it takes
+    // milliseconds, so a tenth of the usual deadline is ample.
+    let scenario = Scenario::new(
+        bfgts_scenario::WorkloadSpec::Preset {
+            name: "x".repeat(1_600_000),
+            total_txs: 100,
+        },
+        ManagerSpec::Serial,
+        Platform::small(),
+    );
+    assert_serve_rejects_within(
+        &scenario.to_json().to_string(),
+        "scenario 0: unknown benchmark preset 'xxxxxxxx",
+        6,
+    );
 }

@@ -97,19 +97,19 @@ pub struct BfgtsCm {
     faults: Option<FaultState>,
 }
 
-/// The signatures one commit stores for its dTxID. A later store
-/// replaces the whole entry, so a shard the dTxID's newest commit did not
-/// touch holds nothing for it.
+/// What one commit stores for its dTxID. A later store replaces the
+/// whole entry, so a shard the dTxID's newest commit did not touch holds
+/// nothing for it.
 struct StoredSigs {
     /// The whole read/write set: the similarity update and the
     /// single-shard `checkWasSerialized` intersect it.
     whole: Sig,
-    /// Sharded platforms (DESIGN.md §11): one signature per shard the
-    /// commit touched, ascending by shard; empty on a single shard. The
-    /// sharded `checkWasSerialized` intersects only the shards both
-    /// transactions touched, one per-shard filter at a time, so a
-    /// partitioned machine never ships whole filters across shards.
-    shards: Box<[(u32, Sig)]>,
+    /// Sharded platforms (DESIGN.md §11): the commit's read/write-set
+    /// lines grouped by shard, ascending; empty on a single shard. The
+    /// sharded `checkWasSerialized` rebuilds from them the modelled
+    /// per-shard filter of each shard both transactions touched, so the
+    /// host keeps 8 bytes a line, not a whole filter per touched shard.
+    lines: Box<[LineAddr]>,
 }
 
 /// Live state of an injected fault plan: the plan itself, the manager's
@@ -206,26 +206,30 @@ impl BfgtsCm {
         Sig::from_set(self.cfg.signature, BLOOM_HASHES, rw_set)
     }
 
-    /// Partitions `rw_set` by conflict-detection shard and builds one
-    /// signature per non-empty shard, in ascending shard order.
-    fn build_shard_sigs(&self, tm: &TmState, rw_set: &[LineAddr]) -> Box<[(u32, Sig)]> {
-        let mut shards: Vec<u32> = rw_set.iter().map(|&addr| tm.shard_of(addr)).collect();
-        shards.sort_unstable();
-        shards.dedup();
-        // Sized exactly: a stored commit keeps these for the dTxID's
-        // lifetime, one 2048-bit filter per touched shard.
-        let mut parts: Box<[(u32, Sig)]> = shards
-            .into_iter()
-            .map(|shard| (shard, Sig::new(self.cfg.signature, BLOOM_HASHES)))
-            .collect();
-        for &addr in rw_set {
-            let shard = tm.shard_of(addr);
-            let i = parts
-                .binary_search_by_key(&shard, |p| p.0)
-                .expect("every shard of the set has a part");
-            parts[i].1.insert(addr);
+    /// The sharded `checkWasSerialized` (DESIGN.md §11) of two line sets
+    /// grouped by shard: for each shard both touched, it intersects the two
+    /// per-shard filters the hardware keeps. Returns the verdict (`None`
+    /// when no shard is co-touched) and the cycles charged.
+    fn sharded_wait_check(
+        &self,
+        tm: &TmState,
+        costs: &CostModel,
+        mine: &[LineAddr],
+        theirs: &[LineAddr],
+    ) -> (Option<bool>, u64) {
+        let same_shard = |a: &LineAddr, b: &LineAddr| tm.shard_of(*a) == tm.shard_of(*b);
+        let mut theirs = theirs.chunk_by(same_shard).peekable();
+        let (mut verdict, mut cost) = (None, 0);
+        for mine in mine.chunk_by(same_shard) {
+            let shard = tm.shard_of(mine[0]);
+            while theirs.next_if(|run| tm.shard_of(run[0]) < shard).is_some() {}
+            if let Some(theirs) = theirs.next_if(|run| tm.shard_of(run[0]) == shard) {
+                let (mine, theirs) = (self.build_sig(mine), self.build_sig(theirs));
+                cost += self.priced(costs.bloom_intersect(mine.word_count()));
+                verdict = Some(verdict.unwrap_or(false) || mine.intersects(&theirs));
+            }
         }
-        parts
+        (verdict, cost)
     }
 
     fn is_free(&self) -> bool {
@@ -240,6 +244,13 @@ impl BfgtsCm {
             cycles
         }
     }
+}
+
+/// `rw_set`'s lines grouped by conflict-detection shard, ascending.
+fn by_shard(tm: &TmState, rw_set: &[LineAddr]) -> Box<[LineAddr]> {
+    let mut lines: Box<[LineAddr]> = rw_set.into();
+    lines.sort_unstable_by_key(|&addr| tm.shard_of(addr));
+    lines
 }
 
 impl ContentionManager for BfgtsCm {
@@ -464,11 +475,11 @@ impl ContentionManager for BfgtsCm {
             new_sig = Some(sig);
         }
 
-        // Per-shard signatures of this commit, built once for both the
-        // sharded checkWasSerialized and the store below.
+        // This commit's lines grouped by shard, for both the sharded
+        // checkWasSerialized and the store below.
         let sharded = tm.num_shards() > 1;
-        let shard_sigs = if sharded && (waiting_on.is_some() || new_sig.is_some()) {
-            self.build_shard_sigs(tm, rec.rw_set)
+        let lines = if sharded && (waiting_on.is_some() || new_sig.is_some()) {
+            by_shard(tm, rec.rw_set)
         } else {
             Box::default()
         };
@@ -476,21 +487,12 @@ impl ContentionManager for BfgtsCm {
         // checkWasSerialized: was the wait justified?
         if let Some(target) = waiting_on {
             let verdict: Option<bool> = if sharded {
-                // Sharded check: intersect only the shards both
-                // transactions touched, one per-shard filter at a time —
-                // whole signatures never cross a shard boundary.
                 if new_sig.is_none() {
                     cost += self.priced(2 * 32);
                 }
-                let theirs_all = self.signatures.get(target).map_or(&[][..], |s| &s.shards);
-                let mut verdict = None;
-                for (shard, mine) in shard_sigs.iter() {
-                    let Ok(i) = theirs_all.binary_search_by_key(shard, |p| p.0) else {
-                        continue;
-                    };
-                    cost += self.priced(costs.bloom_intersect(mine.word_count()));
-                    verdict = Some(verdict.unwrap_or(false) || mine.intersects(&theirs_all[i].1));
-                }
+                let theirs = self.signatures.get(target).map_or(&[][..], |s| &s.lines);
+                let (verdict, charged) = self.sharded_wait_check(tm, costs, &lines, theirs);
+                cost += charged;
                 verdict
             } else {
                 let built;
@@ -530,13 +532,7 @@ impl ContentionManager for BfgtsCm {
         }
 
         if let Some(whole) = new_sig {
-            self.signatures.insert(
-                rec.dtx,
-                StoredSigs {
-                    whole,
-                    shards: shard_sigs,
-                },
-            );
+            self.signatures.insert(rec.dtx, StoredSigs { whole, lines });
         }
 
         CommitOutcome {
@@ -553,6 +549,7 @@ impl ContentionManager for BfgtsCm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bfgts_bloomsig::SignatureKind;
     use bfgts_sim::{Cycle, ThreadId};
 
     fn dtx(t: usize, s: u32) -> DTxId {
@@ -1058,6 +1055,129 @@ mod tests {
         cm.stats.entry(dtx(0, 0)).waiting_on = Some(dtx(1, 1));
         commit(&mut cm, dtx(0, 0), &lines(80..110));
         assert!(cm.confidence().get(STxId(0), STxId(1)) > 0.0);
+    }
+
+    /// The per-shard construction the sharded wait check replaced, kept
+    /// as its reference: one stored filter per touched shard, ascending,
+    /// matched by binary search.
+    fn reference_shard_sigs(cm: &BfgtsCm, tm: &TmState, rw_set: &[LineAddr]) -> Box<[(u32, Sig)]> {
+        let mut shards: Vec<u32> = rw_set.iter().map(|&addr| tm.shard_of(addr)).collect();
+        shards.sort_unstable();
+        shards.dedup();
+        let mut parts: Box<[(u32, Sig)]> = shards
+            .into_iter()
+            .map(|shard| (shard, Sig::new(cm.cfg.signature, BLOOM_HASHES)))
+            .collect();
+        for &addr in rw_set {
+            let shard = tm.shard_of(addr);
+            let i = parts
+                .binary_search_by_key(&shard, |p| p.0)
+                .expect("every shard of the set has a part");
+            parts[i].1.insert(addr);
+        }
+        parts
+    }
+
+    fn reference_wait_check(
+        cm: &BfgtsCm,
+        tm: &TmState,
+        costs: &CostModel,
+        mine: &[LineAddr],
+        theirs: &[LineAddr],
+    ) -> (Option<bool>, u64) {
+        let (mine, theirs) = (
+            reference_shard_sigs(cm, tm, mine),
+            reference_shard_sigs(cm, tm, theirs),
+        );
+        let (mut verdict, mut cost) = (None, 0);
+        for (shard, mine) in mine.iter() {
+            let Ok(i) = theirs.binary_search_by_key(shard, |p| p.0) else {
+                continue;
+            };
+            cost += cm.priced(costs.bloom_intersect(mine.word_count()));
+            verdict = Some(verdict.unwrap_or(false) || mine.intersects(&theirs[i].1));
+        }
+        (verdict, cost)
+    }
+
+    fn stored_lines_wait_check(
+        cm: &BfgtsCm,
+        tm: &TmState,
+        costs: &CostModel,
+        mine: &[LineAddr],
+        theirs: &[LineAddr],
+    ) -> (Option<bool>, u64) {
+        cm.sharded_wait_check(tm, costs, &by_shard(tm, mine), &by_shard(tm, theirs))
+    }
+
+    type WaitCheck =
+        fn(&BfgtsCm, &TmState, &CostModel, &[LineAddr], &[LineAddr]) -> (Option<bool>, u64);
+
+    /// `check`'s verdict and charge on 300 seeded pairs of 1–40-line sets
+    /// over 2–64 shards. Every third pair keeps the two sets in disjoint
+    /// shard ranges; the rest share shards, with lines drawn from a range
+    /// narrow enough that some pairs share lines too.
+    fn wait_check_outcomes(cfg: BfgtsConfig, check: WaitCheck) -> Vec<(Option<bool>, u64)> {
+        let (mut tm, costs, _) = env();
+        let cm = BfgtsCm::new(cfg);
+        let mut rng = SimRng::seed_from(0x5AAD);
+        let set = |rng: &mut SimRng, shards: u64, from: u64, to: u64, offsets: u64| {
+            let len = 1 + rng.gen_range(40);
+            (0..len)
+                .map(|_| {
+                    let shard = from + rng.gen_range(to - from);
+                    let block = rng.gen_range(3) * shards + shard;
+                    LineAddr(block * bfgts_htm::SHARD_BLOCK_LINES + rng.gen_range(offsets))
+                })
+                .collect::<Vec<_>>()
+        };
+        (0..300)
+            .map(|i| {
+                let shards = 2 + rng.gen_range(63);
+                tm.configure_shards(shards as u32);
+                let (mine, theirs) = if i % 3 == 0 {
+                    let split = 1 + rng.gen_range(shards - 1);
+                    (
+                        set(&mut rng, shards, 0, split, 64),
+                        set(&mut rng, shards, split, shards, 64),
+                    )
+                } else {
+                    let offsets = if i % 3 == 1 { 4 } else { 64 };
+                    (
+                        set(&mut rng, shards, 0, shards, offsets),
+                        set(&mut rng, shards, 0, shards, offsets),
+                    )
+                };
+                check(&cm, &tm, &costs, &mine, &theirs)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sharded_wait_check_matches_the_per_shard_filter_reference() {
+        let kinds = [
+            SignatureKind::Bloom { bits: 512 },
+            SignatureKind::Bloom { bits: 2048 },
+            SignatureKind::Bloom { bits: 8192 },
+            SignatureKind::Perfect,
+        ];
+        for variant in [BfgtsVariant::Hw, BfgtsVariant::NoOverhead] {
+            for signature in kinds {
+                let cfg = BfgtsConfig {
+                    signature,
+                    ..BfgtsConfig::new(variant)
+                };
+                let new = wait_check_outcomes(cfg, stored_lines_wait_check);
+                let reference = wait_check_outcomes(cfg, reference_wait_check);
+                assert_eq!(new, reference, "{variant:?} with {signature:?}");
+                for verdict in [None, Some(false), Some(true)] {
+                    assert!(
+                        new.iter().any(|&(v, _)| v == verdict),
+                        "{variant:?} with {signature:?} never gave {verdict:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -447,11 +447,14 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar, multi-byte sequences included.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash at
+                // once. Both are ASCII, so the run ends on a character
+                // boundary and each byte is looked at once.
+                let rest = &bytes[*pos..];
+                let run = rest.iter().position(|&b| b == b'"' || b == b'\\');
+                let run = &rest[..run.ok_or("unterminated string")?];
+                out.push_str(std::str::from_utf8(run).map_err(|e| e.to_string())?);
+                *pos += run.len();
             }
         }
     }
@@ -509,6 +512,18 @@ mod tests {
     fn strings_escape_and_unescape() {
         let v = Json::Str("a\"b\\c\nd\te\u{1}".into());
         assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn multibyte_characters_beside_escapes_round_trip() {
+        let text = "é\\\"日本\\u00e9\\n🦀\\\\x€";
+        assert_eq!(
+            Json::parse(&format!("\"{text}\"")).unwrap(),
+            Json::Str("é\"日本é\n🦀\\x€".into())
+        );
+        let v = Json::Str("ü\"\\ß\t✓\u{1}中".into());
+        assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+        assert!(Json::parse("\"日本").is_err(), "unterminated");
     }
 
     #[test]

@@ -13,7 +13,11 @@
 //! the engine's event loop, calendar queue and trace sink must not
 //! allocate per bucket or per event either.
 //!
-//! Allocations are counted per thread (the idiom of
+//! Counts cannot see how much a run holds, so the sharded 256-CPU Kmeans
+//! run also has its peak live heap bounded: a contention manager that
+//! keeps more bytes per dTxID fails here, again without any timing.
+//!
+//! Allocations and live bytes are counted per thread (the idiom of
 //! `crates/bloomsig/tests/alloc_counts.rs`), so sibling tests running in
 //! parallel cannot leak into a measured window.
 
@@ -26,21 +30,30 @@ use std::cell::Cell;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus bytes it freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The highest `LIVE` since [`peak_live_bytes`] last restarted it.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 struct CountingAlloc;
 
 // SAFETY: delegates every operation to the system allocator unchanged;
-// the counter is a thread-local side effect that never allocates
+// the counters are thread-local side effects that never allocate
 // (`const`-initialised, no destructor), and `try_with` skips counting
 // once the thread's locals are torn down.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        let _ = LIVE.try_with(|live| {
+            live.set(live.get() + layout.size() as i64);
+            let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+        });
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|live| live.set(live.get() - layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -50,6 +63,15 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// The most bytes `f` held live at once on this thread, beyond what was
+/// live when it started.
+fn peak_live_bytes(f: impl FnOnce()) -> u64 {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(before));
+    f();
+    (PEAK.with(Cell::get) - before) as u64
 }
 
 /// Most allocations one steady-state commit may cost on the paper
@@ -138,6 +160,25 @@ fn kmeans_on_256_sharded_cpus() {
         (2000, 4000),
         sharded_256(),
         SHARDED_BOUND,
+    );
+}
+
+/// Most bytes the 4,000-transaction BFGTS-HW run below may hold live at
+/// once. Keeping a 2048-bit filter for every shard a dTxID's last commit
+/// touched held 8,465,368 bytes; keeping its lines holds 4,453,152.
+const SHARDED_PEAK_BOUND: u64 = 6 << 20;
+
+#[test]
+fn peak_heap_of_kmeans_on_256_sharded_cpus() {
+    let mut spec = presets::kmeans();
+    spec.total_txs = 4000;
+    let cell = RunCell::one(&spec, ManagerKind::BfgtsHw, sharded_256());
+    let mut commits = 0;
+    let peak = peak_live_bytes(|| commits = cell.execute_report(TraceMode::Off).stats.commits());
+    assert_eq!(commits, 4000, "every transaction commits");
+    assert!(
+        peak <= SHARDED_PEAK_BOUND,
+        "{peak} bytes live at the peak, bound {SHARDED_PEAK_BOUND}"
     );
 }
 
