@@ -14,22 +14,37 @@
 //! with the same flags and cache keys, so a report's emitted scenario
 //! file replays its cells byte-identically and shares its
 //! `results/cache` entries.
+//!
+//! The same parser runs the seeded fuzz campaign (`--report
+//! fuzz_campaign`) and its repros (`--repro PATH`), see
+//! [`bfgts_bench::fuzz`], and replays a JSONL trace that `--trace` wrote
+//! (`FILE.jsonl`), see [`bfgts_bench::trace_export::replay`].
 
 use bfgts_bench::runner::{load_cells, run_grid_with_args, RunCell};
-use bfgts_bench::{parse_common_args, Input};
+use bfgts_bench::{fuzz, parse_common_args, trace_export, CommonArgs, Input};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let (input, args) = parse_common_args();
-    let files = match input {
+    match input {
         Input::Report(report) => {
             report.run(&args);
-            return ExitCode::SUCCESS;
+            ExitCode::SUCCESS
         }
-        Input::Files(files) => files,
-    };
+        Input::FuzzCampaign { control: false } => fuzz::campaign(args.seeds, args.jobs),
+        Input::FuzzCampaign { control: true } => fuzz::control(),
+        Input::Repro(path) => fuzz::confirm(&path),
+        Input::Trace(path) => trace_export::replay(&path, &args),
+        Input::Files(files) => run_files(&files, &args),
+    }
+}
+
+/// Runs the scenarios in `files` as one grid and prints a summary row
+/// per scenario.
+fn run_files(files: &[PathBuf], args: &CommonArgs) -> ExitCode {
     let mut cells = Vec::new();
-    for file in &files {
+    for file in files {
         let label = file.display().to_string();
         let loaded = std::fs::read_to_string(file)
             .map_err(|e| format!("{label}: {e}"))
@@ -42,7 +57,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    let (results, _) = run_grid_with_args(&cells, &args);
+    let (results, _) = run_grid_with_args(&cells, args);
 
     let unique: std::collections::BTreeSet<String> = cells.iter().map(RunCell::cache_key).collect();
     println!(

@@ -22,7 +22,7 @@ use bfgts_bench::runner::{latency_to_json, load_cells, RunCell};
 use bfgts_sim::TraceMode;
 use bfgts_trace::{TraceEvent, TraceRecording};
 use std::collections::BTreeSet;
-use std::io::BufRead as _;
+use std::io::{BufRead as _, Read as _};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -35,7 +35,7 @@ options:
                  serve each one as it appears (names sorted per scan,
                  served once)
   --stdin        read scenario documents from stdin, one complete JSON
-                 document (object or array) per line
+                 document (object or array) per line of at most 4 MiB
   --once         with --watch: serve what is present, then exit instead
                  of polling forever (the CI mode)
   --interval N   stats interval in simulated cycles (default 100000)
@@ -43,6 +43,10 @@ options:
                  including the I9 arrival-causality invariant — and
                  exit 1 on a violation
   -h, --help     show this help";
+
+/// The longest stdin line `--stdin` serves: 4 MiB, above any document
+/// a client has a reason to send. A longer line gets an error reply.
+const MAX_LINE_BYTES: usize = 4 << 20;
 
 /// How long `--watch` sleeps after a scan that found nothing new.
 const POLL_PERIOD: std::time::Duration = std::time::Duration::from_millis(200);
@@ -273,14 +277,33 @@ fn main() -> ExitCode {
     }
 
     if args.stdin {
-        let stdin = std::io::stdin();
-        for (n, line) in stdin.lock().lines().enumerate() {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
-            }
-            match serve_document(&format!("stdin:{}", n + 1), &line, &args, &mut out) {
-                Ok(served) => eprintln!("serve: stdin:{}: {served} scenario(s)", n + 1),
+        let mut stdin = std::io::stdin().lock();
+        let mut line = Vec::new();
+        for n in 1u64.. {
+            let label = format!("stdin:{n}");
+            line.clear();
+            let cap = MAX_LINE_BYTES as u64 + 1;
+            let served = match stdin.by_ref().take(cap).read_until(b'\n', &mut line) {
+                Ok(0) => break,
+                Ok(_) if line.len() > MAX_LINE_BYTES => {
+                    // The rest of the line is skipped, never buffered; a
+                    // read error there ends the loop at the next line.
+                    let _ = stdin.skip_until(b'\n');
+                    Err(format!("{label}: line longer than {MAX_LINE_BYTES} bytes"))
+                }
+                Ok(_) => match std::str::from_utf8(&line) {
+                    Ok(text) if text.trim().is_empty() => continue,
+                    Ok(text) => serve_document(&label, text, &args, &mut out),
+                    Err(err) => Err(format!("{label}: line is not UTF-8 ({err})")),
+                },
+                Err(err) => {
+                    eprintln!("error: {label}: {err}");
+                    failed = true;
+                    break;
+                }
+            };
+            match served {
+                Ok(served) => eprintln!("serve: {label}: {served} scenario(s)"),
                 Err(msg) => {
                     eprintln!("error: {msg}");
                     failed = true;

@@ -8,11 +8,16 @@
 //! scenario file and served request takes — audits both traces and
 //! checks the graceful-degradation bound. Violating cells are
 //! auto-minimized (greedy fault removal, then magnitude halving) and
-//! written as replayable repro JSON that `bfgts_fuzz --repro PATH`
-//! re-executes byte-identically, verified by a fingerprint over the
-//! run's JSONL event trace.
+//! written under [`REPRO_DIR`] as replayable repro JSON that `bfgts_run
+//! --repro PATH` re-executes byte-identically, verified by a fingerprint
+//! over the run's JSONL event trace.
+//!
+//! `bfgts_run --report fuzz_campaign --seed A..B` runs [`campaign`],
+//! `--seeded-violation` runs [`control`] and `--repro PATH` runs
+//! [`confirm`].
 
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
 use bfgts_core::{BfgtsConfig, BfgtsVariant};
 use bfgts_faultsim::{minimize, Fault, FaultPlan};
@@ -33,6 +38,10 @@ use crate::trace_export;
 /// (DESIGN.md §10): a repro now names its run in exactly the form
 /// `bfgts_run` executes and the trace header records.
 pub const REPRO_VERSION: u64 = 2;
+
+/// Where campaign violations and the seeded control leave their repros,
+/// relative to the working directory.
+pub const REPRO_DIR: &str = "results/repros";
 
 /// BFGTS flavours the campaign rotates through. Cells draw from this
 /// list by index, so its order is part of every cell's derivation.
@@ -441,6 +450,145 @@ pub fn violating_control() -> CampaignCell {
             plan,
         ),
         min_fraction_pct: 10_000,
+    }
+}
+
+/// Minimizes a violating cell, re-scores the minimized scenario and
+/// writes it as a repro under [`REPRO_DIR`]. Returns the number of
+/// faults left and where the repro went.
+fn write_minimized(cell: &CampaignCell) -> (usize, std::io::Result<PathBuf>) {
+    let minimized = minimize_failure(&cell.scenario, cell.min_fraction_pct);
+    let scored = run_cell(&minimized, cell.min_fraction_pct);
+    let faults = fault_plan(&minimized).faults.len();
+    let repro = make_repro(
+        cell.seed,
+        minimized,
+        cell.min_fraction_pct,
+        scored.violations,
+    );
+    (faults, write_repro(Path::new(REPRO_DIR), &repro))
+}
+
+/// Runs the campaign over the half-open seed range `seeds` on `jobs`
+/// workers and prints one line per cell. Every violating cell is
+/// minimized into a repro. Exits 0 only if every cell passed.
+pub fn campaign(seeds: (u64, u64), jobs: usize) -> ExitCode {
+    let seed_list: Vec<u64> = (seeds.0..seeds.1).collect();
+    // The worker count is deliberately not echoed: stdout must be
+    // byte-identical at any --jobs value.
+    println!(
+        "fuzz campaign: seeds {}..{} ({} cells)",
+        seeds.0,
+        seeds.1,
+        seed_list.len()
+    );
+    let results = run_campaign(&seed_list, jobs);
+    let mut failures = Vec::new();
+    for result in &results {
+        let status = if result.report.passed() {
+            "pass"
+        } else {
+            "FAIL"
+        };
+        let scenario = &result.cell.scenario;
+        println!(
+            "  seed {:>4}  {:<20} {:<11} {} faults  bfgts {:>9}c  backoff {:>9}c  {status}",
+            result.cell.seed,
+            scenario.workload.name(),
+            bfgts_key(scenario),
+            fault_plan(scenario).faults.len(),
+            result.report.bfgts_makespan,
+            result.report.backoff_makespan,
+        );
+        if !result.report.passed() {
+            failures.push(result);
+        }
+    }
+    if failures.is_empty() {
+        println!(
+            "campaign clean: {} cells passed the audit and the degradation bound",
+            results.len()
+        );
+        return ExitCode::SUCCESS;
+    }
+    for result in &failures {
+        let seed = result.cell.seed;
+        for v in &result.report.violations {
+            println!("seed {seed}: {v}");
+        }
+        match write_minimized(&result.cell) {
+            (faults, Ok(path)) => println!(
+                "seed {seed}: minimized {} -> {faults} fault(s); repro written to {}",
+                fault_plan(&result.cell.scenario).faults.len(),
+                path.display()
+            ),
+            (_, Err(err)) => eprintln!("warning: could not write repro for seed {seed}: {err}"),
+        }
+    }
+    println!(
+        "campaign FAILED: {} of {} cells violated",
+        failures.len(),
+        results.len()
+    );
+    ExitCode::FAILURE
+}
+
+/// Runs the [`violating_control`] cell, which the harness must catch:
+/// prints its findings, leaves a minimized repro and exits 1. A missed
+/// control exits 0, so CI, which inverts the status, goes red.
+pub fn control() -> ExitCode {
+    let control = violating_control();
+    let report = run_cell(&control.scenario, control.min_fraction_pct);
+    if report.passed() {
+        println!("seeded violation was NOT caught — the harness is broken");
+        return ExitCode::SUCCESS;
+    }
+    println!(
+        "seeded violation caught ({} finding(s)):",
+        report.violations.len()
+    );
+    for v in &report.violations {
+        println!("  {v}");
+    }
+    match write_minimized(&control) {
+        (faults, Ok(path)) => println!(
+            "minimized to {faults} fault(s); repro written to {}",
+            path.display()
+        ),
+        (_, Err(err)) => eprintln!("warning: could not write repro: {err}"),
+    }
+    ExitCode::FAILURE
+}
+
+/// Re-executes the repro at `path` through [`replay`]. Exits 0 only if
+/// it still violates with a byte-identical trace.
+pub fn confirm(path: &Path) -> ExitCode {
+    let repro = match load_repro(path) {
+        Ok(repro) => repro,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            return ExitCode::FAILURE;
+        }
+    };
+    match replay(&repro) {
+        Ok(report) => {
+            println!(
+                "repro {} confirmed: {} on {} still violates with a \
+                 byte-identical trace (fingerprint {:016x})",
+                path.display(),
+                bfgts_key(&repro.scenario),
+                repro.scenario.workload.name(),
+                repro.fingerprint,
+            );
+            for v in &report.violations {
+                println!("  {v}");
+            }
+            ExitCode::SUCCESS
+        }
+        Err(msg) => {
+            eprintln!("repro {} did NOT reproduce: {msg}", path.display());
+            ExitCode::FAILURE
+        }
     }
 }
 

@@ -1,7 +1,8 @@
 //! The built-in reports of `bfgts_run --report KEY`: the paper's
 //! Tables 1 and 4, Figures 4–6 and the §5.3.2 update-interval sweep,
-//! the calibration report, four extension studies and the two JSON
-//! artifacts (the capacity sweep and the competitive ratios).
+//! the calibration report, four extension studies and the three JSON
+//! artifacts (the capacity sweep, the competitive ratios and the
+//! 16 → 1024-CPU scale sweep).
 //!
 //! A report declares its grid as rows of [`RunCell`]s
 //! ([`Report::grid`]): one row per benchmark, or per (manager,
@@ -67,6 +68,11 @@ pub enum Report {
     /// clairvoyant makespan bound, at a quarter of the report scale.
     /// Always audited; prints its JSON artifact.
     BenchCompetitive,
+    /// The scale-out sweep (DESIGN.md §11): BFGTS-HW on Kmeans at 16,
+    /// 64, 256 and 1024 CPUs, 4 threads per CPU and one detection shard
+    /// per 16 CPUs, with 6,250 transactions per CPU up to 10⁶ before the
+    /// scale applies. Prints its JSON artifact.
+    BenchScale,
 }
 
 /// The managers Figure 5 shows, bottom-to-top per benchmark group.
@@ -98,10 +104,15 @@ const CAPACITY_BITS: [u32; 3] = [64, 256, 1024];
 const CAPACITIES: [u32; 4] = [8, 16, 32, 64];
 /// Hash functions per signature, fixed across the sweep.
 const CAPACITY_HASHES: u32 = 2;
+/// The scale sweep's platform widths.
+const SCALE_CPUS: [usize; 4] = [16, 64, 256, 1024];
+/// CPUs per conflict-detection shard in the scale sweep: the paper's
+/// 16-CPU platform has one shard, 1024 CPUs have 64.
+const CPUS_PER_SHARD: usize = 16;
 
 impl Report {
     /// Every report, in the order `--help` lists them.
-    pub const ALL: [Report; 13] = [
+    pub const ALL: [Report; 14] = [
         Report::Fig4Speedup,
         Report::Fig5Breakdown,
         Report::Fig6BloomSweep,
@@ -115,6 +126,7 @@ impl Report {
         Report::ExtendedRoster,
         Report::BenchCapacity,
         Report::BenchCompetitive,
+        Report::BenchScale,
     ];
 
     /// The command-line key. A table report's committed output is
@@ -134,6 +146,7 @@ impl Report {
             Report::ExtendedRoster => "extended_roster",
             Report::BenchCapacity => "bench_capacity",
             Report::BenchCompetitive => "bench_competitive",
+            Report::BenchScale => "bench_scale",
         }
     }
 
@@ -151,11 +164,13 @@ impl Report {
     /// The report's grid at workload `scale` on `platform`, as rows in
     /// grid order: one row per benchmark, per (manager, benchmark) for
     /// Figure 6, per manager for the capacity sweep and per workload for
-    /// the competitive ratios.
+    /// the competitive ratios, and one row of four widths for the scale
+    /// sweep, which takes only the seed of `platform`.
     pub fn grid(self, scale: f64, platform: Platform) -> Vec<Vec<RunCell>> {
         match self {
             Report::BenchCapacity => return capacity_grid(scale, platform),
             Report::BenchCompetitive => return competitive_grid(scale, platform),
+            Report::BenchScale => return vec![scale_row(scale, platform.seed)],
             _ => {}
         }
         let specs = scaled_presets(scale);
@@ -188,9 +203,10 @@ impl Report {
                 match self {
                     Report::Fig4Speedup => once(serial).chain(ManagerKind::ALL.map(one)).collect(),
                     Report::Fig5Breakdown => FIG5_MANAGERS.map(one).to_vec(),
-                    Report::Fig6BloomSweep | Report::BenchCapacity | Report::BenchCompetitive => {
-                        unreachable!("built above")
-                    }
+                    Report::Fig6BloomSweep
+                    | Report::BenchCapacity
+                    | Report::BenchCompetitive
+                    | Report::BenchScale => unreachable!("built above"),
                     // The measurement is manager-independent: contention
                     // management changes how often conflicts repeat, not
                     // which pairs can conflict, so the paper uses Backoff.
@@ -273,6 +289,7 @@ impl Report {
             Report::ExtendedRoster => extended_roster(&specs, &rows, p),
             Report::BenchCapacity => bench_capacity(&rows, &audits, args),
             Report::BenchCompetitive => bench_competitive(&rows, &audits, args),
+            Report::BenchScale => bench_scale(&rows[0], args),
         }
     }
 }
@@ -894,6 +911,56 @@ fn bench_competitive(rows: &[Vec<CellSummary>], audits: &[Vec<AuditSummary>], ar
     println!("{doc}");
 }
 
+/// The scale sweep's cells, one per width in [`SCALE_CPUS`].
+fn scale_row(scale: f64, seed: u64) -> Vec<RunCell> {
+    SCALE_CPUS
+        .map(|cpus| {
+            let mut spec = presets::kmeans();
+            spec.total_txs = (cpus as u64 * 6_250).min(1_000_000);
+            let platform = Platform {
+                cpus,
+                threads: cpus * 4,
+                seed,
+                ..Platform::paper()
+            }
+            .sharded((cpus / CPUS_PER_SHARD) as u32);
+            RunCell::one(&spec.scaled(scale), ManagerKind::BfgtsHw, platform)
+        })
+        .to_vec()
+}
+
+/// `results/BENCH_scale.json`: every width's makespan and outcome
+/// counts. Host time is perfbench's to measure (its `scale_1024`
+/// workload), so the artifact holds simulated fields only.
+fn bench_scale(row: &[CellSummary], args: &CommonArgs) {
+    let cells = scale_row(args.scale, args.platform.seed);
+    let out = cells.iter().zip(row).map(|(cell, summary)| {
+        let p = cell.scenario.platform;
+        Json::obj([
+            ("cpus", Json::UInt(p.cpus as u64)),
+            ("threads", Json::UInt(p.threads as u64)),
+            ("shards", Json::UInt(u64::from(p.shards))),
+            ("txns", Json::UInt(cell.scenario.workload.total_txs())),
+            ("makespan", Json::UInt(summary.makespan)),
+            ("commits", Json::UInt(summary.commits)),
+            ("aborts", Json::UInt(summary.aborts)),
+        ])
+    });
+    let doc = Json::obj([
+        ("bin", Json::Str("bench_scale".to_string())),
+        ("version", Json::UInt(2)),
+        ("workload", Json::Str("Kmeans".to_string())),
+        (
+            "manager",
+            Json::Str(ManagerKind::BfgtsHw.label().to_string()),
+        ),
+        ("seed", Json::UInt(args.platform.seed)),
+        ("quick", Json::Bool(quick(args))),
+        ("rows", Json::Arr(out.collect())),
+    ]);
+    println!("{doc}");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -927,8 +994,8 @@ mod tests {
         for (path, _) in &rows {
             assert!(root.join(path).is_file(), "manifest row for missing {path}");
         }
-        // The cache, the wall-clock record and the manifest itself are
-        // the only files under results/ without a row.
+        // The cache and the manifest itself are the only files under
+        // results/ without a row.
         let mut dirs = vec![PathBuf::from("results")];
         while let Some(dir) = dirs.pop() {
             for entry in std::fs::read_dir(root.join(&dir)).expect("results/ is readable") {
@@ -939,7 +1006,7 @@ mod tests {
                     if path != "results/cache" {
                         dirs.push(PathBuf::from(path));
                     }
-                } else if !matches!(path, "results/MANIFEST" | "results/BENCH_scale.json") {
+                } else if path != "results/MANIFEST" {
                     let listed = rows.iter().filter(|(row, _)| *row == path).count();
                     assert_eq!(
                         listed, 1,

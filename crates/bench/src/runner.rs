@@ -37,7 +37,7 @@
 //! cache hit reproduces the fresh run's output byte for byte.
 
 use crate::json::Json;
-use crate::trace_export::{write_chrome, write_jsonl};
+use crate::trace_export::{chrome_trace_path, write_trace_files};
 use crate::{CommonArgs, ManagerKind, Platform};
 use bfgts_baselines::BackoffCm;
 use bfgts_faultsim::FaultPlan;
@@ -47,8 +47,6 @@ use bfgts_sim::{Bucket, RunError, TimeBuckets, TraceMode};
 use bfgts_trace::{AuditSummary, Violation};
 use bfgts_workloads::{open_sources, ArrivalSpec, BenchmarkSpec};
 use std::collections::{BTreeSet, HashMap};
-use std::fs::File;
-use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -801,12 +799,6 @@ fn clean_audit_line(cells: &[RunCell], audits: &[AuditSummary]) -> String {
     )
 }
 
-/// The Chrome-trace sibling of a JSONL trace path:
-/// `results/fig4.jsonl` → `results/fig4.chrome.json`.
-pub fn chrome_trace_path(path: &Path) -> PathBuf {
-    path.with_extension("chrome.json")
-}
-
 /// Streams the fully traced `report` of `scenario` as JSONL to `path`
 /// plus a Chrome trace to [`chrome_trace_path`]. The JSONL header embeds
 /// the scenario (with the trace mode it actually ran under), so the file
@@ -819,14 +811,7 @@ pub fn export_cell_trace(
     let inputs = report.audit_inputs();
     let mut scenario = scenario.clone();
     scenario.trace = TraceMode::Full;
-    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        std::fs::create_dir_all(parent)?;
-    }
-    let trace = &report.sim.trace;
-    let jsonl = &mut BufWriter::new(File::create(path)?);
-    write_jsonl(jsonl, trace, &inputs, Some(&scenario))?;
-    let chrome = &mut BufWriter::new(File::create(chrome_trace_path(path))?);
-    write_chrome(chrome, trace, &inputs)
+    write_trace_files(path, &report.sim.trace, &inputs, Some(&scenario))
 }
 
 /// Writes `cells` as a scenario file (a JSON array in grid order, the
@@ -1182,6 +1167,34 @@ mod tests {
         let calendar = mk(bfgts_sim::EventQueueKind::Calendar);
         assert!(heap.contains("tx_arrival"), "stream records arrivals");
         assert_eq!(heap, calendar, "queue flavour changed the stream");
+    }
+
+    #[test]
+    fn queue_kinds_record_identical_traces_at_256_cpus() {
+        // The scale sweep's 256-CPU shape (1024 threads, 16 detection
+        // shards) at 4 transactions per thread: the heap and the calendar
+        // queue must record the same run, event for event.
+        let mut spec = presets::kmeans();
+        spec.total_txs = 4096;
+        let run = |queue| {
+            let cfg = bfgts_htm::TmRunConfig::new(256, 1024)
+                .seed(bfgts_scenario::EXPERIMENT_SEED)
+                .shards(16)
+                .queue(queue)
+                .trace(TraceMode::Full);
+            let cm = ManagerKind::BfgtsHw.build(512);
+            bfgts_htm::run_workload(&cfg, spec.sources(1024), cm)
+        };
+        let heap = run(bfgts_sim::EventQueueKind::Heap);
+        let calendar = run(bfgts_sim::EventQueueKind::Calendar);
+        assert!(heap.stats.aborts() > 0, "no contention to order");
+        let events = &heap.sim.trace.events;
+        assert!(events.iter().any(|r| r.ev.name() == "cross_shard_commit"));
+        assert_eq!(heap.sim.makespan, calendar.sim.makespan);
+        assert!(
+            heap.sim.trace == calendar.sim.trace,
+            "queue flavour changed the recording"
+        );
     }
 
     #[test]

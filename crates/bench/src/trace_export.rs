@@ -3,15 +3,15 @@
 //!
 //! The JSONL form is the interchange format. The first line is a header
 //! carrying the audit ground truth (makespan, CPU count, per-thread
-//! bucket totals) so a file can be re-audited standalone by
-//! `trace_dump`; each following line is one event. Every float is stored
-//! as a `u64` IEEE-754 bit pattern, so a parsed file audits *bit for
-//! bit* like the in-memory recording. Keys are emitted in sorted order
+//! bucket totals) so a file can be re-audited standalone ([`replay`]);
+//! each following line is one event. Every float is stored as a `u64`
+//! IEEE-754 bit pattern, so a parsed file audits *bit for bit* like the
+//! in-memory recording. Keys are emitted in sorted order
 //! and integers as plain decimals, so equal recordings serialise to
 //! identical bytes — the golden-trace determinism tests diff files
 //! directly.
 //!
-//! The JSONL writer ([`write_jsonl`]) and reader ([`parse_jsonl`]) are
+//! The JSONL writer ([`write_jsonl`]) and reader ([`read_jsonl`]) are
 //! the one place where each direction names every event kind. The Chrome
 //! form is the human-facing view, derived from each record's JSONL
 //! fields rather than from the event kinds: charges become duration
@@ -21,15 +21,21 @@
 //! are printed as floats there.
 //!
 //! Both writers stream into any [`Write`], one record at a time, so an
-//! export to a file holds no more than the recording it reads.
+//! export to a file holds no more than the recording it reads; the
+//! reader takes a file one line at a time, so a replay holds no more
+//! than the recording it builds.
 
-use crate::json::Json;
+use crate::json::{quote, Json};
+use crate::CommonArgs;
 use bfgts_scenario::{Platform, Scenario};
 use bfgts_trace::{
-    AuditInputs, Bucket, ConfKind, DecisionKind, TraceEvent, TraceRec, TraceRecording,
+    audit, AuditInputs, Bucket, ConfKind, DecisionKind, TraceEvent, TraceRec, TraceRecording,
 };
 use std::collections::BTreeMap;
-use std::io::{self, Write};
+use std::fs::File;
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
 /// Format version stamped into (and required of) the JSONL header.
 /// Version 2 added the fault-injection instants (`fault_bloom_corrupt`,
@@ -92,32 +98,35 @@ pub fn to_jsonl(recording: &TraceRecording, inputs: &AuditInputs) -> String {
     String::from_utf8(out).expect("JSON text is UTF-8")
 }
 
-/// Parses a JSONL trace back into a recording and its audit inputs.
-/// Inverse of [`write_jsonl`]; errors name the offending line. A header
-/// scenario, if embedded, is dropped — use [`parse_jsonl_full`] to keep
-/// it.
+/// Parses a JSONL trace back into a recording and its audit inputs,
+/// dropping any embedded scenario; see [`read_jsonl`].
 pub fn parse_jsonl(text: &str) -> Result<(TraceRecording, AuditInputs), String> {
-    parse_jsonl_full(text).map(|(rec, inputs, _)| (rec, inputs))
+    read_jsonl(text.as_bytes()).map(|(rec, inputs, _)| (rec, inputs))
 }
 
-/// Parses a JSONL trace including the embedded scenario, when the header
-/// carries one. Inverse of [`write_jsonl`].
-pub fn parse_jsonl_full(
-    text: &str,
+/// Reads a JSONL trace one line at a time: the recording, its audit
+/// inputs and the embedded scenario, when the header carries one.
+/// Inverse of [`write_jsonl`]; errors name the offending line.
+pub fn read_jsonl(
+    reader: impl BufRead,
 ) -> Result<(TraceRecording, AuditInputs, Option<Scenario>), String> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, line)| !line.trim().is_empty());
-    let (_, first) = lines.next().ok_or("empty trace file")?;
-    let header = Json::parse(first).and_then(|header| header_from_json(&header));
-    let (inputs, declared, dropped, scenario) = header.map_err(|e| format!("line 1: {e}"))?;
-    // Sized from the lines present, never from the header's claim.
-    let mut events = Vec::with_capacity(lines.clone().count());
-    for (i, line) in lines {
-        let rec = Json::parse(line).and_then(|value| rec_from_json(&value));
-        events.push(rec.map_err(|e| format!("line {}: {e}", i + 1))?);
+    let mut header = None;
+    // Grown from the lines present, never sized from the header's claim.
+    let mut events = Vec::new();
+    for (i, line) in reader.lines().enumerate() {
+        let at = |e| format!("line {}: {e}", i + 1);
+        let line = line.map_err(|e| at(e.to_string()))?;
+        if line.trim().is_empty() {
+            continue;
+        }
+        let value = Json::parse(&line).map_err(at)?;
+        if header.is_none() {
+            header = Some(header_from_json(&value).map_err(at)?);
+        } else {
+            events.push(rec_from_json(&value).map_err(at)?);
+        }
     }
+    let (inputs, declared, dropped, scenario) = header.ok_or("empty trace file")?;
     if events.len() as u64 != declared {
         return Err(format!(
             "header declares {declared} events but file has {}",
@@ -382,8 +391,9 @@ fn event_fields(ev: &TraceEvent) -> Vec<(&'static str, Json)> {
 fn rec_from_json(v: &Json) -> Result<TraceRec, String> {
     v.read("event", |f| {
         let (seq, at) = (f.req("seq")?, f.req("at")?);
-        let bucket =
-            |label| Bucket::from_label(label).ok_or_else(|| format!("unknown bucket '{label}'"));
+        let bucket = |label| {
+            Bucket::from_label(label).ok_or_else(|| format!("unknown bucket {}", quote(label)))
+        };
         let ev = match f.req::<&str>("ev")? {
             "charge" => TraceEvent::Charge {
                 cpu: f.req("cpu")?,
@@ -508,7 +518,7 @@ fn rec_from_json(v: &Json) -> Result<TraceRec, String> {
                 window: f.req("window")?,
                 priority: f.req("priority")?,
             },
-            other => return Err(format!("unknown event '{other}'")),
+            other => return Err(format!("unknown event {}", quote(other))),
         };
         Ok(TraceRec { seq, at, ev })
     })
@@ -626,6 +636,219 @@ pub fn write_chrome(
     }
     writeln!(out, "]}}")?;
     out.flush()
+}
+
+/// The Chrome-trace sibling of a JSONL trace path:
+/// `results/fig4.jsonl` → `results/fig4.chrome.json`.
+pub fn chrome_trace_path(path: &Path) -> PathBuf {
+    path.with_extension("chrome.json")
+}
+
+/// Streams `recording` as JSONL to `path` (with `scenario` in the
+/// header) and its Chrome view to [`chrome_trace_path`], creating the
+/// directory if needed.
+pub fn write_trace_files(
+    path: &Path,
+    recording: &TraceRecording,
+    inputs: &AuditInputs,
+    scenario: Option<&Scenario>,
+) -> io::Result<()> {
+    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        std::fs::create_dir_all(parent)?;
+    }
+    write_jsonl(
+        &mut BufWriter::new(File::create(path)?),
+        recording,
+        inputs,
+        scenario,
+    )?;
+    write_chrome(
+        &mut BufWriter::new(File::create(chrome_trace_path(path))?),
+        recording,
+        inputs,
+    )
+}
+
+/// A negative control of the trace audit (`--tamper KIND`): one field of
+/// the first event of a kind is corrupted, and the audit must then
+/// reject the trace. A checker that accepts a corrupted trace is broken.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tamper {
+    /// Invariant I1: one extra cycle in the first charge.
+    Charge,
+    /// I10: the first capacity abort's recorded set size is lowered to
+    /// the bound. A checker that still accepts the trace would also
+    /// accept a simulator whose capacity aborts fire below it.
+    Capacity,
+    /// I11: one bit of the first announced window priority flips. The
+    /// checker recomputes every draw from the declared seed, so any
+    /// divergence (a manager rolling its own RNG, a doctored trace) must
+    /// surface.
+    Window,
+}
+
+impl Tamper {
+    /// Every control, in `--help` order.
+    pub const ALL: [Tamper; 3] = [Tamper::Charge, Tamper::Capacity, Tamper::Window];
+
+    /// The command-line key.
+    pub fn key(self) -> &'static str {
+        match self {
+            Tamper::Charge => "charge",
+            Tamper::Capacity => "capacity",
+            Tamper::Window => "window",
+        }
+    }
+
+    /// The control named `key`, or an error listing every key.
+    pub fn from_key(key: &str) -> Result<Tamper, String> {
+        Tamper::ALL
+            .into_iter()
+            .find(|t| t.key() == key)
+            .ok_or_else(|| {
+                format!(
+                    "--tamper needs charge, capacity or window, got {}",
+                    quote(key)
+                )
+            })
+    }
+
+    /// The checker this control proves, and the events it corrupts.
+    fn names(self) -> (&'static str, &'static str) {
+        match self {
+            Tamper::Charge => ("the checker", "charge events"),
+            Tamper::Capacity => ("the I10 checker", "capacity aborts"),
+            Tamper::Window => ("the I11 checker", "window advances"),
+        }
+    }
+
+    /// Corrupts `ev` if it is of this control's kind.
+    fn corrupt(self, ev: &mut TraceEvent) -> bool {
+        match (self, ev) {
+            (Tamper::Charge, TraceEvent::Charge { cycles, .. }) => *cycles += 1,
+            (
+                Tamper::Capacity,
+                TraceEvent::CapacityAbort {
+                    tracked, capacity, ..
+                },
+            ) => *tracked = *capacity,
+            (Tamper::Window, TraceEvent::WindowAdvance { priority, .. }) => *priority ^= 1,
+            _ => return false,
+        }
+        true
+    }
+}
+
+/// Replays the JSONL trace at `path` (`bfgts_run FILE.jsonl`): prints
+/// the run shape and the event counts by type, then runs the
+/// `--tamper` control or, under `--audit` or `--trace`, the audit, and
+/// re-exports a clean trace to the `--trace` path. Returns exit status
+/// 2 for a file that does not read or parse, and 1 for a failed audit
+/// or a control the audit let pass.
+pub fn replay(path: &Path, args: &CommonArgs) -> ExitCode {
+    let label = path.display();
+    let parsed = File::open(path)
+        .map_err(|e| e.to_string())
+        .and_then(|file| read_jsonl(BufReader::new(file)));
+    let (mut recording, inputs, scenario) = match parsed {
+        Ok(parsed) => parsed,
+        Err(err) => {
+            eprintln!("error: {label}: {err}");
+            return ExitCode::from(2);
+        }
+    };
+    println!(
+        "{label}: {} events ({} dropped), makespan {} cycles, {} CPUs, {} threads",
+        recording.events.len(),
+        recording.dropped,
+        inputs.makespan,
+        inputs.num_cpus,
+        inputs.per_thread.len()
+    );
+    if let Some(scenario) = &scenario {
+        println!(
+            "  scenario {}: {} on {}",
+            scenario.id(),
+            scenario.manager.label(),
+            scenario.workload.name()
+        );
+    }
+    let mut by_name: BTreeMap<&'static str, u64> = BTreeMap::new();
+    for rec in &recording.events {
+        *by_name.entry(rec.ev.name()).or_insert(0) += 1;
+    }
+    for (name, count) in &by_name {
+        println!("  {name:<16} {count}");
+    }
+
+    if let Some(tamper) = args.tamper {
+        let (checker, target) = tamper.names();
+        if !recording
+            .events
+            .iter_mut()
+            .any(|rec| tamper.corrupt(&mut rec.ev))
+        {
+            eprintln!(
+                "error: --tamper {}: trace has no {target} to corrupt",
+                tamper.key()
+            );
+            return ExitCode::from(2);
+        }
+        return match audit(&recording, &inputs) {
+            Err(violations) => {
+                println!(
+                    "tamper {} control: audit correctly rejected the corrupted trace ({} violations)",
+                    tamper.key(),
+                    violations.len()
+                );
+                ExitCode::SUCCESS
+            }
+            Ok(_) => {
+                eprintln!("error: audit ACCEPTED a corrupted trace — {checker} is broken");
+                ExitCode::FAILURE
+            }
+        };
+    }
+    if !args.audit && args.trace.is_none() {
+        return ExitCode::SUCCESS;
+    }
+    match audit(&recording, &inputs) {
+        Ok(summary) => {
+            println!(
+                "audit: clean — {} confidence updates and {} bloom samples verified bit-for-bit",
+                summary.conf_updates, summary.bloom_samples
+            );
+            for (cpu, (busy, idle)) in summary
+                .per_cpu_busy
+                .iter()
+                .zip(&summary.per_cpu_idle)
+                .enumerate()
+            {
+                println!("  cpu{cpu}: busy {busy} + idle {idle} = {}", busy + idle);
+            }
+        }
+        Err(violations) => {
+            for v in violations.iter().take(20) {
+                eprintln!("audit violation: {v}");
+            }
+            eprintln!("error: audit failed with {} violation(s)", violations.len());
+            return ExitCode::FAILURE;
+        }
+    }
+    if let Some(out) = &args.trace {
+        match write_trace_files(out, &recording, &inputs, scenario.as_ref()) {
+            Ok(()) => eprintln!(
+                "trace: wrote {} and {}",
+                out.display(),
+                chrome_trace_path(out).display()
+            ),
+            Err(err) => {
+                eprintln!("error: could not write {}: {err}", out.display());
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]
@@ -853,12 +1076,12 @@ mod tests {
             String::from_utf8(out).unwrap()
         };
         let text = with_scenario(&recording, &inputs, Some(&scenario));
-        let (parsed_rec, parsed_inputs, parsed_scenario) = parse_jsonl_full(&text).unwrap();
+        let (parsed_rec, parsed_inputs, parsed_scenario) = read_jsonl(text.as_bytes()).unwrap();
         assert_eq!(parsed_rec, recording);
         assert_eq!(parsed_inputs, inputs);
         assert_eq!(parsed_scenario.as_ref(), Some(&scenario));
         // A scenario-free file still parses, reporting no scenario.
-        let (_, _, none) = parse_jsonl_full(&to_jsonl(&recording, &inputs)).unwrap();
+        let (_, _, none) = read_jsonl(to_jsonl(&recording, &inputs).as_bytes()).unwrap();
         assert!(none.is_none());
         // And embedding does not disturb the event stream fixed point.
         assert_eq!(

@@ -257,13 +257,14 @@ fn small_kmeans(kind: ManagerKind) -> Scenario {
 /// --stdin` and requires an error reply naming `error` for line 1, exit
 /// status 1, and the valid line 2 served, all within a minute: a line
 /// that hangs the server fails the test instead of stalling the suite.
-fn assert_serve_rejects_and_goes_on(hostile: &str, error: &str) {
-    assert_serve_rejects_within(hostile, error, 60);
+/// The replies stay under 1 KB, however long the hostile line.
+fn assert_serve_rejects_and_goes_on(hostile: &(impl AsRef<[u8]> + ?Sized), error: &str) {
+    assert_serve_rejects_within(hostile.as_ref(), error, 60);
 }
 
 /// [`assert_serve_rejects_and_goes_on`] with a deadline of `secs`.
-fn assert_serve_rejects_within(hostile: &str, error: &str, secs: u64) {
-    let valid = small_kmeans(ManagerKind::Backoff).to_json();
+fn assert_serve_rejects_within(hostile: &[u8], error: &str, secs: u64) {
+    let valid = small_kmeans(ManagerKind::Backoff).to_json().to_string();
     let mut serve = Command::new(env!("CARGO_BIN_EXE_bfgts_serve"))
         .arg("--stdin")
         .stdin(Stdio::piped())
@@ -275,7 +276,7 @@ fn assert_serve_rejects_within(hostile: &str, error: &str, secs: u64) {
         .stdin
         .take()
         .unwrap()
-        .write_all(format!("{hostile}\n{valid}\n").as_bytes())
+        .write_all(&[hostile, b"\n", valid.as_bytes(), b"\n"].concat())
         .unwrap();
     // Drain both pipes on their own threads so a full pipe cannot stall
     // the server while the deadline runs.
@@ -304,6 +305,7 @@ fn assert_serve_rejects_within(hostile: &str, error: &str, secs: u64) {
     assert_eq!(status.code(), Some(1), "{stderr}");
     assert!(stderr.contains(&format!("stdin:1: {error}")), "{stderr}");
     assert!(stderr.contains("serve: stdin:2: 1 scenario(s)"), "{stderr}");
+    assert!(stderr.len() < 1024, "{} bytes of replies", stderr.len());
     assert!(
         !stdout.join().unwrap().is_empty(),
         "the valid line was not served"
@@ -516,8 +518,22 @@ fn hostile_long_name_gets_an_error_reply_from_serve() {
         Platform::small(),
     );
     assert_serve_rejects_within(
-        &scenario.to_json().to_string(),
+        scenario.to_json().to_string().as_bytes(),
         "scenario 0: unknown benchmark preset 'xxxxxxxx",
         6,
     );
+}
+
+#[test]
+fn hostile_non_utf8_line_gets_an_error_reply_from_serve() {
+    // The line reader stopped at the first line that was not UTF-8, and
+    // the server exited 0 without a word, the valid line unserved.
+    assert_serve_rejects_and_goes_on(b"\xff\xfe garbage", "line is not UTF-8");
+}
+
+#[test]
+fn hostile_overlong_line_gets_an_error_reply_from_serve() {
+    // A line past the 4 MiB cap is answered from its first bytes, and
+    // the rest is skipped unread, however long it runs.
+    assert_serve_rejects_and_goes_on(&"x".repeat(5 << 20), "line longer than 4194304 bytes");
 }

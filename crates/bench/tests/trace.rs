@@ -4,8 +4,8 @@
 //! STAMP preset at the paper's platform shape, and randomised audits of
 //! the full BFGTS stack.
 
-use bfgts_bench::runner::{chrome_trace_path, run_grid_with_args, RunCell};
-use bfgts_bench::trace_export::{parse_jsonl, to_jsonl};
+use bfgts_bench::runner::{run_grid_with_args, RunCell};
+use bfgts_bench::trace_export::{chrome_trace_path, parse_jsonl, to_jsonl};
 use bfgts_bench::{CommonArgs, ManagerKind, Platform};
 use bfgts_core::{BfgtsCm, BfgtsConfig};
 use bfgts_htm::{
@@ -68,7 +68,7 @@ fn temp_path(name: &str) -> PathBuf {
 }
 
 #[test]
-fn trace_dump_answers_hostile_headers_with_an_error() {
+fn trace_replay_answers_hostile_headers_with_an_error() {
     // Header sizes a file can lie about: an event count no vector can
     // hold, one that would take 64 TiB, and a CPU count that would make
     // the audit allocate 8 TiB. Each gets an `error:` line and exit 2,
@@ -87,7 +87,7 @@ fn trace_dump_answers_hostile_headers_with_an_error() {
             format!("\"{key}\":{hostile}"),
         );
         std::fs::write(&path, text.replacen(&from, &to, 1)).unwrap();
-        let out = Command::new(env!("CARGO_BIN_EXE_trace_dump"))
+        let out = Command::new(env!("CARGO_BIN_EXE_bfgts_run"))
             .arg(&path)
             .arg("--audit")
             .output()

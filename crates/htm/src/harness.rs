@@ -47,8 +47,9 @@ pub struct TmRunConfig {
     /// accounting audit needs [`TraceMode::Full`]).
     pub trace: TraceMode,
     /// Engine pending-event structure. Results are byte-identical for
-    /// every kind (a pure wall-clock knob, measured by `bench_scale`),
-    /// so it is not part of any scenario's identity.
+    /// every kind (a pure wall-clock knob; a test compares whole
+    /// recordings at 256 CPUs), so it is not part of any scenario's
+    /// identity.
     pub queue: EventQueueKind,
     /// Conflict-detection shards the address space is partitioned into
     /// (DESIGN.md §11). 1 (the default) is the classic monolithic table;

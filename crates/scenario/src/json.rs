@@ -26,6 +26,19 @@ use std::fmt::Write as _;
 /// header, nests 6 levels.
 pub const MAX_DEPTH: usize = 64;
 
+/// The most characters of a client string that [`quote`] echoes.
+pub const QUOTE_CHARS: usize = 64;
+
+/// `text` in single quotes for an error message, cut after
+/// [`QUOTE_CHARS`] characters with a `…`: a reply to a hostile document
+/// stays short however long the string it names.
+pub fn quote(text: &str) -> String {
+    match text.char_indices().nth(QUOTE_CHARS) {
+        Some((cut, _)) => format!("'{}…'", &text[..cut]),
+        None => format!("'{text}'"),
+    }
+}
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -103,7 +116,7 @@ impl Json {
         };
         let value = decode(&mut fields)?;
         match map.keys().find(|k| !fields.asked.contains(&k.as_str())) {
-            Some(key) => Err(format!("unknown {what} field '{key}'")),
+            Some(key) => Err(format!("unknown {what} field {}", quote(key))),
             None => Ok(value),
         }
     }
@@ -385,7 +398,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
                 let slot = match map.entry(parse_string(bytes, pos)?) {
                     Entry::Vacant(slot) => slot,
                     Entry::Occupied(e) => {
-                        return Err(format!("repeated key '{}' at byte {at}", e.key()))
+                        return Err(format!("repeated key {} at byte {at}", quote(e.key())))
                     }
                 };
                 skip_ws(bytes, pos);
@@ -482,7 +495,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
     text.parse::<f64>()
         .map(Json::Float)
-        .map_err(|e| format!("bad number '{text}': {e}"))
+        .map_err(|e| format!("bad number {}: {e}", quote(text)))
 }
 
 #[cfg(test)]
@@ -544,6 +557,16 @@ mod tests {
             v.get("a").and_then(Json::as_arr).map(<[Json]>::len),
             Some(2)
         );
+    }
+
+    #[test]
+    fn quotes_are_cut_at_a_char_boundary() {
+        assert_eq!(quote("ab"), "'ab'");
+        let exact = "é".repeat(QUOTE_CHARS);
+        assert_eq!(quote(&exact), format!("'{exact}'"));
+        assert_eq!(quote(&(exact.clone() + "x")), format!("'{exact}…'"));
+        let long = Json::parse(&format!("{{\"{}\":1,\"{0}\":2}}", "k".repeat(1 << 20)));
+        assert!(long.unwrap_err().len() < 100);
     }
 
     #[test]

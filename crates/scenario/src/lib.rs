@@ -39,7 +39,7 @@ use bfgts_workloads::{
     presets, AdversarialSpec, ArrivalProcess, ArrivalSpec, BenchmarkSpec, ExpectedProfile,
     RandomRegion, Region, TxClass, MAX_STX,
 };
-use json::{Fields, Json};
+use json::{quote, Fields, Json};
 use std::sync::Arc;
 
 /// Format version of a scenario document. Bump on any change to the
@@ -642,7 +642,7 @@ impl ManagerSpec {
                 "balanced_greedy" => ManagerSpec::BalancedGreedy {
                     window_size: f.opt("window_size")?,
                 },
-                other => return Err(format!("unknown manager kind '{other}'")),
+                other => return Err(format!("unknown manager kind {}", quote(other))),
             })
         })
     }
@@ -765,7 +765,7 @@ impl WorkloadSpec {
         match self {
             WorkloadSpec::Preset { name, total_txs } => {
                 let mut spec = presets::by_name(name)
-                    .ok_or_else(|| format!("unknown benchmark preset '{name}'"))?;
+                    .ok_or_else(|| format!("unknown benchmark preset {}", quote(name)))?;
                 spec.total_txs = *total_txs;
                 Ok(ResolvedWorkload::Benchmark(spec))
             }
@@ -773,7 +773,7 @@ impl WorkloadSpec {
                 let mut spec = AdversarialSpec::all()
                     .into_iter()
                     .find(|w| w.name == name)
-                    .ok_or_else(|| format!("unknown adversarial generator '{name}'"))?;
+                    .ok_or_else(|| format!("unknown adversarial generator {}", quote(name)))?;
                 spec.total_txs = *total_txs;
                 Ok(ResolvedWorkload::Adversarial(spec))
             }
@@ -783,7 +783,7 @@ impl WorkloadSpec {
                 classes,
             } => {
                 if classes.is_empty() {
-                    return Err(format!("inline workload '{name}' has no classes"));
+                    return Err(format!("inline workload {} has no classes", quote(name)));
                 }
                 for class in classes {
                     class.validate().map_err(|e| format!("inline {e}"))?;
@@ -846,7 +846,7 @@ impl WorkloadSpec {
                         .map(class_from_json)
                         .collect::<Result<_, _>>()?,
                 },
-                other => return Err(format!("unknown workload kind '{other}'")),
+                other => return Err(format!("unknown workload kind {}", quote(other))),
             })
         })
     }
@@ -981,7 +981,7 @@ pub fn fault_from_json(value: &Json) -> Result<Fault, String> {
                 period: f.req("period")?,
                 saturate: f.req("saturate")?,
             },
-            other => return Err(format!("unknown fault kind '{other}'")),
+            other => return Err(format!("unknown fault kind {}", quote(other))),
         })
     })?;
     fault.validate()?;
@@ -1062,7 +1062,7 @@ fn process_from_json(value: &Json) -> Result<ArrivalProcess, String> {
                 peak_gap: f.req("peak_gap")?,
                 trough_gap: f.req("trough_gap")?,
             },
-            other => return Err(format!("unknown arrival process kind '{other}'")),
+            other => return Err(format!("unknown arrival process kind {}", quote(other))),
         })
     })
 }

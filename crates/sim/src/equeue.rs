@@ -36,7 +36,7 @@ pub type Event = (Cycle, u64, usize);
 
 /// Which pending-event structure the engine uses. Not part of a
 /// scenario's identity: results are byte-identical either way, so the
-/// choice is a pure wall-clock knob (`bench_scale` measures both).
+/// choice is a pure wall-clock knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EventQueueKind {
     /// Indexed calendar queue, `O(1)` amortized per event (the default).

@@ -1,21 +1,15 @@
 //! Std-only test support for the BFGTS reproduction.
 //!
 //! The workspace builds against an offline registry, so the usual
-//! third-party testing crates (proptest, criterion) are not available.
-//! This crate supplies the two pieces of them the repository actually
-//! uses, with deterministic behaviour and zero dependencies:
-//!
-//! * [`Gen`] + [`run_cases`] — randomised-property testing: a
-//!   splitmix64-fed value generator and a case driver that reruns a
-//!   property over many derived seeds and reports the failing seed.
-//! * [`mod@bench`] — a wall-clock micro-benchmark harness with a
-//!   criterion-like surface (`--bench`/`--test` aware, name filters),
-//!   used by the `harness = false` bench targets of `bfgts-bench`.
+//! third-party testing crates (proptest) are not available. This crate
+//! supplies the piece of them the repository actually uses, with
+//! deterministic behaviour and zero dependencies: [`Gen`] +
+//! [`run_cases`], randomised-property testing with a splitmix64-fed value
+//! generator and a case driver that reruns a property over many derived
+//! seeds and reports the failing seed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod bench;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
