@@ -33,7 +33,14 @@ pub(crate) fn probe_positions(key: u64, k: u32, m: u32) -> impl Iterator<Item = 
     // Force h2 odd so successive probes cycle through distinct positions
     // even when m is a power of two.
     let h2 = mix2(key) | 1;
-    (0..k as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % m as u64) as u32)
+    let m = u64::from(m);
+    // Every evaluated filter size is a power of two, where masking gives
+    // `% m` without a 64-bit division.
+    let pow2 = m.is_power_of_two();
+    (0..k as u64).map(move |i| {
+        let h = h1.wrapping_add(i.wrapping_mul(h2));
+        (if pow2 { h & (m - 1) } else { h % m }) as u32
+    })
 }
 
 #[cfg(test)]
@@ -58,6 +65,20 @@ mod tests {
         for key in 0..1000u64 {
             for pos in probe_positions(key, 8, 513) {
                 assert!(pos < 513);
+            }
+        }
+    }
+
+    #[test]
+    fn masking_matches_the_modulo_for_power_of_two_sizes() {
+        for m in [64u32, 320, 512, 2048, 8192] {
+            for key in 0..1000u64 {
+                let (h1, h2) = (mix1(key), mix2(key) | 1);
+                let reference: Vec<u32> = (0..4u64)
+                    .map(|i| (h1.wrapping_add(i.wrapping_mul(h2)) % u64::from(m)) as u32)
+                    .collect();
+                let probes: Vec<u32> = probe_positions(key, 4, m).collect();
+                assert_eq!(probes, reference, "key {key} in {m} bits");
             }
         }
     }

@@ -13,9 +13,9 @@
 //!   with union, bit-count and intersection queries.
 //! * [`estimate`] — the set-size estimation equations of Michael et al.
 //!   (eqs. 2 and 3 of the paper) and the similarity metric (eq. 4).
-//! * [`PerfectSignature`] — an exact-set signature used by the paper's
-//!   `BFGTS-NoOverhead` configuration and by LogTM-style perfect conflict
-//!   detection.
+//! * [`PerfectSignature`] — an exact-set signature (a sorted key list),
+//!   which the paper's `BFGTS-NoOverhead` configuration uses in place of
+//!   Bloom filters.
 //! * [`SignatureKind`] — which of the two a scheduler configuration
 //!   selects.
 //!

@@ -1,6 +1,6 @@
 //! Exact-set ("perfect") signatures.
 
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
 
 /// An exact-set signature: stores the precise set of keys.
 ///
@@ -24,9 +24,9 @@ use std::collections::BTreeSet;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PerfectSignature {
-    // BTreeSet, not HashSet: `iter` escapes to callers, so the order
-    // must not depend on hash randomisation (determinism policy, D001).
-    keys: BTreeSet<u64>,
+    // Ascending and without duplicates, so two sets intersect in one
+    // merge.
+    keys: Vec<u64>,
 }
 
 impl PerfectSignature {
@@ -35,14 +35,17 @@ impl PerfectSignature {
         Self::default()
     }
 
-    /// Records a key.
+    /// Records a key. This shifts the larger keys up one place, so a set
+    /// of many keys is cheaper to build with `collect` or `extend`.
     pub fn insert(&mut self, key: u64) {
-        self.keys.insert(key);
+        if let Err(i) = self.keys.binary_search(&key) {
+            self.keys.insert(i, key);
+        }
     }
 
     /// Exact membership test.
     pub fn may_contain(&self, key: u64) -> bool {
-        self.keys.contains(&key)
+        self.keys.binary_search(&key).is_ok()
     }
 
     /// Exact number of keys stored.
@@ -63,14 +66,12 @@ impl PerfectSignature {
 
     /// True if the two signatures share a key.
     pub fn intersects(&self, other: &Self) -> bool {
-        let (small, large) = self.by_size(other);
-        small.iter().any(|k| large.contains(k))
+        self.shared(other).next().is_some()
     }
 
     /// Exact size of the intersection with `other`.
     pub fn intersection_len(&self, other: &Self) -> usize {
-        let (small, large) = self.by_size(other);
-        small.iter().filter(|k| large.contains(k)).count()
+        self.shared(other).count()
     }
 
     /// [`PerfectSignature::intersection_len`] as an `f64`, the form
@@ -81,7 +82,7 @@ impl PerfectSignature {
 
     /// Merges `other` into `self`.
     pub fn union_in_place(&mut self, other: &Self) {
-        self.keys.extend(other.keys.iter().copied());
+        self.extend(other.iter());
     }
 
     /// Removes all keys.
@@ -94,28 +95,39 @@ impl PerfectSignature {
         self.keys.iter().copied()
     }
 
-    /// The smaller and the larger key set of the pair, so an overlap
-    /// scan probes the larger set once per key of the smaller.
-    fn by_size<'a>(&'a self, other: &'a Self) -> (&'a BTreeSet<u64>, &'a BTreeSet<u64>) {
-        if self.keys.len() <= other.keys.len() {
-            (&self.keys, &other.keys)
-        } else {
-            (&other.keys, &self.keys)
-        }
+    /// The keys both signatures hold, ascending: one merge of the two
+    /// sorted key lists.
+    fn shared<'a>(&'a self, other: &'a Self) -> impl Iterator<Item = u64> + 'a {
+        let (mut i, mut j) = (0, 0);
+        std::iter::from_fn(move || {
+            while let (Some(&x), Some(&y)) = (self.keys.get(i), other.keys.get(j)) {
+                match x.cmp(&y) {
+                    Ordering::Less => i += 1,
+                    Ordering::Greater => j += 1,
+                    Ordering::Equal => {
+                        (i, j) = (i + 1, j + 1);
+                        return Some(x);
+                    }
+                }
+            }
+            None
+        })
     }
 }
 
 impl FromIterator<u64> for PerfectSignature {
     fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
-        Self {
-            keys: iter.into_iter().collect(),
-        }
+        let mut sig = Self::new();
+        sig.extend(iter);
+        sig
     }
 }
 
 impl Extend<u64> for PerfectSignature {
     fn extend<I: IntoIterator<Item = u64>>(&mut self, iter: I) {
         self.keys.extend(iter);
+        self.keys.sort_unstable();
+        self.keys.dedup();
     }
 }
 

@@ -5,6 +5,7 @@ use crate::faults::{CmFaults, PoisonMode};
 use crate::hw::HwPredictor;
 use crate::sig::Sig;
 use crate::tables::{ConfidenceTable, DtxMap, TxStatsTable};
+use bfgts_bloomsig::SignatureKind;
 use bfgts_htm::{
     AbortPlan, BeginDecision, BeginOutcome, BeginQuery, CommitOutcome, CommitRecord, ConflictEvent,
     ContentionManager, DTxId, LineAddr, STxId, TmState,
@@ -89,27 +90,48 @@ pub struct BfgtsCm {
     cfg: BfgtsConfig,
     confidence: ConfidenceTable,
     stats: TxStatsTable,
-    /// Figure 3's Bloom table: per dTxID, the signatures of its last
-    /// stored commit.
+    /// Figure 3's Bloom table: per dTxID, what its last stored commit's
+    /// signatures are built from.
     signatures: DtxMap<StoredSigs>,
+    /// The committing transaction's shard-grouped lines and forced bits
+    /// until they are stored: one buffer pair reused by every commit.
+    fresh: StoredSigs,
     predictors: Vec<HwPredictor>,
     pressure: Vec<f64>,
     faults: Option<FaultState>,
 }
 
-/// What one commit stores for its dTxID. A later store replaces the
-/// whole entry, so a shard the dTxID's newest commit did not touch holds
-/// nothing for it.
+/// What one commit stores for its dTxID: what the modelled hardware's
+/// filters are built from, not the filters (DESIGN.md §11). A later
+/// store overwrites the whole entry in place, reusing its buffers, so a
+/// shard the dTxID's newest commit did not touch holds nothing for it.
+#[derive(Default)]
 struct StoredSigs {
-    /// The whole read/write set: the similarity update and the
-    /// single-shard `checkWasSerialized` intersect it.
-    whole: Sig,
-    /// Sharded platforms (DESIGN.md §11): the commit's read/write-set
-    /// lines grouped by shard, ascending; empty on a single shard. The
-    /// sharded `checkWasSerialized` rebuilds from them the modelled
-    /// per-shard filter of each shard both transactions touched, so the
-    /// host keeps 8 bytes a line, not a whole filter per touched shard.
-    lines: Box<[LineAddr]>,
+    /// The commit's read/write-set lines: ascending on a single shard,
+    /// grouped by shard (ascending) on sharded platforms. The similarity
+    /// update and the single-shard `checkWasSerialized` rebuild the
+    /// whole-set filter from them ([`StoredSigs::filter`]); the sharded
+    /// check rebuilds the per-shard filter of each shard both
+    /// transactions touched. So an entry is 56 bytes plus 8 a line,
+    /// where one that held the 2048-bit filter was 296 bytes plus, on
+    /// sharded platforms, the same lines. On a single shard an entry
+    /// therefore shrinks for a set under 30 lines and grows above
+    /// (DESIGN.md §11).
+    lines: Vec<LineAddr>,
+    /// The bit positions the `bloom_corrupt` fault forced into the
+    /// commit's whole-set filter, in draw order. Empty without the fault
+    /// and for perfect signatures, which have no bits to force.
+    forced: Vec<u32>,
+}
+
+impl StoredSigs {
+    /// The whole-set filter the commit's hardware kept: its lines plus
+    /// its forced bits, rebuilt bit for bit.
+    fn filter(&self, kind: SignatureKind) -> Sig {
+        let mut sig = Sig::from_set(kind, BLOOM_HASHES, &self.lines);
+        sig.set_bits(&self.forced);
+        sig
+    }
 }
 
 /// Live state of an injected fault plan: the plan itself, the manager's
@@ -134,6 +156,7 @@ impl BfgtsCm {
             confidence,
             stats: TxStatsTable::new(),
             signatures: DtxMap::default(),
+            fresh: StoredSigs::default(),
             predictors: Vec::new(),
             pressure: Vec::new(),
             faults: None,
@@ -246,11 +269,12 @@ impl BfgtsCm {
     }
 }
 
-/// `rw_set`'s lines grouped by conflict-detection shard, ascending.
-fn by_shard(tm: &TmState, rw_set: &[LineAddr]) -> Box<[LineAddr]> {
-    let mut lines: Box<[LineAddr]> = rw_set.into();
-    lines.sort_unstable_by_key(|&addr| tm.shard_of(addr));
-    lines
+/// Replaces `out` with `rw_set`'s lines grouped by conflict-detection
+/// shard, ascending.
+fn group_by_shard(tm: &TmState, rw_set: &[LineAddr], out: &mut Vec<LineAddr>) {
+    out.clear();
+    out.extend_from_slice(rw_set);
+    out.sort_unstable_by_key(|&addr| tm.shard_of(addr));
 }
 
 impl ContentionManager for BfgtsCm {
@@ -429,6 +453,7 @@ impl ContentionManager for BfgtsCm {
         let mut new_sig: Option<Sig> = None;
         if interval_due && !skip_bloom {
             let mut sig = self.build_sig(rec.rw_set);
+            self.fresh.forced.clear();
             // Fault injection: forced false-positive bits in the fresh
             // signature, *before* any estimate is taken — the BloomSample
             // below records raw/clamped from the corrupted filter, so the
@@ -439,7 +464,11 @@ impl ContentionManager for BfgtsCm {
                     && plan.bloom_corrupt_pct > 0
                     && fs.rng.gen_range(100) < u64::from(plan.bloom_corrupt_pct)
                 {
-                    let forced = sig.force_bits(&mut fs.rng, plan.bloom_corrupt_bits);
+                    let forced = sig.force_bits(
+                        &mut fs.rng,
+                        plan.bloom_corrupt_bits,
+                        &mut self.fresh.forced,
+                    );
                     if forced > 0 {
                         trace.emit(rec.now.as_u64(), || TraceEvent::FaultBloomCorrupt {
                             thread: rec.dtx.thread.index() as u32,
@@ -449,15 +478,19 @@ impl ContentionManager for BfgtsCm {
                     }
                 }
             }
-            if let Some(old) = self.signatures.get(rec.dtx).map(|s| &s.whole) {
+            if let Some(old) = self
+                .signatures
+                .get(rec.dtx)
+                .map(|s| s.filter(self.cfg.signature))
+            {
                 // Clamp contract: only the clamped estimate may enter the
                 // similarity average. The trace records the raw value so
                 // the audit (invariant I6) can prove the clamp happened.
-                let inter = sig.intersection_estimate_clamped(old);
+                let inter = sig.intersection_estimate_clamped(&old);
                 trace.emit(rec.now.as_u64(), || TraceEvent::BloomSample {
                     thread: rec.dtx.thread.index() as u32,
                     stx: rec.dtx.stx.0,
-                    raw_bits: sig.intersection_estimate(old).to_bits(),
+                    raw_bits: sig.intersection_estimate(&old).to_bits(),
                     clamped_bits: inter.to_bits(),
                 });
                 let new_sim = if avg_size > 0.0 {
@@ -475,13 +508,17 @@ impl ContentionManager for BfgtsCm {
             new_sig = Some(sig);
         }
 
-        // This commit's lines grouped by shard, for both the sharded
-        // checkWasSerialized and the store below.
+        // This commit's lines as its entry stores them (grouped by shard
+        // on sharded platforms), for the sharded checkWasSerialized too.
         let sharded = tm.num_shards() > 1;
-        let lines = if sharded && (waiting_on.is_some() || new_sig.is_some()) {
-            by_shard(tm, rec.rw_set)
+        let grouped = sharded && (waiting_on.is_some() || new_sig.is_some());
+        if grouped {
+            group_by_shard(tm, rec.rw_set, &mut self.fresh.lines);
+        }
+        let lines = if grouped {
+            &self.fresh.lines
         } else {
-            Box::default()
+            rec.rw_set
         };
 
         // checkWasSerialized: was the wait justified?
@@ -491,7 +528,7 @@ impl ContentionManager for BfgtsCm {
                     cost += self.priced(2 * 32);
                 }
                 let theirs = self.signatures.get(target).map_or(&[][..], |s| &s.lines);
-                let (verdict, charged) = self.sharded_wait_check(tm, costs, &lines, theirs);
+                let (verdict, charged) = self.sharded_wait_check(tm, costs, lines, theirs);
                 cost += charged;
                 verdict
             } else {
@@ -508,7 +545,7 @@ impl ContentionManager for BfgtsCm {
                 };
                 self.signatures.get(target).map(|theirs| {
                     cost += self.priced(costs.bloom_intersect(mine.word_count()));
-                    mine.intersects(&theirs.whole)
+                    mine.intersects(&theirs.filter(self.cfg.signature))
                 })
             };
             if let Some(justified) = verdict {
@@ -531,8 +568,15 @@ impl ContentionManager for BfgtsCm {
             }
         }
 
-        if let Some(whole) = new_sig {
-            self.signatures.insert(rec.dtx, StoredSigs { whole, lines });
+        if new_sig.is_some() {
+            let entry = self
+                .signatures
+                .get_or_insert_with(rec.dtx, StoredSigs::default);
+            // Grown to fit, not doubled: the entry keeps its largest set.
+            entry.lines.clear();
+            entry.lines.reserve_exact(lines.len());
+            entry.lines.extend_from_slice(lines);
+            entry.forced.clone_from(&self.fresh.forced);
         }
 
         CommitOutcome {
@@ -1064,18 +1108,17 @@ mod tests {
         let mut shards: Vec<u32> = rw_set.iter().map(|&addr| tm.shard_of(addr)).collect();
         shards.sort_unstable();
         shards.dedup();
-        let mut parts: Box<[(u32, Sig)]> = shards
+        shards
             .into_iter()
-            .map(|shard| (shard, Sig::new(cm.cfg.signature, BLOOM_HASHES)))
-            .collect();
-        for &addr in rw_set {
-            let shard = tm.shard_of(addr);
-            let i = parts
-                .binary_search_by_key(&shard, |p| p.0)
-                .expect("every shard of the set has a part");
-            parts[i].1.insert(addr);
-        }
-        parts
+            .map(|shard| {
+                let part: Vec<LineAddr> = rw_set
+                    .iter()
+                    .copied()
+                    .filter(|&addr| tm.shard_of(addr) == shard)
+                    .collect();
+                (shard, cm.build_sig(&part))
+            })
+            .collect()
     }
 
     fn reference_wait_check(
@@ -1107,7 +1150,10 @@ mod tests {
         mine: &[LineAddr],
         theirs: &[LineAddr],
     ) -> (Option<bool>, u64) {
-        cm.sharded_wait_check(tm, costs, &by_shard(tm, mine), &by_shard(tm, theirs))
+        let (mut mine_grouped, mut theirs_grouped) = (Vec::new(), Vec::new());
+        group_by_shard(tm, mine, &mut mine_grouped);
+        group_by_shard(tm, theirs, &mut theirs_grouped);
+        cm.sharded_wait_check(tm, costs, &mine_grouped, &theirs_grouped)
     }
 
     type WaitCheck =
@@ -1176,6 +1222,160 @@ mod tests {
                         "{variant:?} with {signature:?} never gave {verdict:?}"
                     );
                 }
+            }
+        }
+    }
+
+    /// The construction stored entries replaced, kept as their reference:
+    /// the commit's whole-set filter, corrupted as the `bloom_corrupt`
+    /// plan draws from `rng`, kept as is.
+    fn reference_whole(cm: &BfgtsCm, rw_set: &[LineAddr], plan: CmFaults, rng: &mut SimRng) -> Sig {
+        let mut sig = cm.build_sig(rw_set);
+        if rng.gen_range(100) < u64::from(plan.bloom_corrupt_pct) {
+            if let Sig::Bloom(b) = &mut sig {
+                for _ in 0..plan.bloom_corrupt_bits {
+                    b.set_bit(rng.gen_range(u64::from(b.bits())) as u32);
+                }
+            }
+        }
+        sig
+    }
+
+    /// Drives 300 seeded commits of 11–40-line sets by six dTxIDs through
+    /// BFGTS-HW with `signature` on `shards` shards under a 50% / 24-bit
+    /// `bloom_corrupt` plan, half of them after a wait on another dTxID.
+    /// Every stored entry must rebuild the reference filter bit for bit,
+    /// and every BloomSample, wait verdict and commit charge must be the
+    /// reference's. Returns how many commits had bits forced and how many
+    /// gave each verdict (unjustified, justified).
+    fn stored_entries_against_the_reference(
+        signature: SignatureKind,
+        shards: u32,
+    ) -> (u32, [u32; 2]) {
+        let (mut tm, costs, _) = env();
+        tm.configure_shards(shards);
+        let plan = CmFaults::new(21).bloom_corruption(50, 24);
+        let cfg = BfgtsConfig {
+            signature,
+            ..BfgtsConfig::hw()
+        };
+        let mut cm = BfgtsCm::with_faults(cfg, plan);
+        let mut fault_rng = SimRng::seed_from(plan.seed).derive(0xFA07_5EED);
+        let mut rng = SimRng::seed_from(0xD1FF);
+        let dtxs = [
+            dtx(0, 0),
+            dtx(0, 1),
+            dtx(1, 0),
+            dtx(2, 2),
+            dtx(3, 1),
+            dtx(5, 0),
+        ];
+        let mut reference: Vec<Option<(Sig, Vec<LineAddr>)>> = vec![None; dtxs.len()];
+        let mut trace = TraceSink::new(bfgts_sim::TraceMode::Full);
+        let (mut forced, mut verdicts) = (0, [0, 0]);
+        for _ in 0..300 {
+            let me = rng.gen_range(dtxs.len() as u64) as usize;
+            let len = 11 + rng.gen_range(30) as usize;
+            let mut set = std::collections::BTreeSet::new();
+            while set.len() < len {
+                set.insert(rng.gen_range(2048));
+            }
+            let rw: Vec<LineAddr> = set.into_iter().map(LineAddr).collect();
+            let target = (rng.gen_range(2) == 0)
+                .then(|| (me + 1 + rng.gen_range(dtxs.len() as u64 - 1) as usize) % dtxs.len());
+            cm.stats.entry(dtxs[me]).waiting_on = target.map(|t| dtxs[t]);
+
+            let whole = reference_whole(&cm, &rw, plan, &mut fault_rng);
+            let sample = reference[me].as_ref().map(|(old, _)| {
+                (
+                    whole.intersection_estimate(old).to_bits(),
+                    whole.intersection_estimate_clamped(old).to_bits(),
+                )
+            });
+            let check = target.map(|t| {
+                let theirs = reference[t].as_ref();
+                if shards > 1 {
+                    let lines = theirs.map_or(&[][..], |(_, lines)| lines);
+                    reference_wait_check(&cm, &tm, &costs, &rw, lines)
+                } else {
+                    theirs.map_or((None, 0), |(sig, _)| {
+                        let charged = cm.priced(costs.bloom_intersect(whole.word_count()));
+                        (Some(whole.intersects(sig)), charged)
+                    })
+                }
+            });
+            let sampled = if sample.is_some() {
+                costs.similarity_calc(whole.word_count())
+            } else {
+                2 * whole.word_count()
+            };
+
+            let out = cm.on_commit(
+                &commit_rec(dtxs[me], &rw),
+                &tm,
+                &costs,
+                &mut SimRng::seed_from(0),
+                &mut trace,
+            );
+            let events = trace.take().events;
+            let got_sample = events.iter().find_map(|r| match r.ev {
+                TraceEvent::BloomSample {
+                    raw_bits,
+                    clamped_bits,
+                    ..
+                } => Some((raw_bits, clamped_bits)),
+                _ => None,
+            });
+            let got_verdict = events.iter().find_map(|r| match r.ev {
+                TraceEvent::ConfUpdate {
+                    kind: ConfKind::WaitJustified,
+                    ..
+                } => Some(true),
+                TraceEvent::ConfUpdate {
+                    kind: ConfKind::WaitUnjustified,
+                    ..
+                } => Some(false),
+                _ => None,
+            });
+            let stored = cm.signatures.get(dtxs[me]).map(|s| s.filter(signature));
+            assert_eq!(stored.as_ref(), Some(&whole), "rebuilt filter");
+            assert_eq!(got_sample, sample, "BloomSample raw and clamped bits");
+            let (verdict, charged) = check.unwrap_or_default();
+            assert_eq!(got_verdict, verdict, "wait verdict");
+            assert_eq!(
+                out.cost,
+                sw_cost::COMMIT_BASE + sampled + charged,
+                "commit charge"
+            );
+
+            forced += u32::from(
+                events
+                    .iter()
+                    .any(|r| matches!(r.ev, TraceEvent::FaultBloomCorrupt { .. })),
+            );
+            if let Some(v) = verdict {
+                verdicts[usize::from(v)] += 1;
+            }
+            reference[me] = Some((whole, rw));
+        }
+        (forced, verdicts)
+    }
+
+    #[test]
+    fn stored_entries_rebuild_the_reference_filters() {
+        for shards in [1, 16] {
+            for signature in [SignatureKind::Bloom { bits: 2048 }, SignatureKind::Perfect] {
+                let (forced, verdicts) = stored_entries_against_the_reference(signature, shards);
+                let bloom = signature != SignatureKind::Perfect;
+                assert_eq!(
+                    forced > 0,
+                    bloom,
+                    "{signature:?} on {shards} shards: {forced} commits had bits forced"
+                );
+                assert!(
+                    verdicts[0] > 0 && verdicts[1] > 0,
+                    "{signature:?} on {shards} shards gave verdicts {verdicts:?}"
+                );
             }
         }
     }

@@ -9,32 +9,24 @@ use bfgts_htm::LineAddr;
 // signature construction never heap-allocates; boxing it to shrink the
 // enum would reintroduce exactly that allocation.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Sig {
     Bloom(BloomFilter),
     Perfect(PerfectSignature),
 }
 
 impl Sig {
-    pub(crate) fn new(kind: SignatureKind, hashes: u32) -> Self {
-        match kind {
-            SignatureKind::Bloom { bits } => Sig::Bloom(BloomFilter::new(bits, hashes)),
-            SignatureKind::Perfect => Sig::Perfect(PerfectSignature::new()),
-        }
-    }
-
+    /// The signature of `set`, in any order and possibly repeating lines.
     pub(crate) fn from_set(kind: SignatureKind, hashes: u32, set: &[LineAddr]) -> Self {
-        let mut sig = Sig::new(kind, hashes);
-        for &addr in set {
-            sig.insert(addr);
-        }
-        sig
-    }
-
-    pub(crate) fn insert(&mut self, addr: LineAddr) {
-        match self {
-            Sig::Bloom(b) => b.insert(addr.get()),
-            Sig::Perfect(p) => p.insert(addr.get()),
+        match kind {
+            SignatureKind::Bloom { bits } => {
+                let mut filter = BloomFilter::new(bits, hashes);
+                for &addr in set {
+                    filter.insert(addr.get());
+                }
+                Sig::Bloom(filter)
+            }
+            SignatureKind::Perfect => Sig::Perfect(set.iter().map(|addr| addr.get()).collect()),
         }
     }
 
@@ -80,20 +72,38 @@ impl Sig {
     }
 
     /// Forces `count` randomly drawn bit positions high — the Bloom
-    /// corruption fault (DESIGN.md §9). Returns the number of positions
-    /// forced. Perfect signatures are exact sets with no bit array to
-    /// corrupt, so they return 0 and the caller emits no fault event
-    /// (a no-op fault must not claim it happened).
-    pub(crate) fn force_bits(&mut self, rng: &mut bfgts_sim::SimRng, count: u32) -> u32 {
+    /// corruption fault (DESIGN.md §9) — and appends them to `forced` in
+    /// draw order. Returns the number of positions forced. Perfect
+    /// signatures are exact sets with no bit array to corrupt, so they
+    /// draw nothing and return 0, and the caller emits no fault event (a
+    /// no-op fault must not claim it happened).
+    pub(crate) fn force_bits(
+        &mut self,
+        rng: &mut bfgts_sim::SimRng,
+        count: u32,
+        forced: &mut Vec<u32>,
+    ) -> u32 {
         match self {
             Sig::Bloom(b) => {
                 let bits = b.bits() as u64;
                 for _ in 0..count {
-                    b.set_bit(rng.gen_range(bits) as u32);
+                    let pos = rng.gen_range(bits) as u32;
+                    b.set_bit(pos);
+                    forced.push(pos);
                 }
                 count
             }
             Sig::Perfect(_) => 0,
+        }
+    }
+
+    /// Sets `positions` high again: replays bits [`Sig::force_bits`]
+    /// forced. Perfect signatures never had any.
+    pub(crate) fn set_bits(&mut self, positions: &[u32]) {
+        if let Sig::Bloom(b) = self {
+            for &pos in positions {
+                b.set_bit(pos);
+            }
         }
     }
 }
@@ -146,17 +156,29 @@ mod tests {
         let mut b = Sig::from_set(kind, 4, &addrs(&[100, 200, 300]));
         let clean = a.intersection_estimate(&b);
         let mut rng = SimRng::seed_from(11);
-        assert_eq!(a.force_bits(&mut rng, 96), 96);
+        let mut forced = Vec::new();
+        assert_eq!(a.force_bits(&mut rng, 96, &mut forced), 96);
         let mut rng = SimRng::seed_from(11);
-        assert_eq!(b.force_bits(&mut rng, 96), 96);
+        assert_eq!(b.force_bits(&mut rng, 96, &mut Vec::new()), 96);
         let corrupted = a.intersection_estimate(&b);
         assert!(
             corrupted > clean,
             "shared forced bits must inflate the estimate ({clean} -> {corrupted})"
         );
 
+        // Replaying the recorded positions rebuilds the corrupted filter.
+        let mut replayed = Sig::from_set(kind, 4, &addrs(&[1, 2, 3]));
+        replayed.set_bits(&forced);
+        assert_eq!(replayed, a);
+
         let mut p = Sig::from_set(SignatureKind::Perfect, 4, &addrs(&[1]));
-        assert_eq!(p.force_bits(&mut rng, 64), 0, "perfect sigs are immune");
+        let mut none = Vec::new();
+        assert_eq!(
+            p.force_bits(&mut rng, 64, &mut none),
+            0,
+            "perfect sigs are immune"
+        );
+        assert!(none.is_empty());
     }
 
     #[test]

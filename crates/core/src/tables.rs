@@ -232,19 +232,6 @@ impl<T> DtxMap<T> {
         &mut row[i].1
     }
 
-    /// Stores `value` for `dtx`, replacing (and returning) any previous
-    /// value.
-    pub(crate) fn insert(&mut self, dtx: DTxId, value: T) -> Option<T> {
-        let row = self.row_mut(dtx);
-        match row.binary_search_by_key(&dtx.stx, |e| e.0) {
-            Ok(i) => Some(std::mem::replace(&mut row[i].1, value)),
-            Err(i) => {
-                row.insert(i, (dtx.stx, value));
-                None
-            }
-        }
-    }
-
     /// Number of stored dTxIDs.
     pub(crate) fn len(&self) -> usize {
         self.rows.iter().map(Vec::len).sum()
@@ -422,8 +409,8 @@ mod tests {
     #[test]
     fn dtx_map_matches_a_btreemap_reference() {
         use std::collections::BTreeMap;
-        // Random inserts, replacements and get-or-inserts over a few
-        // threads and sTxIDs at both ends of the u32 range.
+        // Random stores, get-or-inserts and gets over a few threads and
+        // sTxIDs at both ends of the u32 range.
         let stxs = [0, 1, 2, 7, 1023, u32::MAX - 1, u32::MAX];
         let mut map: DtxMap<u64> = DtxMap::default();
         let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
@@ -434,7 +421,10 @@ mod tests {
                 stxs[rng.gen_range(stxs.len() as u64) as usize],
             );
             match rng.gen_range(3) {
-                0 => assert_eq!(map.insert(key, step), reference.insert(key.pack(), step)),
+                0 => {
+                    *map.get_or_insert_with(key, || step) = step;
+                    reference.insert(key.pack(), step);
+                }
                 1 => {
                     *map.get_or_insert_with(key, || step) += 1;
                     *reference.entry(key.pack()).or_insert(step) += 1;

@@ -345,7 +345,7 @@ where
     let (sim, mut world) = engine.try_run_into()?;
     Ok(TmRunReport {
         sim,
-        stats: world.tm.stats().clone(),
+        stats: std::mem::take(world.tm.stats_mut()),
         cm_name,
         history: world.tm.take_history(),
         window_seed,

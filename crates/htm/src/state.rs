@@ -107,10 +107,16 @@ pub enum AccessResult {
     },
 }
 
-/// Bounded-signature tracking state of one attempt. Absent on perfect
-/// platforms and on fallback attempts (which track exactly).
+/// One thread's bounded-detection signatures. Only a
+/// [`Detection::BoundedSig`] platform has any; each of the thread's
+/// attempts clears and re-arms the same entry, so a begin allocates
+/// nothing.
 #[derive(Debug, Clone)]
 struct DetSig {
+    /// True while the thread's current attempt tracks through these
+    /// signatures: false between attempts and in the software fallback
+    /// (which tracks exactly).
+    armed: bool,
     /// Read-set signature; other writers probe it.
     read: BloomFilter,
     /// Write-set signature; other readers and writers probe it.
@@ -120,6 +126,26 @@ struct DetSig {
     tracked: u32,
     /// The configured bound.
     capacity: u32,
+}
+
+impl DetSig {
+    /// Starts an attempt's tracking from empty signatures.
+    fn arm(&mut self) {
+        self.read.clear();
+        self.write.clear();
+        self.tracked = 0;
+        self.armed = true;
+    }
+
+    /// Forces bit `pos` high in both signatures. True if either lacked
+    /// it.
+    fn force_bit(&mut self, pos: u32) -> bool {
+        // `set_bit` has no readback; detect the flip via popcount.
+        let before = self.read.count_ones() + self.write.count_ones();
+        self.read.set_bit(pos);
+        self.write.set_bit(pos);
+        self.read.count_ones() + self.write.count_ones() > before
+    }
 }
 
 /// Detection-signature corruption fault (DESIGN.md §9 applied to §13):
@@ -167,7 +193,9 @@ impl Iterator for Running<'_> {
     }
 }
 
-/// The transaction a thread is currently executing.
+/// The transaction a thread is currently executing. Its bounded-detection
+/// signatures, if any, live in [`TmState`]'s per-thread table, so a slot
+/// holds no filter on a [`Detection::Perfect`] platform.
 #[derive(Debug, Clone)]
 struct ActiveTx {
     dtx: DTxId,
@@ -180,11 +208,6 @@ struct ActiveTx {
     /// arbitration eventually.
     timestamp: Cycle,
     attempt: Option<AttemptId>,
-    /// Bounded-signature state (`None` under perfect detection and in
-    /// the post-overflow software fallback). The exact line table stays
-    /// authoritative either way: it is the ground truth the audit
-    /// recomputes false positives against.
-    sig: Option<DetSig>,
 }
 
 /// One thread's access logs. They outlive the attempt: each attempt
@@ -242,6 +265,11 @@ pub struct TmState {
     shards: u32,
     /// How read/write sets are tracked ([`Detection::Perfect`] default).
     detection: Detection,
+    /// Per-thread detection signatures, indexed by thread: empty unless
+    /// detection is [`Detection::BoundedSig`]. The exact line table stays
+    /// authoritative either way: it is the ground truth the audit
+    /// recomputes false positives against.
+    det_sigs: Vec<DetSig>,
     /// Per-thread software-fallback latch: set when an attempt overflows
     /// its signature capacity, cleared by the instance's eventual commit.
     /// A latched thread's next attempts track exactly (unbounded, no
@@ -273,15 +301,18 @@ impl TmState {
             history: None,
             shards: 1,
             detection: Detection::Perfect,
+            det_sigs: Vec::new(),
             fallback: vec![false; num_threads],
             det_fault: None,
         }
     }
 
-    /// Selects the conflict-detection mode (ISSUE 9 / DESIGN.md §13).
+    /// Selects the conflict-detection mode (DESIGN.md §13).
     /// With [`Detection::Perfect`] — the default — nothing changes: no
     /// signatures are built, no false positives or capacity aborts can
     /// occur, byte-identical behaviour to the pre-capacity simulator.
+    /// [`Detection::BoundedSig`] allocates one read and one write
+    /// signature per thread, here and nowhere else.
     ///
     /// # Panics
     ///
@@ -293,6 +324,23 @@ impl TmState {
             // detlint: allow(P002) -- documented panic contract: an invalid detection geometry is a configuration bug, caught before any cycle runs
             .unwrap_or_else(|e| panic!("invalid detection config: {e}"));
         self.detection = detection;
+        self.det_sigs = match detection {
+            Detection::Perfect => Vec::new(),
+            Detection::BoundedSig {
+                bits,
+                hashes,
+                capacity,
+            } => {
+                let sig = DetSig {
+                    armed: false,
+                    read: BloomFilter::new(bits, hashes),
+                    write: BloomFilter::new(bits, hashes),
+                    tracked: 0,
+                    capacity,
+                };
+                vec![sig; self.active.len()]
+            }
+        };
     }
 
     /// The configured conflict-detection mode.
@@ -450,31 +498,22 @@ impl TmState {
             "{thread} began a transaction while one is active"
         );
         let attempt = self.history.as_mut().map(|h| h.begin(dtx));
-        let sig = match self.detection {
-            Detection::BoundedSig {
-                bits,
-                hashes,
-                capacity,
-            } if !self.fallback[thread.index()] => Some(DetSig {
-                read: BloomFilter::new(bits, hashes),
-                write: BloomFilter::new(bits, hashes),
-                tracked: 0,
-                capacity,
-            }),
-            _ => None,
-        };
+        if !self.fallback[thread.index()] {
+            if let Some(sig) = self.det_sigs.get_mut(thread.index()) {
+                sig.arm();
+            }
+        }
         self.active[thread.index()] = Some(ActiveTx {
             dtx,
             cpu,
             timestamp,
             attempt,
-            sig,
         });
         self.cpu_table[cpu] = Some(dtx);
         self.occupied[cpu >> 6] |= 1 << (cpu & 63);
     }
 
-    /// Bounded detection: scans the *other* threads' active signatures
+    /// Bounded detection: scans the *other* threads' armed signatures
     /// for an alias of `addr`. Reads probe write signatures; writes
     /// probe read and write signatures. Any exact conflict was already
     /// caught against the line table (real owners insert the address
@@ -488,18 +527,21 @@ impl TmState {
         is_write: bool,
     ) -> Option<ThreadId> {
         let key = addr.get();
-        for (t, slot) in self.active.iter().enumerate() {
-            if t == thread.index() {
-                continue;
-            }
-            let Some(other) = slot.as_ref().and_then(|tx| tx.sig.as_ref()) else {
-                continue;
-            };
-            if other.write.may_contain(key) || (is_write && other.read.may_contain(key)) {
-                return Some(ThreadId(t));
-            }
-        }
-        None
+        self.det_sigs
+            .iter()
+            .enumerate()
+            .filter(|&(t, other)| other.armed && t != thread.index())
+            .find(|(_, other)| {
+                other.write.may_contain(key) || (is_write && other.read.may_contain(key))
+            })
+            .map(|(t, _)| ThreadId(t))
+    }
+
+    /// `thread`'s signatures, if its current attempt tracks through them.
+    fn armed_sig(&mut self, thread: ThreadId) -> Option<&mut DetSig> {
+        self.det_sigs
+            .get_mut(thread.index())
+            .filter(|sig| sig.armed)
     }
 
     /// Genuinely conflicting owners of `addr` for an access by `thread`,
@@ -522,34 +564,6 @@ impl TmState {
         n
     }
 
-    /// Fault hook: forces `positions` high in both of `thread`'s active
-    /// detection signatures (BloomCorrupt perturbing *detection*, not
-    /// just the scheduler's commit signatures). Returns how many
-    /// positions actually flipped a previously-clear bit in either
-    /// signature — 0 under perfect detection, in the fallback, or when
-    /// every position was already set (no-op corruptions must not emit
-    /// a fault event, per the audit).
-    pub fn corrupt_detection_signatures(&mut self, thread: ThreadId, positions: &[u32]) -> u32 {
-        let Some(sig) = self.active[thread.index()]
-            .as_mut()
-            .and_then(|tx| tx.sig.as_mut())
-        else {
-            return 0;
-        };
-        let mut flipped = 0u32;
-        for &pos in positions {
-            let pos = pos % sig.read.bits();
-            // `set_bit` has no readback; detect the flip via popcount.
-            let before = sig.read.count_ones() + sig.write.count_ones();
-            sig.read.set_bit(pos);
-            sig.write.set_bit(pos);
-            if sig.read.count_ones() + sig.write.count_ones() > before {
-                flipped += 1;
-            }
-        }
-        flipped
-    }
-
     /// Arms the detection-signature corruption fault: at each bounded
     /// transaction begin, with probability `rate_pct`% (clamped to 100),
     /// `bits` random positions are forced high in the fresh signatures.
@@ -569,25 +583,30 @@ impl TmState {
     /// Always 0 with no fault armed, under perfect detection, or in the
     /// software fallback (there is no signature to corrupt).
     pub fn maybe_corrupt_detection(&mut self, thread: ThreadId) -> u32 {
-        let sig_bits = match self.active[thread.index()]
-            .as_ref()
-            .and_then(|tx| tx.sig.as_ref())
-        {
-            Some(sig) => sig.read.bits(),
-            None => return 0,
+        let Some(sig) = self
+            .det_sigs
+            .get_mut(thread.index())
+            .filter(|sig| sig.armed)
+        else {
+            return 0;
         };
-        let positions: Vec<u32> = match self.det_fault.as_mut() {
-            Some(f) => {
-                if f.rng.gen_range(100) >= f.rate_pct {
-                    return 0;
-                }
-                (0..f.bits)
-                    .map(|_| f.rng.gen_range(u64::from(sig_bits)) as u32)
-                    .collect()
+        let Some(fault) = self.det_fault.as_mut() else {
+            return 0;
+        };
+        if fault.rng.gen_range(100) >= fault.rate_pct {
+            return 0;
+        }
+        // Each position is forced as it is drawn. A position drawn twice
+        // flips nothing the second time (no-op corruptions must not emit
+        // a fault event, per the audit).
+        let bits = u64::from(sig.read.bits());
+        let mut flipped = 0;
+        for _ in 0..fault.bits {
+            if sig.force_bit(fault.rng.gen_range(bits) as u32) {
+                flipped += 1;
             }
-            None => return 0,
-        };
-        self.corrupt_detection_signatures(thread, &positions)
+        }
+        flipped
     }
 
     /// Attempts a transactional read of `addr` by `thread`.
@@ -596,7 +615,7 @@ impl TmState {
     ///
     /// Panics if the thread has no active transaction.
     pub fn read(&mut self, thread: ThreadId, addr: LineAddr) -> AccessResult {
-        let bounded = self.attempt(thread).sig.is_some();
+        let bounded = self.tracks_by_signature(thread);
         if let Some(line) = self.lines.get(addr.get()) {
             if line.held_by(thread) {
                 return AccessResult::Granted;
@@ -621,7 +640,7 @@ impl TmState {
     ///
     /// Panics if the thread has no active transaction.
     pub fn write(&mut self, thread: ThreadId, addr: LineAddr) -> AccessResult {
-        let bounded = self.attempt(thread).sig.is_some();
+        let bounded = self.tracks_by_signature(thread);
         // A read→write upgrade: the attempt already tracks the line.
         let mut upgrade = false;
         if let Some(line) = self.lines.get(addr.get()) {
@@ -644,16 +663,20 @@ impl TmState {
         self.grant(thread, addr, true, !upgrade)
     }
 
-    /// `thread`'s active attempt.
+    /// True if `thread`'s active attempt tracks through bounded
+    /// signatures.
     ///
     /// # Panics
     ///
     /// Panics if the thread has no active transaction.
-    fn attempt(&self, thread: ThreadId) -> &ActiveTx {
-        self.active
+    fn tracks_by_signature(&self, thread: ThreadId) -> bool {
+        assert!(
+            self.active_dtx(thread).is_some(),
+            "access outside transaction"
+        );
+        self.det_sigs
             .get(thread.index())
-            .and_then(Option::as_ref)
-            .expect("access outside transaction")
+            .is_some_and(|sig| sig.armed)
     }
 
     /// Bounded detection's verdict on an access the exact line table
@@ -672,9 +695,7 @@ impl TmState {
             return Some(AccessResult::FalseConflict { owner });
         }
         let sig = self
-            .attempt(thread)
-            .sig
-            .as_ref()
+            .armed_sig(thread)
             .expect("bounded attempts carry a signature");
         if new_address && sig.tracked >= sig.capacity {
             let (tracked, capacity) = (sig.tracked + 1, sig.capacity);
@@ -705,12 +726,7 @@ impl TmState {
         } else {
             logs.reads.push(addr.get());
         }
-        let tx = self
-            .active
-            .get_mut(thread.index())
-            .and_then(Option::as_mut)
-            .expect("access outside transaction");
-        if let Some(sig) = tx.sig.as_mut() {
+        if let Some(sig) = self.armed_sig(thread) {
             if is_write {
                 sig.write.insert(addr.get());
             } else {
@@ -720,7 +736,12 @@ impl TmState {
                 sig.tracked += 1;
             }
         }
-        let attempt = tx.attempt;
+        let attempt = self
+            .active
+            .get(thread.index())
+            .and_then(Option::as_ref)
+            .expect("access outside transaction")
+            .attempt;
         if let (Some(h), Some(a)) = (self.history.as_mut(), attempt) {
             h.access(a, addr, is_write);
         }
@@ -794,7 +815,8 @@ impl TmState {
     }
 
     /// Releases every line `tx` holds, clears its logs for the thread's
-    /// next attempt and clears its CPU-table broadcast.
+    /// next attempt, disarms its signatures and clears its CPU-table
+    /// broadcast.
     fn end_attempt(&mut self, thread: ThreadId, tx: &ActiveTx) {
         let logs = self
             .logs
@@ -804,6 +826,9 @@ impl TmState {
             self.lines.release(addr, thread);
         }
         logs.clear();
+        if let Some(sig) = self.det_sigs.get_mut(thread.index()) {
+            sig.armed = false;
+        }
         self.clear_cpu_broadcast(tx);
     }
 
@@ -1292,18 +1317,79 @@ mod tests {
             assert_eq!(tm.read(ThreadId(0), LineAddr(i)), AccessResult::Granted);
         }
         assert!(!tm.in_fallback(ThreadId(0)));
-        // Corruption has nothing to corrupt under perfect detection.
-        assert_eq!(tm.corrupt_detection_signatures(ThreadId(0), &[1, 2, 3]), 0);
+        // No detection signature exists, so an armed fault has nothing
+        // to corrupt.
+        assert!(tm.det_sigs.is_empty());
+        tm.configure_detection_fault(100, 3, 1);
+        assert_eq!(tm.maybe_corrupt_detection(ThreadId(0)), 0);
+    }
+
+    #[test]
+    fn a_thread_slot_holds_no_filter() {
+        // Two inline 2048-bit filters made each slot 600 bytes.
+        assert!(std::mem::size_of::<Option<ActiveTx>>() <= 64);
     }
 
     #[test]
     fn detection_corruption_counts_fresh_bits_only() {
         let mut tm = bounded(64, 1, 8);
         tm.begin_tx(ThreadId(0), 0, dtx(0, 0), Cycle::ZERO);
-        let first = tm.corrupt_detection_signatures(ThreadId(0), &[5, 9]);
-        assert_eq!(first, 2);
+        let sig = &mut tm.det_sigs[0];
+        assert!(sig.force_bit(5) && sig.force_bit(9));
         // Re-forcing the same positions flips nothing.
-        assert_eq!(tm.corrupt_detection_signatures(ThreadId(0), &[5, 9]), 0);
+        assert!(!sig.force_bit(5) && !sig.force_bit(9));
+    }
+
+    #[test]
+    fn detection_corruption_matches_drawing_every_position_first() {
+        // The reference draws all of a begin's positions, then forces
+        // them in draw order. Forcing each as it is drawn consumes the
+        // same draws and counts the same flips.
+        let (bits, forced, seed) = (64, 40, 5);
+        let mut tm = bounded(bits, 1, 8);
+        tm.configure_detection_fault(60, forced, seed);
+        let mut rng = SimRng::seed_from(seed).derive(0xDE7_FA17);
+        let mut reference = BloomFilter::new(bits, 1);
+        let mut fired = 0;
+        for _ in 0..50 {
+            tm.begin_tx(ThreadId(0), 0, dtx(0, 0), Cycle::ZERO);
+            let flipped = tm.maybe_corrupt_detection(ThreadId(0));
+            let mut expected = 0;
+            reference.clear();
+            if rng.gen_range(100) < 60 {
+                let positions: Vec<u32> = (0..forced)
+                    .map(|_| rng.gen_range(u64::from(bits)) as u32)
+                    .collect();
+                for pos in positions {
+                    let before = reference.count_ones();
+                    reference.set_bit(pos);
+                    expected += u32::from(reference.count_ones() > before);
+                }
+                fired += 1;
+            }
+            assert_eq!(flipped, expected);
+            assert_eq!(tm.det_sigs[0].read, reference);
+            tm.abort_tx(ThreadId(0));
+        }
+        assert!(fired > 0 && fired < 50, "the 60% rate fired {fired} of 50");
+    }
+
+    #[test]
+    fn a_thread_s_signatures_hold_only_its_current_attempt() {
+        let mut tm = bounded(64, 1, 64);
+        let written = 7u64;
+        let alias = aliasing_addr(written, 64, 1);
+        tm.begin_tx(ThreadId(0), 0, dtx(0, 0), Cycle::ZERO);
+        tm.write(ThreadId(0), LineAddr(written));
+        tm.commit_tx(ThreadId(0), &mut Vec::new());
+        // Between attempts the entry is disarmed...
+        tm.begin_tx(ThreadId(1), 1, dtx(1, 0), Cycle::ZERO);
+        assert_eq!(tm.read(ThreadId(1), LineAddr(alias)), AccessResult::Granted);
+        tm.abort_tx(ThreadId(1));
+        // ...and the next attempt starts from empty signatures.
+        tm.begin_tx(ThreadId(0), 0, dtx(0, 0), Cycle::ZERO);
+        tm.begin_tx(ThreadId(1), 1, dtx(1, 0), Cycle::ZERO);
+        assert_eq!(tm.read(ThreadId(1), LineAddr(alias)), AccessResult::Granted);
     }
 
     #[test]

@@ -13,16 +13,23 @@
 //! the engine's event loop, calendar queue and trace sink must not
 //! allocate per bucket or per event either.
 //!
-//! Counts cannot see how much a run holds, so the sharded 256-CPU Kmeans
-//! run also has its peak live heap bounded: a contention manager that
-//! keeps more bytes per dTxID fails here, again without any timing.
+//! On bounded detection with the `bloom_corrupt` fault the unit of work
+//! is the attempt, so that shape bounds the allocations of one more
+//! attempt: a begin that allocates its signatures or its corrupted bit
+//! positions fails there.
+//!
+//! Counts cannot see how much a run holds, so Kmeans runs at 256 and at
+//! 1024 CPUs, and a Delaunay run whose stored read/write sets are long,
+//! also have their peak live heap bounded: a thread slot or a
+//! contention manager that keeps more bytes per thread or per dTxID
+//! fails here, again without any timing.
 //!
 //! Allocations and live bytes are counted per thread (the idiom of
 //! `crates/bloomsig/tests/alloc_counts.rs`), so sibling tests running in
 //! parallel cannot leak into a measured window.
 
 use bfgts_bench::runner::RunCell;
-use bfgts_scenario::{ManagerKind, Platform};
+use bfgts_scenario::{ManagerKind, Platform, WorkloadSpec};
 use bfgts_sim::TraceMode;
 use bfgts_workloads::{presets, ArrivalSpec, BenchmarkSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -163,22 +170,125 @@ fn kmeans_on_256_sharded_cpus() {
     );
 }
 
+/// Most allocations one more attempt may cost on bounded 64-bit, 1-hash
+/// signatures of capacity 24, with the `bloom_corrupt` fault forcing 16
+/// bits into 60% of begins (`bfgts_serve`'s bounded Hotspot request).
+/// Collecting a begin's forced positions in a fresh vector cost 1.55;
+/// forcing each as it is drawn costs 0.96.
+const BOUNDED_ATTEMPT_BOUND: f64 = 1.25;
+
+/// The committed bounded, corrupted Hotspot scenario at `total_txs`,
+/// run untraced: (allocations during the run, commits, attempts).
+fn run_bounded_hotspot(total_txs: u64) -> (u64, u64, u64) {
+    let text = include_str!("../examples/scenarios/bounded_sig_corrupt_hotspot.scenario.json");
+    let mut scenario = bfgts_scenario::scenarios_from_str(text)
+        .expect("the example scenario parses")
+        .remove(0);
+    scenario.workload = WorkloadSpec::Adversarial {
+        name: scenario.workload.name().to_string(),
+        total_txs,
+    };
+    let cell = RunCell::from_scenario(scenario).expect("the workload resolves");
+    let before = allocations();
+    let report = cell.execute_report(TraceMode::Off);
+    let allocs = allocations() - before;
+    let commits = report.stats.commits();
+    (allocs, commits, commits + report.stats.aborts())
+}
+
+#[test]
+fn bounded_corrupted_hotspot_per_attempt() {
+    let (a_short, c_short, t_short) = run_bounded_hotspot(900);
+    let (a_long, c_long, t_long) = run_bounded_hotspot(1800);
+    assert_eq!((c_short, c_long), (900, 1800), "every transaction commits");
+    let n = a_long.saturating_sub(a_short) as f64 / (t_long - t_short) as f64;
+    assert!(
+        n <= BOUNDED_ATTEMPT_BOUND,
+        "{n:.2} allocations per attempt, bound {BOUNDED_ATTEMPT_BOUND}"
+    );
+}
+
+/// Bounds the peak live heap of `spec` at `total_txs` under `kind`.
+fn assert_peak(
+    mut spec: BenchmarkSpec,
+    total_txs: u64,
+    kind: ManagerKind,
+    platform: Platform,
+    bound: u64,
+) {
+    spec.total_txs = total_txs;
+    let cell = RunCell::one(&spec, kind, platform);
+    let mut commits = 0;
+    let peak = peak_live_bytes(|| commits = cell.execute_report(TraceMode::Off).stats.commits());
+    assert_eq!(commits, total_txs, "every transaction commits");
+    assert!(
+        peak <= bound,
+        "{} under {}: {peak} bytes live at the peak, bound {bound}",
+        spec.name,
+        kind.label()
+    );
+}
+
 /// Most bytes the 4,000-transaction BFGTS-HW run below may hold live at
 /// once. Keeping a 2048-bit filter for every shard a dTxID's last commit
-/// touched held 8,465,368 bytes; keeping its lines holds 4,453,152.
-const SHARDED_PEAK_BOUND: u64 = 6 << 20;
+/// touched held 8,465,368 bytes. Keeping its lines beside a 2048-bit
+/// whole-set filter held 4,453,152, and keeping its lines alone holds
+/// 2,906,696.
+const SHARDED_PEAK_BOUND: u64 = 7 << 19;
 
 #[test]
 fn peak_heap_of_kmeans_on_256_sharded_cpus() {
-    let mut spec = presets::kmeans();
-    spec.total_txs = 4000;
-    let cell = RunCell::one(&spec, ManagerKind::BfgtsHw, sharded_256());
-    let mut commits = 0;
-    let peak = peak_live_bytes(|| commits = cell.execute_report(TraceMode::Off).stats.commits());
-    assert_eq!(commits, 4000, "every transaction commits");
-    assert!(
-        peak <= SHARDED_PEAK_BOUND,
-        "{peak} bytes live at the peak, bound {SHARDED_PEAK_BOUND}"
+    assert_peak(
+        presets::kmeans(),
+        4000,
+        ManagerKind::BfgtsHw,
+        sharded_256(),
+        SHARDED_PEAK_BOUND,
+    );
+}
+
+/// Most bytes the 1024-CPU runs below may hold live at once, under
+/// Backoff and under BFGTS-HW. With room for two 2048-bit detection
+/// filters in every thread slot, and BFGTS-HW keeping a 2048-bit filter
+/// per dTxID, they held 8,233,096 and 15,255,504 bytes; without, they
+/// hold 5,972,104 and 9,062,592.
+const SCALE_PEAK_BOUNDS: [(ManagerKind, u64); 2] = [
+    (ManagerKind::Backoff, 7 << 20),
+    (ManagerKind::BfgtsHw, 11 << 20),
+];
+
+#[test]
+fn peak_heap_of_kmeans_on_1024_sharded_cpus() {
+    // `bench_scale`'s widest platform (4 threads per CPU, one shard per
+    // 16 CPUs), one transaction per thread.
+    let platform = Platform {
+        cpus: 1024,
+        threads: 4096,
+        ..Platform::paper()
+    }
+    .sharded(64);
+    for (kind, bound) in SCALE_PEAK_BOUNDS {
+        assert_peak(presets::kmeans(), 4096, kind, platform, bound);
+    }
+}
+
+/// Most bytes the 640-transaction Delaunay run below may hold live at
+/// once under BFGTS-HW on the paper platform. Its stored commits average
+/// 170 lines. Above about 30 lines a stored entry's lines (8 bytes each,
+/// beside 56 bytes of entry) outweigh the 296-byte entry that held a
+/// 2048-bit filter: keeping the filter held 1,242,656 bytes, keeping the
+/// lines holds 1,457,528, and an entry whose buffer grew by doubling
+/// rather than to its largest set held 1,574,040.
+const LONG_SET_PEAK_BOUND: u64 = 1_500_000;
+
+#[test]
+fn peak_heap_of_delaunay_on_the_paper_platform() {
+    assert_peak(
+        presets::delaunay(),
+        640,
+        ManagerKind::BfgtsHw,
+        Platform::paper(),
+        LONG_SET_PEAK_BOUND,
     );
 }
 
