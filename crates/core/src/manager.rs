@@ -4,13 +4,14 @@ use crate::config::{BfgtsConfig, BfgtsVariant};
 use crate::faults::{CmFaults, PoisonMode};
 use crate::hw::HwPredictor;
 use crate::sig::Sig;
-use crate::tables::{ConfidenceTable, DtxMap, TxStatsTable};
+use crate::tables::{ConfidenceTable, TxStatsTable};
 use bfgts_bloomsig::SignatureKind;
 use bfgts_htm::{
     AbortPlan, BeginDecision, BeginOutcome, BeginQuery, CommitOutcome, CommitRecord, ConflictEvent,
-    ContentionManager, DTxId, LineAddr, STxId, TmState,
+    ContentionManager, DTxId, DtxMap, LineAddr, LineSet, STxId, TmState,
 };
 use bfgts_sim::{ConfKind, CostModel, SimRng, TraceEvent, TraceSink};
+use std::borrow::Borrow;
 
 /// Fixed software-path costs in cycles, calibrated to the instruction
 /// counts of the paper's pseudo-code (Examples 1–4) on the simulated
@@ -93,9 +94,12 @@ pub struct BfgtsCm {
     /// Figure 3's Bloom table: per dTxID, what its last stored commit's
     /// signatures are built from.
     signatures: DtxMap<StoredSigs>,
-    /// The committing transaction's shard-grouped lines and forced bits
-    /// until they are stored: one buffer pair reused by every commit.
-    fresh: StoredSigs,
+    /// The committing transaction's forced bits until they are stored.
+    forced: Vec<u32>,
+    /// The committing transaction's lines and its wait target's stored
+    /// lines, grouped by shard for the sharded `checkWasSerialized`.
+    /// Like `forced`, reused by every commit.
+    by_shard: (Vec<LineAddr>, Vec<LineAddr>),
     predictors: Vec<HwPredictor>,
     pressure: Vec<f64>,
     faults: Option<FaultState>,
@@ -107,17 +111,17 @@ pub struct BfgtsCm {
 /// shard the dTxID's newest commit did not touch holds nothing for it.
 #[derive(Default)]
 struct StoredSigs {
-    /// The commit's read/write-set lines: ascending on a single shard,
-    /// grouped by shard (ascending) on sharded platforms. The similarity
-    /// update and the single-shard `checkWasSerialized` rebuild the
-    /// whole-set filter from them ([`StoredSigs::filter`]); the sharded
-    /// check rebuilds the per-shard filter of each shard both
-    /// transactions touched. So an entry is 56 bytes plus 8 a line,
-    /// where one that held the 2048-bit filter was 296 bytes plus, on
-    /// sharded platforms, the same lines. On a single shard an entry
-    /// therefore shrinks for a set under 30 lines and grows above
-    /// (DESIGN.md §11).
-    lines: Vec<LineAddr>,
+    /// The commit's read/write set, ascending and gap-coded. The
+    /// similarity update and the single-shard `checkWasSerialized`
+    /// rebuild the whole-set filter by iterating it
+    /// ([`StoredSigs::filter`]); the sharded check decodes it grouped by
+    /// shard and rebuilds the per-shard filter of each shard both
+    /// transactions touched. Both filter kinds ignore insertion order,
+    /// so either reading rebuilds the bits the hardware kept. An entry is
+    /// 56 bytes plus 1.1–2.5 a line on the Fig. 4 presets, so it stays
+    /// under the 296 bytes of an entry that held the 2048-bit filter up
+    /// to sets of about 100–220 lines (DESIGN.md §11).
+    lines: LineSet,
     /// The bit positions the `bloom_corrupt` fault forced into the
     /// commit's whole-set filter, in draw order. Empty without the fault
     /// and for perfect signatures, which have no bits to force.
@@ -128,7 +132,7 @@ impl StoredSigs {
     /// The whole-set filter the commit's hardware kept: its lines plus
     /// its forced bits, rebuilt bit for bit.
     fn filter(&self, kind: SignatureKind) -> Sig {
-        let mut sig = Sig::from_set(kind, BLOOM_HASHES, &self.lines);
+        let mut sig = Sig::from_set(kind, BLOOM_HASHES, self.lines.iter());
         sig.set_bits(&self.forced);
         sig
     }
@@ -155,8 +159,9 @@ impl BfgtsCm {
             cfg,
             confidence,
             stats: TxStatsTable::new(),
-            signatures: DtxMap::default(),
-            fresh: StoredSigs::default(),
+            signatures: DtxMap::new(),
+            forced: Vec::new(),
+            by_shard: (Vec::new(), Vec::new()),
             predictors: Vec::new(),
             pressure: Vec::new(),
             faults: None,
@@ -226,7 +231,7 @@ impl BfgtsCm {
 
     /// Builds this dTxID's signature from a committed read/write set.
     fn build_sig(&self, rw_set: &[LineAddr]) -> Sig {
-        Sig::from_set(self.cfg.signature, BLOOM_HASHES, rw_set)
+        Sig::from_set(self.cfg.signature, BLOOM_HASHES, rw_set.iter().copied())
     }
 
     /// The sharded `checkWasSerialized` (DESIGN.md §11) of two line sets
@@ -269,11 +274,15 @@ impl BfgtsCm {
     }
 }
 
-/// Replaces `out` with `rw_set`'s lines grouped by conflict-detection
-/// shard, ascending.
-fn group_by_shard(tm: &TmState, rw_set: &[LineAddr], out: &mut Vec<LineAddr>) {
+/// Replaces `out` with `lines` grouped by conflict-detection shard,
+/// ascending.
+fn group_by_shard(
+    tm: &TmState,
+    lines: impl IntoIterator<Item = impl Borrow<LineAddr>>,
+    out: &mut Vec<LineAddr>,
+) {
     out.clear();
-    out.extend_from_slice(rw_set);
+    out.extend(lines.into_iter().map(|addr| *addr.borrow()));
     out.sort_unstable_by_key(|&addr| tm.shard_of(addr));
 }
 
@@ -453,7 +462,7 @@ impl ContentionManager for BfgtsCm {
         let mut new_sig: Option<Sig> = None;
         if interval_due && !skip_bloom {
             let mut sig = self.build_sig(rec.rw_set);
-            self.fresh.forced.clear();
+            self.forced.clear();
             // Fault injection: forced false-positive bits in the fresh
             // signature, *before* any estimate is taken — the BloomSample
             // below records raw/clamped from the corrupted filter, so the
@@ -464,11 +473,8 @@ impl ContentionManager for BfgtsCm {
                     && plan.bloom_corrupt_pct > 0
                     && fs.rng.gen_range(100) < u64::from(plan.bloom_corrupt_pct)
                 {
-                    let forced = sig.force_bits(
-                        &mut fs.rng,
-                        plan.bloom_corrupt_bits,
-                        &mut self.fresh.forced,
-                    );
+                    let forced =
+                        sig.force_bits(&mut fs.rng, plan.bloom_corrupt_bits, &mut self.forced);
                     if forced > 0 {
                         trace.emit(rec.now.as_u64(), || TraceEvent::FaultBloomCorrupt {
                             thread: rec.dtx.thread.index() as u32,
@@ -508,27 +514,18 @@ impl ContentionManager for BfgtsCm {
             new_sig = Some(sig);
         }
 
-        // This commit's lines as its entry stores them (grouped by shard
-        // on sharded platforms), for the sharded checkWasSerialized too.
-        let sharded = tm.num_shards() > 1;
-        let grouped = sharded && (waiting_on.is_some() || new_sig.is_some());
-        if grouped {
-            group_by_shard(tm, rec.rw_set, &mut self.fresh.lines);
-        }
-        let lines = if grouped {
-            &self.fresh.lines
-        } else {
-            rec.rw_set
-        };
-
         // checkWasSerialized: was the wait justified?
         if let Some(target) = waiting_on {
-            let verdict: Option<bool> = if sharded {
+            let verdict: Option<bool> = if tm.num_shards() > 1 {
                 if new_sig.is_none() {
                     cost += self.priced(2 * 32);
                 }
-                let theirs = self.signatures.get(target).map_or(&[][..], |s| &s.lines);
-                let (verdict, charged) = self.sharded_wait_check(tm, costs, lines, theirs);
+                let (mine, theirs) = &mut self.by_shard;
+                group_by_shard(tm, rec.rw_set, mine);
+                let stored = self.signatures.get(target);
+                group_by_shard(tm, stored.into_iter().flat_map(|s| s.lines.iter()), theirs);
+                let (mine, theirs) = &self.by_shard;
+                let (verdict, charged) = self.sharded_wait_check(tm, costs, mine, theirs);
                 cost += charged;
                 verdict
             } else {
@@ -572,11 +569,8 @@ impl ContentionManager for BfgtsCm {
             let entry = self
                 .signatures
                 .get_or_insert_with(rec.dtx, StoredSigs::default);
-            // Grown to fit, not doubled: the entry keeps its largest set.
-            entry.lines.clear();
-            entry.lines.reserve_exact(lines.len());
-            entry.lines.extend_from_slice(lines);
-            entry.forced.clone_from(&self.fresh.forced);
+            entry.lines.assign(rec.rw_set);
+            entry.forced.clone_from(&self.forced);
         }
 
         CommitOutcome {

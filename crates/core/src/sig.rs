@@ -17,16 +17,19 @@ pub(crate) enum Sig {
 
 impl Sig {
     /// The signature of `set`, in any order and possibly repeating lines.
-    pub(crate) fn from_set(kind: SignatureKind, hashes: u32, set: &[LineAddr]) -> Self {
+    pub(crate) fn from_set(
+        kind: SignatureKind,
+        hashes: u32,
+        set: impl IntoIterator<Item = LineAddr>,
+    ) -> Self {
+        let keys = set.into_iter().map(LineAddr::get);
         match kind {
             SignatureKind::Bloom { bits } => {
                 let mut filter = BloomFilter::new(bits, hashes);
-                for &addr in set {
-                    filter.insert(addr.get());
-                }
+                keys.for_each(|key| filter.insert(key));
                 Sig::Bloom(filter)
             }
-            SignatureKind::Perfect => Sig::Perfect(set.iter().map(|addr| addr.get()).collect()),
+            SignatureKind::Perfect => Sig::Perfect(keys.collect()),
         }
     }
 
@@ -119,8 +122,8 @@ mod tests {
     #[test]
     fn bloom_roundtrip() {
         let kind = SignatureKind::Bloom { bits: 1024 };
-        let a = Sig::from_set(kind, 4, &addrs(&[1, 2, 3]));
-        let b = Sig::from_set(kind, 4, &addrs(&[3, 4, 5]));
+        let a = Sig::from_set(kind, 4, addrs(&[1, 2, 3]));
+        let b = Sig::from_set(kind, 4, addrs(&[3, 4, 5]));
         assert!(a.intersects(&b));
         assert!(a.word_count() > 0);
     }
@@ -128,8 +131,8 @@ mod tests {
     #[test]
     fn perfect_is_exact() {
         let kind = SignatureKind::Perfect;
-        let a = Sig::from_set(kind, 4, &addrs(&[1, 2, 3]));
-        let b = Sig::from_set(kind, 4, &addrs(&[3, 4, 5]));
+        let a = Sig::from_set(kind, 4, addrs(&[1, 2, 3]));
+        let b = Sig::from_set(kind, 4, addrs(&[3, 4, 5]));
         assert_eq!(a.intersection_estimate(&b), 1.0);
         assert_eq!(a.word_count(), 0);
     }
@@ -137,8 +140,8 @@ mod tests {
     #[test]
     fn disjoint_perfect_does_not_intersect() {
         let kind = SignatureKind::Perfect;
-        let a = Sig::from_set(kind, 4, &addrs(&[1]));
-        let b = Sig::from_set(kind, 4, &addrs(&[2]));
+        let a = Sig::from_set(kind, 4, addrs(&[1]));
+        let b = Sig::from_set(kind, 4, addrs(&[2]));
         assert!(!a.intersects(&b));
     }
 
@@ -152,8 +155,8 @@ mod tests {
         // inclusion–exclusion estimate: the union estimate grows faster
         // than the smaller set's.)
         let kind = SignatureKind::Bloom { bits: 512 };
-        let mut a = Sig::from_set(kind, 4, &addrs(&[1, 2, 3]));
-        let mut b = Sig::from_set(kind, 4, &addrs(&[100, 200, 300]));
+        let mut a = Sig::from_set(kind, 4, addrs(&[1, 2, 3]));
+        let mut b = Sig::from_set(kind, 4, addrs(&[100, 200, 300]));
         let clean = a.intersection_estimate(&b);
         let mut rng = SimRng::seed_from(11);
         let mut forced = Vec::new();
@@ -167,11 +170,11 @@ mod tests {
         );
 
         // Replaying the recorded positions rebuilds the corrupted filter.
-        let mut replayed = Sig::from_set(kind, 4, &addrs(&[1, 2, 3]));
+        let mut replayed = Sig::from_set(kind, 4, addrs(&[1, 2, 3]));
         replayed.set_bits(&forced);
         assert_eq!(replayed, a);
 
-        let mut p = Sig::from_set(SignatureKind::Perfect, 4, &addrs(&[1]));
+        let mut p = Sig::from_set(SignatureKind::Perfect, 4, addrs(&[1]));
         let mut none = Vec::new();
         assert_eq!(
             p.force_bits(&mut rng, 64, &mut none),
@@ -184,8 +187,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "representation mismatch")]
     fn mixed_representations_panic() {
-        let a = Sig::from_set(SignatureKind::Perfect, 4, &addrs(&[1]));
-        let b = Sig::from_set(SignatureKind::Bloom { bits: 512 }, 4, &addrs(&[1]));
+        let a = Sig::from_set(SignatureKind::Perfect, 4, addrs(&[1]));
+        let b = Sig::from_set(SignatureKind::Bloom { bits: 512 }, 4, addrs(&[1]));
         let _ = a.intersects(&b);
     }
 }

@@ -1,8 +1,7 @@
 //! BFGTS software data structures (paper §4.2.1, Figure 3): the compact
-//! sTxID×sTxID confidence table, the per-dTxID statistics array, and the
-//! per-dTxID row layout both the statistics and the signature tables use.
+//! sTxID×sTxID confidence table and the per-dTxID statistics array.
 
-use bfgts_htm::{DTxId, STxId};
+use bfgts_htm::{DTxId, DtxMap, STxId};
 
 /// Conflict-confidence table keyed by *static* transaction id pairs.
 ///
@@ -150,7 +149,7 @@ pub struct TxStat {
 const INITIAL_SIM: f64 = 0.5;
 
 /// The statistics array: per thread, a short vector of entries sorted by
-/// sTxID (the layout the manager's signature table shares).
+/// sTxID (a [`DtxMap`], as the manager's signature table is).
 #[derive(Debug, Clone, Default)]
 pub struct TxStatsTable {
     stats: DtxMap<TxStat>,
@@ -192,66 +191,6 @@ impl TxStatsTable {
     /// True if no dTxID has been tracked yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// Per-dTxID storage in the shape of the paper's Figure 3 arrays: one
-/// row per thread, each a short vector of `(sTxID, value)` entries kept
-/// sorted by sTxID. A lookup indexes the thread's row and binary-searches
-/// the handful of static transactions that thread has run, so nothing is
-/// allocated in proportion to an sTxID's value and there is no tree to
-/// rebalance.
-#[derive(Debug, Clone)]
-pub(crate) struct DtxMap<T> {
-    rows: Vec<Vec<(STxId, T)>>,
-}
-
-impl<T> Default for DtxMap<T> {
-    fn default() -> Self {
-        Self { rows: Vec::new() }
-    }
-}
-
-impl<T> DtxMap<T> {
-    /// The value stored for `dtx`, if any.
-    pub(crate) fn get(&self, dtx: DTxId) -> Option<&T> {
-        let row = self.rows.get(dtx.thread.index())?;
-        let i = row.binary_search_by_key(&dtx.stx, |e| e.0).ok()?;
-        row.get(i).map(|e| &e.1)
-    }
-
-    /// The value stored for `dtx`, inserting `init()` first if absent.
-    pub(crate) fn get_or_insert_with(&mut self, dtx: DTxId, init: impl FnOnce() -> T) -> &mut T {
-        let row = self.row_mut(dtx);
-        let i = row
-            .binary_search_by_key(&dtx.stx, |e| e.0)
-            .unwrap_or_else(|i| {
-                row.insert(i, (dtx.stx, init()));
-                i
-            });
-        &mut row[i].1
-    }
-
-    /// Number of stored dTxIDs.
-    pub(crate) fn len(&self) -> usize {
-        self.rows.iter().map(Vec::len).sum()
-    }
-
-    /// Every stored `(dTxID, value)`, ascending by packed dTxID.
-    #[cfg(test)]
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (DTxId, &T)> {
-        self.rows.iter().enumerate().flat_map(|(t, row)| {
-            row.iter()
-                .map(move |(stx, v)| (DTxId::new(bfgts_sim::ThreadId(t), *stx), v))
-        })
-    }
-
-    fn row_mut(&mut self, dtx: DTxId) -> &mut Vec<(STxId, T)> {
-        let t = dtx.thread.index();
-        if self.rows.len() <= t {
-            self.rows.resize_with(t + 1, Vec::new);
-        }
-        &mut self.rows[t]
     }
 }
 
@@ -404,39 +343,6 @@ mod tests {
         assert_eq!(t.avg_size_of(dtx(1, 2)), 12.0);
         assert_eq!(t.sim_of(dtx(1, 2)), 0.9);
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn dtx_map_matches_a_btreemap_reference() {
-        use std::collections::BTreeMap;
-        // Random stores, get-or-inserts and gets over a few threads and
-        // sTxIDs at both ends of the u32 range.
-        let stxs = [0, 1, 2, 7, 1023, u32::MAX - 1, u32::MAX];
-        let mut map: DtxMap<u64> = DtxMap::default();
-        let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut rng = bfgts_sim::SimRng::seed_from(14);
-        for step in 0..4000u64 {
-            let key = dtx(
-                rng.gen_range(9) as usize,
-                stxs[rng.gen_range(stxs.len() as u64) as usize],
-            );
-            match rng.gen_range(3) {
-                0 => {
-                    *map.get_or_insert_with(key, || step) = step;
-                    reference.insert(key.pack(), step);
-                }
-                1 => {
-                    *map.get_or_insert_with(key, || step) += 1;
-                    *reference.entry(key.pack()).or_insert(step) += 1;
-                }
-                _ => assert_eq!(map.get(key), reference.get(&key.pack())),
-            }
-            assert_eq!(map.len(), reference.len());
-        }
-        let listed: Vec<(u64, u64)> = map.iter().map(|(d, &v)| (d.pack(), v)).collect();
-        let expected: Vec<(u64, u64)> = reference.into_iter().collect();
-        assert_eq!(listed, expected, "same entries, ascending packed order");
-        assert_eq!(map.get(dtx(50, u32::MAX)), None, "unseen thread");
     }
 
     #[test]

@@ -221,12 +221,13 @@ impl TmRunReport {
             return None;
         }
         let span_secs = self.sim.makespan.as_seconds_at_2ghz();
+        let [p50, p95, p99] = self.stats.sojourn_percentiles([50, 95, 99])?;
         Some(LatencyDigest {
             count,
             total_cycles: self.stats.sojourn_total(),
-            p50: self.stats.sojourn_percentile(50)?,
-            p95: self.stats.sojourn_percentile(95)?,
-            p99: self.stats.sojourn_percentile(99)?,
+            p50,
+            p95,
+            p99,
             tx_per_sec: if span_secs > 0.0 {
                 count as f64 / span_secs
             } else {

@@ -43,9 +43,11 @@
 #![warn(missing_docs)]
 
 pub mod cm;
+mod dtx_map;
 mod harness;
 pub mod history;
 pub mod ids;
+mod line_set;
 mod lines;
 pub mod state;
 pub mod stats;
@@ -56,12 +58,14 @@ pub use cm::{
     AbortPlan, BeginDecision, BeginOutcome, BeginQuery, CommitOutcome, CommitRecord, ConflictEvent,
     ContentionManager, NullCm,
 };
+pub use dtx_map::DtxMap;
 pub use harness::{
     run_workload, try_run_workload, LatencyDigest, TmRunConfig, TmRunReport, DEFAULT_RUN_SEED,
     PAPER_CPUS, PAPER_THREADS, SMALL_CPUS, SMALL_THREADS,
 };
 pub use history::{AttemptId, History, HistoryEvent, SerializabilityResult};
 pub use ids::{DTxId, LineAddr, STxId};
+pub use line_set::LineSet;
 pub use state::{AccessResult, Detection, TmState, TmWorld, SHARD_BLOCK_LINES};
 pub use stats::TmStats;
 pub use thread::{TxThreadConfig, TxThreadLogic};

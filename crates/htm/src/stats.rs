@@ -1,8 +1,9 @@
 //! Run statistics: contention rates, the observed conflict graph and
 //! measured per-transaction similarity (the paper's Tables 1 and 4).
 
+use crate::dtx_map::DtxMap;
 use crate::ids::{DTxId, LineAddr, STxId};
-use std::cmp::Ordering;
+use crate::line_set::LineSet;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Measured statistics of one simulation run.
@@ -11,6 +12,10 @@ use std::collections::{BTreeMap, BTreeSet};
 /// contention manager under test: it observes the ground-truth behaviour
 /// of the transactional workload the way the paper's Table 1 (conflict
 /// graph + similarity) and Table 4 (contention rate) do.
+///
+/// The similarity trackers are the bulk of it: one per dTxID, each
+/// holding that dTxID's previous read/write set gap-coded (about 1.1–2.5
+/// bytes a line on the Fig. 4 presets), in per-thread rows.
 #[derive(Debug, Clone, Default)]
 pub struct TmStats {
     commits: u64,
@@ -18,9 +23,10 @@ pub struct TmStats {
     stalls: u64,
     per_stx: BTreeMap<STxId, StxCounters>,
     conflict_edges: BTreeSet<(STxId, STxId)>,
-    // BTreeMap, not HashMap: `measured_similarity` sums floats in
-    // iteration order, so the order must not vary between map instances.
-    similarity: BTreeMap<DTxId, SimTracker>,
+    // `measured_similarity` sums floats in iteration order, so the order
+    // must not vary between runs: `DtxMap` iterates in (thread, sTxID)
+    // order whatever order the dTxIDs first committed in.
+    similarity: DtxMap<SimTracker>,
     // Sojourn times (commit − arrival, in cycles) of open-system
     // transactions, in commit order. Empty for batch runs.
     sojourns: Vec<u64>,
@@ -38,9 +44,10 @@ struct StxCounters {
 /// same way the runtime smooths it (`sim = 0.5·(sim + newSim)`).
 #[derive(Debug, Clone, Default)]
 struct SimTracker {
-    /// The previous commit's read/write set, sorted. Overwritten in
-    /// place on each commit, so its allocation is reused.
-    prev_set: Vec<LineAddr>,
+    /// The previous commit's read/write set. Re-encoded in place on each
+    /// commit, so its buffer is reused and grows only to the longest
+    /// encoding this dTxID has stored.
+    prev_set: LineSet,
     avg_size: f64,
     sim: f64,
     commits: u64,
@@ -122,7 +129,7 @@ impl TmStats {
     pub fn measured_similarity(&self, stx: STxId) -> Option<f64> {
         let mut weight = 0u64;
         let mut acc = 0.0;
-        for (dtx, t) in &self.similarity {
+        for (dtx, t) in self.similarity.iter() {
             if dtx.stx == stx && t.commits >= 2 {
                 acc += t.sim * t.commits as f64;
                 weight += t.commits;
@@ -138,19 +145,19 @@ impl TmStats {
     /// Records a committed transaction and updates the exact similarity
     /// tracker from its read/write set, which must be sorted ascending
     /// without duplicates (as [`crate::TmState::commit_tx`] writes it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rw_set` is not strictly ascending ([`LineSet::assign`]).
     pub fn record_commit(&mut self, dtx: DTxId, rw_set: &[LineAddr]) {
-        debug_assert!(
-            rw_set.windows(2).all(|w| w[0] < w[1]),
-            "read/write set must be sorted and deduplicated"
-        );
         self.commits += 1;
         self.per_stx.entry(dtx.stx).or_default().commits += 1;
-        let t = self.similarity.entry(dtx).or_default();
+        let t = self.similarity.get_or_insert_with(dtx, SimTracker::default);
         t.commits += 1;
         if t.commits == 1 {
             t.avg_size = rw_set.len() as f64;
         } else {
-            let inter = sorted_intersection_len(&t.prev_set, rw_set) as f64;
+            let inter = t.prev_set.intersection_len(rw_set) as f64;
             let new_sim = if t.avg_size > 0.0 {
                 (inter / t.avg_size).clamp(0.0, 1.0)
             } else {
@@ -163,8 +170,7 @@ impl TmStats {
             };
             t.avg_size = 0.5 * (t.avg_size + rw_set.len() as f64);
         }
-        t.prev_set.clear();
-        t.prev_set.extend_from_slice(rw_set);
+        t.prev_set.assign(rw_set);
     }
 
     /// Records an aborted attempt.
@@ -205,44 +211,23 @@ impl TmStats {
             .expect("sojourn total overflowed u64")
     }
 
-    /// The `pct`-th percentile sojourn (nearest-rank on the sorted
-    /// sample), or `None` for a batch run. `pct` is clamped to `1..=100`.
-    pub fn sojourn_percentile(&self, pct: u32) -> Option<u64> {
+    /// The `pcts`-th percentile sojourns (nearest-rank on the sorted
+    /// sample), or `None` for a batch run. Each percentile is clamped to
+    /// `1..=100`. The sample is copied and sorted once for all of them.
+    pub fn sojourn_percentiles<const N: usize>(&self, pcts: [u32; N]) -> Option<[u64; N]> {
         if self.sojourns.is_empty() {
             return None;
         }
         let mut sorted = self.sojourns.clone();
         sorted.sort_unstable();
-        let pct = u64::from(pct.clamp(1, 100));
         let n = sorted.len() as u64;
-        // Nearest-rank: the smallest value with at least pct% of the
-        // sample at or below it.
-        let rank = (pct * n).div_ceil(100).max(1);
-        sorted.get(rank as usize - 1).copied()
+        Some(pcts.map(|pct| {
+            // Nearest-rank: the smallest value with at least pct% of the
+            // sample at or below it.
+            let rank = (u64::from(pct.clamp(1, 100)) * n).div_ceil(100).max(1);
+            sorted[rank as usize - 1]
+        }))
     }
-}
-
-/// Size of the intersection of two sorted, duplicate-free slices, by a
-/// single merge pass.
-fn sorted_intersection_len(a: &[LineAddr], b: &[LineAddr]) -> usize {
-    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
-    let mut shared = 0;
-    while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
-        match x.cmp(y) {
-            Ordering::Less => {
-                a.next();
-            }
-            Ordering::Greater => {
-                b.next();
-            }
-            Ordering::Equal => {
-                shared += 1;
-                a.next();
-                b.next();
-            }
-        }
-    }
-    shared
 }
 
 #[cfg(test)]
@@ -341,12 +326,84 @@ mod tests {
     }
 
     #[test]
-    fn merge_counts_the_shared_lines() {
-        let inter = |a: &[u64], b: &[u64]| sorted_intersection_len(&lines(a), &lines(b));
-        assert_eq!(inter(&[1, 3, 5, 7], &[2, 3, 4, 7, 9]), 2);
-        assert_eq!(inter(&[], &[1, 2]), 0);
-        assert_eq!(inter(&[4, 5], &[4, 5]), 2);
-        assert_eq!(inter(&[1, 2], &[3, 4]), 0);
+    fn similarity_sums_in_thread_order_whatever_order_threads_commit_in() {
+        // 64 threads × 2 sTxIDs commit random sets, with threads taking
+        // their turns in a scrambled order. The reference keeps each
+        // dTxID's eq. 1 average itself and sums the weighted terms in
+        // (thread, sTxID) order; the measured bits must be those.
+        const THREADS: usize = 64;
+        let mut rng = bfgts_sim::SimRng::seed_from(31);
+        let mut order: Vec<usize> = (0..THREADS).collect();
+        for i in (1..THREADS).rev() {
+            order.swap(i, rng.gen_range(i as u64 + 1) as usize);
+        }
+        let mut stats = TmStats::new();
+        // Per dTxID: (previous set, average size, similarity, commits).
+        let mut reference: BTreeMap<DTxId, (BTreeSet<u64>, f64, f64, u64)> = BTreeMap::new();
+        for _ in 0..5 {
+            for &t in &order {
+                for s in [3, 1] {
+                    let set: BTreeSet<u64> = (0..1 + rng.gen_range(40))
+                        .map(|_| rng.gen_range(64))
+                        .collect();
+                    let v: Vec<u64> = set.iter().copied().collect();
+                    stats.record_commit(dtx(t, s), &lines(&v));
+                    let r = reference.entry(dtx(t, s)).or_default();
+                    r.3 += 1;
+                    let size = set.len() as f64;
+                    if r.3 == 1 {
+                        r.1 = size;
+                    } else {
+                        let inter = r.0.intersection(&set).count() as f64;
+                        let new_sim = (inter / r.1).clamp(0.0, 1.0);
+                        r.2 = if r.3 == 2 {
+                            new_sim
+                        } else {
+                            0.5 * (r.2 + new_sim)
+                        };
+                        r.1 = 0.5 * (r.1 + size);
+                    }
+                    r.0 = set;
+                }
+            }
+        }
+        // Which other orders gave other bits: the threads' first-commit
+        // order, and descending thread order.
+        let mut order_mattered = [false; 2];
+        for s in [1, 3] {
+            let terms: Vec<(f64, u64)> = reference
+                .iter()
+                .filter(|(d, _)| d.stx == STxId(s))
+                .map(|(_, r)| (r.2 * r.3 as f64, r.3))
+                .collect();
+            let sum_in = |threads: &mut dyn Iterator<Item = usize>| {
+                let (acc, weight) = threads
+                    .map(|t| terms[t])
+                    .fold((0.0, 0), |(a, w), (x, c)| (a + x, w + c));
+                acc / weight as f64
+            };
+            let expected = sum_in(&mut (0..THREADS)).to_bits();
+            let measured = stats.measured_similarity(STxId(s)).unwrap();
+            assert_eq!(measured.to_bits(), expected, "sTx{s}");
+            order_mattered[0] |= sum_in(&mut order.iter().copied()).to_bits() != expected;
+            order_mattered[1] |= sum_in(&mut (0..THREADS).rev()).to_bits() != expected;
+        }
+        assert_eq!(order_mattered, [true; 2], "the summation order must show");
+    }
+
+    #[test]
+    fn sojourn_percentiles_are_nearest_rank() {
+        let mut s = TmStats::new();
+        assert_eq!(s.sojourn_percentiles([50]), None, "a batch run");
+        // 1..=200, recorded out of order.
+        for i in 0..200u64 {
+            s.record_sojourn(1 + (i * 77) % 200);
+        }
+        assert_eq!(
+            s.sojourn_percentiles([50, 95, 99, 100, 0, 150]),
+            Some([100, 190, 198, 200, 2, 200]),
+            "0 and 150 clamp to 1 and 100"
+        );
     }
 
     #[test]

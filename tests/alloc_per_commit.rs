@@ -20,9 +20,12 @@
 //!
 //! Counts cannot see how much a run holds, so Kmeans runs at 256 and at
 //! 1024 CPUs, and a Delaunay run whose stored read/write sets are long,
-//! also have their peak live heap bounded: a thread slot or a
-//! contention manager that keeps more bytes per thread or per dTxID
-//! fails here, again without any timing.
+//! also have their peak live heap bounded: a thread slot, the run's
+//! statistics or a contention manager that keeps more bytes per thread
+//! or per dTxID fails here, again without any timing. One 1024-CPU run
+//! commits each dTxID several times, so the sets kept across commits
+//! are re-encoded over and over: a set that reallocates or grows its
+//! buffer by doubling fails there.
 //!
 //! Allocations and live bytes are counted per thread (the idiom of
 //! `crates/bloomsig/tests/alloc_counts.rs`), so sibling tests running in
@@ -232,9 +235,10 @@ fn assert_peak(
 /// Most bytes the 4,000-transaction BFGTS-HW run below may hold live at
 /// once. Keeping a 2048-bit filter for every shard a dTxID's last commit
 /// touched held 8,465,368 bytes. Keeping its lines beside a 2048-bit
-/// whole-set filter held 4,453,152, and keeping its lines alone holds
-/// 2,906,696.
-const SHARDED_PEAK_BOUND: u64 = 7 << 19;
+/// whole-set filter held 4,453,152, keeping its lines alone 2,906,696,
+/// and keeping them gap-coded, in the signature table and in the
+/// similarity trackers, holds 2,173,946.
+const SHARDED_PEAK_BOUND: u64 = 2_400_000;
 
 #[test]
 fn peak_heap_of_kmeans_on_256_sharded_cpus() {
@@ -250,11 +254,14 @@ fn peak_heap_of_kmeans_on_256_sharded_cpus() {
 /// Most bytes the 1024-CPU runs below may hold live at once, under
 /// Backoff and under BFGTS-HW. With room for two 2048-bit detection
 /// filters in every thread slot, and BFGTS-HW keeping a 2048-bit filter
-/// per dTxID, they held 8,233,096 and 15,255,504 bytes; without, they
-/// hold 5,972,104 and 9,062,592.
+/// per dTxID, they held 8,233,096 and 15,255,504 bytes. Without, and
+/// with the sets kept across commits as `Vec<LineAddr>`s, they held
+/// 5,972,104 and 9,062,592. Gap-coded, in per-thread rows that grow one
+/// entry at a time, they hold 5,565,342 and 6,820,580; rows grown by
+/// doubling held 6,253,514 under Backoff.
 const SCALE_PEAK_BOUNDS: [(ManagerKind, u64); 2] = [
-    (ManagerKind::Backoff, 7 << 20),
-    (ManagerKind::BfgtsHw, 11 << 20),
+    (ManagerKind::Backoff, 5_750_000),
+    (ManagerKind::BfgtsHw, 7_500_000),
 ];
 
 #[test]
@@ -272,14 +279,39 @@ fn peak_heap_of_kmeans_on_1024_sharded_cpus() {
     }
 }
 
+/// Most bytes the 12,288-transaction runs below may hold live at once,
+/// under Backoff and under BFGTS-HW. Keeping each dTxID's previous set
+/// as a `Vec<LineAddr>` held 2,603,088 and 3,886,912 bytes; gap-coded,
+/// re-encoded in place, they hold 2,184,391 and 3,076,538.
+const RECOMMIT_PEAK_BOUNDS: [(ManagerKind, u64); 2] = [
+    (ManagerKind::Backoff, 2_350_000),
+    (ManagerKind::BfgtsHw, 3_300_000),
+];
+
+#[test]
+fn peak_heap_of_kmeans_recommitting_on_1024_sharded_cpus() {
+    // One thread per CPU and twelve transactions each, so every thread
+    // commits each of Kmeans' three static transactions about four
+    // times.
+    let platform = Platform {
+        cpus: 1024,
+        threads: 1024,
+        ..Platform::paper()
+    }
+    .sharded(64);
+    for (kind, bound) in RECOMMIT_PEAK_BOUNDS {
+        assert_peak(presets::kmeans(), 12_288, kind, platform, bound);
+    }
+}
+
 /// Most bytes the 640-transaction Delaunay run below may hold live at
 /// once under BFGTS-HW on the paper platform. Its stored commits average
-/// 170 lines. Above about 30 lines a stored entry's lines (8 bytes each,
-/// beside 56 bytes of entry) outweigh the 296-byte entry that held a
-/// 2048-bit filter: keeping the filter held 1,242,656 bytes, keeping the
-/// lines holds 1,457,528, and an entry whose buffer grew by doubling
-/// rather than to its largest set held 1,574,040.
-const LONG_SET_PEAK_BOUND: u64 = 1_500_000;
+/// 170 lines. Keeping a 2048-bit filter per stored entry held 1,242,656
+/// bytes; keeping the lines at 8 bytes each held 1,457,528, and 1,574,040
+/// when an entry's buffer grew by doubling. Gap-coded, at about 1.1
+/// bytes a line, the run's stored sets and its similarity trackers'
+/// previous sets hold 792,964.
+const LONG_SET_PEAK_BOUND: u64 = 850_000;
 
 #[test]
 fn peak_heap_of_delaunay_on_the_paper_platform() {
